@@ -34,7 +34,8 @@ let port =
 
 let domains =
   Arg.(value & opt int 4 & info [ "t"; "domains" ]
-       ~doc:"Worker domains (also the max concurrent connections).")
+       ~doc:"Worker (execution) domains.  Each SUBSCRIBE stream or parked \
+             WATCH holds one (docs/REPLICATION.md).")
 
 let n_hint =
   Arg.(value & opt int 10_000 & info [ "n"; "size-hint" ]

@@ -404,6 +404,13 @@ let process_completions t =
       end)
     pending
 
+(* Empty the pipe, and only then clear [wake_pending]: a wake that
+   lands in between sees the flag still set and skips its write, but its
+   completion is already queued for the processing that follows.
+   Clearing first would let a racing wake's byte be swallowed here and
+   leave the flag stuck set, so every later wake would skip the pipe and
+   wait out the poll timeout.  Only a false-to-true flip writes, so the
+   pipe holds at most one byte per clear. *)
 let drain_wake t =
   let b = Bytes.create 64 in
   let rec go () =
@@ -413,8 +420,8 @@ let drain_wake t =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       -> ()
   in
-  Atomic.set t.wake_pending false;
-  go ()
+  go ();
+  Atomic.set t.wake_pending false
 
 let register t fd data ~accept_ticks ~closing ~preload =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());

@@ -809,6 +809,163 @@ let test_wire_split_ack () =
           | _ -> false);
       C.send_raw sc "QUIT\r\n"
 
+(* Two busy connections on a 2-domain server.  Every completion wakes
+   the loop through the self-pipe; a wake lost between draining the pipe
+   and clearing its pending flag would leave the flag stuck, and every
+   later batch would wait out the 200 ms poll timeout.  A stuck flag
+   stays stuck, so the last round trips of each lane show it. *)
+let test_wire_two_busy_conns () =
+  with_server ~domains:2 (module Dstruct.Btree) @@ fun _srv port ->
+  let lane request () =
+    let c = C.connect ~retries:20 ~port () in
+    Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+    let give_up = Unix.gettimeofday () +. 6. in
+    let rec go i acc =
+      if i = 1000 || Unix.gettimeofday () > give_up then acc
+      else begin
+        let t0 = Unix.gettimeofday () in
+        request c i;
+        go (i + 1) ((Unix.gettimeofday () -. t0) :: acc)
+      end
+    in
+    List.filteri (fun i _ -> i < 20) (go 0 [])
+  in
+  let txn c i =
+    let k = i mod 64 in
+    match C.pipeline c [ P.Multi; P.Del k; P.Put (k, i); P.Exec 0 ] with
+    | Ok [ P.Ok_; P.Queued; P.Queued; P.Arr _ ] -> ()
+    | Ok rs -> Alcotest.fail ("EXEC: " ^ String.concat "," (List.map P.pp_reply rs))
+    | Error e -> Alcotest.fail ("EXEC: " ^ e)
+  in
+  let count c _ =
+    match C.request c (P.Rangecount (0, 100)) with
+    | Ok (P.Int _) -> ()
+    | Ok r -> Alcotest.fail ("RANGECOUNT: " ^ P.pp_reply r)
+    | Error e -> Alcotest.fail ("RANGECOUNT: " ^ e)
+  in
+  let d1 = Domain.spawn (lane txn) and d2 = Domain.spawn (lane count) in
+  let last = Array.of_list (Domain.join d1 @ Domain.join d2) in
+  Array.sort compare last;
+  let median = last.(Array.length last / 2) in
+  if median >= 0.05 then
+    Alcotest.failf "median of the last round trips %.1f ms" (median *. 1000.)
+
+(* --- live: the change feed ---------------------------------------------- *)
+
+let raw_connect ?rcvbuf port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let raw_send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let json_int conn cmd field =
+  match req conn cmd with
+  | P.Bulk json -> (
+      let key = Printf.sprintf "\"%s\":" field in
+      let nk = String.length key in
+      let rec find i =
+        if i + nk > String.length json then Alcotest.fail ("no field " ^ field)
+        else if String.sub json i nk = key then i + nk
+        else find (i + 1)
+      in
+      let start = find 0 in
+      let stop = ref start in
+      while !stop < String.length json && json.[!stop] >= '0' && json.[!stop] <= '9' do
+        incr stop
+      done;
+      int_of_string (String.sub json start (!stop - start)))
+  | r -> Alcotest.fail ("expected JSON: " ^ P.pp_reply r)
+
+(* A subscriber that never reads cannot hold the server's resources for
+   long: with a 64-record feed its cursor falls behind the trim point
+   and the stream ends by resync, or the write deadline kills it first.
+   Other connections are served throughout. *)
+let test_feed_stalled_subscriber () =
+  Verlib.reset ();
+  let mount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
+  let write_timeout = 1.0 in
+  let config =
+    {
+      S.default_config with
+      S.port = 0;
+      domains = 2;
+      queue_depth = 16;
+      feed_capacity = 64;
+      write_timeout;
+    }
+  in
+  let srv = S.create ~config mount in
+  S.start srv;
+  Fun.protect ~finally:(fun () -> S.stop srv) @@ fun () ->
+  let port = S.port srv in
+  let pc = C.connect ~retries:20 ~port () in
+  let fd = raw_connect ~rcvbuf:4096 port in
+  raw_send fd "SUBSCRIBE 0 1000000000 0\r\n";
+  await "stream registered" (fun () -> json_int pc P.Replstats "subscribers" = 1);
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let c = C.connect ~retries:20 ~port () in
+        Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          let ops = List.init 16 (fun j -> P.Put ((!i * 16) + j, !i)) in
+          (match C.pipeline c ops with
+           | Ok _ -> ()
+           | Error e -> Alcotest.fail ("writer: " ^ e));
+          incr i
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join writer;
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      C.close pc)
+  @@ fun () ->
+  (* The kernel's socket buffers take up to tcp_wmem's maximum before a
+     stream write can block, so the deadline clock starts once the feed
+     has produced that much for the peer (its REPLSTATS lag_bytes, as
+     it never ACKs). *)
+  let kernel_buf =
+    try
+      let ic = open_in "/proc/sys/net/ipv4/tcp_wmem" in
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      Scanf.sscanf (input_line ic) " %d %d %d" (fun _ _ mx -> mx)
+    with _ -> 4 lsl 20
+  in
+  let give_up = Unix.gettimeofday () +. 30. in
+  let kills0 = S.deadline_kill_count srv in
+  let worst = ref 0. in
+  let onset = ref None in
+  let rec go () =
+    let p0 = Unix.gettimeofday () in
+    Alcotest.(check bool) "PING" true (req pc P.Ping = P.Pong);
+    let now = Unix.gettimeofday () in
+    worst := Float.max !worst (now -. p0);
+    if !onset = None && json_int pc P.Replstats "lag_bytes" >= kernel_buf then
+      onset := Some now;
+    let ended =
+      S.deadline_kill_count srv > kills0
+      || json_int pc P.Replstats "subscribers" = 0
+    in
+    match !onset with
+    | Some t0 when ended ->
+        if now -. t0 > write_timeout +. 1. then
+          Alcotest.failf "stalled stream ended %.2f s after its backlog filled"
+            (now -. t0)
+    | _ when ended -> ()
+    | _ when now > give_up -> Alcotest.fail "stalled stream never ended"
+    | _ ->
+        Unix.sleepf 0.02;
+        go ()
+  in
+  go ();
+  if !worst > 0.5 then
+    Alcotest.failf "PING took %.0f ms next to the stalled stream" (!worst *. 1000.)
+
 (* --- live: MULTI/EXEC transactions over the wire ------------------------ *)
 
 let test_wire_txn_basics () =
@@ -931,7 +1088,7 @@ let bank_over_wire map ~use_range =
   let base = 1_000 in
   let pairs = 8 in
   let nwriters = 2 and nreaders = 2 in
-  with_server ~domains:(nwriters + nreaders + 1) map @@ fun _srv port ->
+  with_server ~domains:2 map @@ fun _srv port ->
   (let conn = C.connect ~retries:20 ~port () in
    Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
    for i = 0 to pairs - 1 do
@@ -1077,6 +1234,13 @@ let () =
             test_wire_conns_exceed_domains;
           Alcotest.test_case "split-delivery ACK framing" `Quick
             test_wire_split_ack;
+          Alcotest.test_case "two busy connections on 2 domains" `Quick
+            test_wire_two_busy_conns;
+        ] );
+      ( "feed",
+        [
+          Alcotest.test_case "stalled subscriber is bounded" `Quick
+            test_feed_stalled_subscriber;
         ] );
       ( "mount",
         [ Alcotest.test_case "typed capability" `Quick test_mount_capability ] );
