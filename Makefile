@@ -82,11 +82,12 @@ obs-smoke:
 	@echo "obs-smoke: census clean on the versioned structures (incl. a sharded mount)"
 
 # Wire-path smoke: boot verlib-serve on an ephemeral port, prove the
-# snapshot invariant from concurrent client domains (bank mix: MGET/RANGE
-# pair sums stay in {2B, 2B-1}, money conserved at quiescence), drive an
-# opgen throughput run whose rows gate through bench_diff against the
-# committed baseline's "serve" figure, require a clean census in the
-# served STATS, and check the SIGINT drain path flushes the final report.
+# snapshot invariant from concurrent client domains (bank mix: MULTI/EXEC
+# transfers; every MGET/RANGE pair sum is exactly 2B, money conserved at
+# quiescence), drive an opgen throughput run whose rows gate through
+# bench_diff against the committed baseline's "serve" figure, require a
+# clean census in the served STATS, and check the SIGINT drain path
+# flushes the final report.
 serve-smoke:
 	dune build bin/verlib_serve.exe bin/verlib_loadgen.exe bin/bench_diff.exe
 	@set -e; \
@@ -252,7 +253,7 @@ chaos-smoke:
 	  -s sharded-hashtable:2 --duration 1.5 --ci
 	@set -e; \
 	echo "chaos-smoke: overload shedding (1 worker, admission control)"; \
-	./_build/default/bin/verlib_serve.exe -s btree -p 0 -t 1 --queue-depth 8 \
+	./_build/default/bin/verlib_serve.exe -s btree -p 0 -t 1 \
 	  --shed-queue 1 --retry-after-ms 1 --duration 120 --stats none \
 	  > /tmp/verlib_shed_port.txt 2>/tmp/verlib_shed_srv.log & \
 	srv=$$!; \
@@ -513,10 +514,11 @@ repl-baseline:
 # Everything the CI workflow (.github/workflows/ci.yml) runs, callable
 # locally: full build, the test suites, the perf-trajectory gate at
 # --ci scale, the observability gate, the profiling gate, the
-# transactional end-to-end gate and the replication chaos gate.  The
-# heavier smoke targets (serve-smoke, chaos-smoke, obs-smoke) stay
-# opt-in.
-ci: build test bench-check trace-smoke profile-smoke txn-smoke repl-smoke c10k-smoke
+# transactional end-to-end gate, the replication chaos gate, the c10k
+# gate and the chaos gate (whose overload stanza is the end-to-end
+# shedding check).  The heavier smoke targets (serve-smoke, obs-smoke)
+# stay opt-in.
+ci: build test bench-check trace-smoke profile-smoke txn-smoke repl-smoke c10k-smoke chaos-smoke
 
 doc:
 	dune build @doc

@@ -45,10 +45,6 @@ let prefill =
   Arg.(value & opt int 0 & info [ "prefill" ]
        ~doc:"Insert keys 1..$(docv) (value = key) before serving." ~docv:"N")
 
-let queue_depth =
-  Arg.(value & opt int 64 & info [ "queue-depth" ]
-       ~doc:"Bound of the accept-to-worker handoff queue (backpressure).")
-
 let census_interval =
   Arg.(value & opt float 0. & info [ "census-interval" ] ~docv:"SECONDS"
        ~doc:"Walk the structure's version chains every $(docv) seconds from a \
@@ -76,26 +72,13 @@ let write_timeout =
              (peer stopped reading); 0 = forever.")
 
 let shed_queue =
-  Arg.(value & opt int 0 & info [ "shed-queue" ]
-       ~doc:"Admission control: shed snapshot-heavy commands with -BUSY while \
-             the accept-to-worker queue holds at least this many connections \
-             (all data commands at twice it); 0 = off.")
-
-let shed_epoch_lag =
-  Arg.(value & opt int 0 & info [ "shed-epoch-lag" ]
-       ~doc:"Shed against the epoch-lag reclamation gauge; 0 = off.")
-
-let shed_chain_p99 =
-  Arg.(value & opt int 0 & info [ "shed-chain-p99" ]
-       ~doc:"Shed against the latest census's p99 version-chain length \
-             (needs --census-interval); 0 = off.")
-
-let shed_dwell_us =
-  Arg.(value & opt int 0 & info [ "shed-dwell-us" ]
-       ~doc:"Shed against the measured queue dwell of the last executed \
-             batch, in microseconds: how long it waited between the event \
-             loop's push and a worker's pop (the latency form of queue \
-             pressure); 0 = off.")
+  Arg.(value & opt int 0 & info [ "shed-queue" ] ~docv:"N"
+       ~doc:"Admission control: answer snapshot-heavy commands (MGET, \
+             RANGE, RANGECOUNT, SCAN, EXEC, SYNC, WATCH) with -BUSY while \
+             $(docv) or more batches wait in the event loop's handoff queue \
+             to the workers, and every data command at 2x$(docv).  PING, \
+             STATS and the other observability commands are never shed.  \
+             0 = off.")
 
 let retry_after_ms =
   Arg.(value & opt int 50 & info [ "retry-after-ms" ]
@@ -212,11 +195,10 @@ let install_signal_handlers () =
     (fun s -> try Sys.set_signal s (Sys.Signal_handle handle) with _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
-let run structure mode port domains n_hint prefill queue_depth census_interval
-    max_conns idle_timeout write_timeout shed_queue shed_epoch_lag
-    shed_chain_p99 shed_dwell_us retry_after_ms metrics_interval flight_dir
-    flight_min_interval slo_p99_us locks profile_hz profile_out replica_of
-    feed_capacity faults duration stats_fmt trace_file =
+let run structure mode port domains n_hint prefill census_interval max_conns
+    idle_timeout write_timeout shed_queue retry_after_ms metrics_interval
+    flight_dir flight_min_interval slo_p99_us locks profile_hz profile_out
+    replica_of feed_capacity faults duration stats_fmt trace_file =
   let plan =
     match faults with
     | None -> None
@@ -254,15 +236,11 @@ let run structure mode port domains n_hint prefill queue_depth census_interval
       Server.default_config with
       Server.port;
       domains;
-      queue_depth;
       census_interval;
       max_conns;
       idle_timeout;
       write_timeout;
       shed_queue;
-      shed_epoch_lag;
-      shed_chain_p99;
-      shed_dwell_us;
       retry_after_ms;
       metrics_interval;
       flight_dir;
@@ -348,10 +326,10 @@ let cmd =
     (Cmd.info "verlib_serve" ~doc)
     Term.(
       const run $ structure $ mode $ port $ domains $ n_hint $ prefill
-      $ queue_depth $ census_interval $ max_conns $ idle_timeout
-      $ write_timeout $ shed_queue $ shed_epoch_lag $ shed_chain_p99
-      $ shed_dwell_us $ retry_after_ms $ metrics_interval $ flight_dir $ flight_min_interval
-      $ slo_p99_us $ locks $ profile_hz $ profile_out $ replica_of
-      $ feed_capacity $ faults $ duration $ stats_fmt $ trace_file)
+      $ census_interval $ max_conns $ idle_timeout $ write_timeout
+      $ shed_queue $ retry_after_ms $ metrics_interval $ flight_dir
+      $ flight_min_interval $ slo_p99_us $ locks $ profile_hz $ profile_out
+      $ replica_of $ feed_capacity $ faults $ duration $ stats_fmt
+      $ trace_file)
 
 let () = exit (Cmd.eval cmd)

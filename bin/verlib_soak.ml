@@ -269,16 +269,14 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
   let pmount = Server.Mount.mount ~n_hint:(4 * pairs) map in
   seed_ledger pmount ~pairs;
   (* The replica's stream pins one primary worker for its whole life
-     (connection-per-worker pool, docs/REPLICATION.md), and every bank
-     client holds a persistent connection — without headroom for all of
-     them the replica starves behind the clients and the feed never
-     streams. *)
+     (docs/REPLICATION.md, "Worker sizing"); the rest serve the bank
+     clients' batches.  One worker per client is more than the event
+     loop needs, but keeps the chaos schedule comparable across runs. *)
   let config =
     {
       Server.default_config with
       Server.port = 0;
       domains = max srv_domains (writers + readers + 2);
-      queue_depth = 16;
       census_interval = 0.05;
       write_timeout = 2.;
       idle_timeout = 10.;
@@ -500,7 +498,6 @@ let run plan_spec structure duration pairs writers readers srv_domains ci repl
       Server.default_config with
       Server.port = 0;
       domains = max 2 srv_domains;
-      queue_depth = 16;
       census_interval = 0.05;
       write_timeout = 2.;
       idle_timeout = 10.;

@@ -1,19 +1,15 @@
 type 'a t = {
-  depth : int;
   q : 'a Queue.t;
   mutable closed : bool;
   m : Mutex.t;
-  not_full : Condition.t;
   not_empty : Condition.t;
 }
 
-let create depth =
+let create () =
   {
-    depth = max 1 depth;
     q = Queue.create ();
     closed = false;
     m = Mutex.create ();
-    not_full = Condition.create ();
     not_empty = Condition.create ();
   }
 
@@ -21,30 +17,9 @@ let with_lock t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let push t x =
-  with_lock t (fun () ->
-      let rec wait () =
-        if t.closed then false
-        else if Queue.length t.q >= t.depth then begin
-          Condition.wait t.not_full t.m;
-          wait ()
-        end
-        else begin
-          Queue.push x t.q;
-          Condition.signal t.not_empty;
-          true
-        end
-      in
-      wait ())
-
-(* Non-blocking push for the event loop: the loop thread must never
-   park on a worker queue, so a full queue reports [`Full] and the
-   caller keeps the item parked on the connection until a completion
-   frees a slot. *)
 let try_push t x =
   with_lock t (fun () ->
       if t.closed then `Closed
-      else if Queue.length t.q >= t.depth then `Full
       else begin
         Queue.push x t.q;
         Condition.signal t.not_empty;
@@ -55,9 +30,7 @@ let pop t =
   with_lock t (fun () ->
       let rec wait () =
         match Queue.take_opt t.q with
-        | Some x ->
-            Condition.signal t.not_full;
-            Some x
+        | Some _ as x -> x
         | None ->
             if t.closed then None
             else begin
@@ -70,7 +43,6 @@ let pop t =
 let close t =
   with_lock t (fun () ->
       t.closed <- true;
-      Condition.broadcast t.not_full;
       Condition.broadcast t.not_empty)
 
 let length t = with_lock t (fun () -> Queue.length t.q)

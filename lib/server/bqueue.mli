@@ -1,32 +1,28 @@
-(** Bounded blocking queue — the accept→worker handoff with
-    backpressure.  When the queue is full the accepting domain blocks in
-    {!push}, which stops it calling [accept]; the kernel listen backlog
-    then fills and new clients queue in the TCP layer — closed-loop load
-    cannot outrun the workers.
+(** The event loop's handoff queue to the worker domains.
 
-    [close] makes the queue drain-only: {!push} returns [false], {!pop}
-    keeps returning queued items and then [None] — the graceful-shutdown
-    path. *)
+    It has no capacity bound of its own: the loop admits at most one
+    batch per connection (read interest is off while a batch is in
+    flight), so the queue never holds more batches than there are
+    connections — registered ones, plus any the loop killed while
+    their batch still waited.  Pushing therefore never blocks, and the
+    loop thread never parks on it.
+
+    [close] makes the queue drain-only: {!try_push} answers [`Closed],
+    {!pop} keeps returning queued items and then [None] — the
+    graceful-shutdown path. *)
 
 type 'a t
 
-val create : int -> 'a t
-(** [create depth]; depth is clamped to at least 1. *)
+val create : unit -> 'a t
 
-val push : 'a t -> 'a -> bool
-(** Blocks while full.  [false] iff the queue was closed (the item is
-    not enqueued). *)
-
-val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
-(** Nonblocking {!push} for the event loop, which must never park on a
-    worker queue: [`Full] hands backpressure to the caller (the loop
-    parks the batch on its connection and retries as completions free
-    slots). *)
+val try_push : 'a t -> 'a -> [ `Ok | `Closed ]
+(** Enqueue and wake one waiting consumer; [`Closed] iff the queue was
+    closed (the item is not enqueued).  Never blocks. *)
 
 val pop : 'a t -> 'a option
 (** Blocks while empty and open.  [None] iff closed and drained. *)
 
 val close : 'a t -> unit
-(** Idempotent; wakes all blocked producers and consumers. *)
+(** Idempotent; wakes all blocked consumers. *)
 
 val length : 'a t -> int

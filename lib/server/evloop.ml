@@ -22,9 +22,10 @@
    connection's read interest is off, so a pipelining peer queues in
    the kernel, not in us; a peer that stops reading accumulates outbuf
    until [out_hwm] pauses reads and [write_timeout] kills the
-   connection; a full worker queue parks the batch on the connection
-   ([parked]) and retries as completions free slots, instead of ever
-   blocking the loop. *)
+   connection.  The same one-batch-per-connection rule bounds the
+   worker queue (one batch per registered connection, plus one per
+   connection killed while its batch still waited), so handing a batch
+   over never blocks or fails for capacity. *)
 
 type action = [ `Continue | `Close | `Detach ]
 
@@ -36,17 +37,15 @@ type 'a conn = {
   out : Buffer.t;  (** reply bytes not yet written (under [m]) *)
   mutable out_off : int;  (** written prefix of [out]; loop-only *)
   mutable busy : bool;  (** a batch is with a worker; loop-only *)
-  mutable parked : (string list * int) option;
-      (** batch refused by a full queue, awaiting retry; loop-only *)
   mutable closing : bool;  (** flush what we owe, then close *)
   mutable detaching : bool;  (** flush, deregister, hand fd to worker *)
   mutable detached : bool;  (** handshake flag (under [m]) *)
   mutable dead : bool;  (** loop abandoned the connection *)
   peer_gone : bool Atomic.t;
-      (** the peer departed (FIN/RST) while a batch was in flight or
-          parked — its not-yet-executed commands must be dropped, not
-          run with stale arguments long after the client gave up and
-          replayed elsewhere (see {!peer_gone}) *)
+      (** the peer departed (FIN/RST) while a batch was in flight — its
+          not-yet-executed commands must be dropped, not run with stale
+          arguments long after the client gave up and replayed
+          elsewhere (see {!peer_gone}) *)
   cv : Condition.t;  (** signals [detached] *)
   mutable last_act : float;  (** last byte read (idle deadline) *)
   mutable out_since : float;  (** outbuf first went nonempty; 0 = empty *)
@@ -58,7 +57,7 @@ type 'a handlers = {
   h_accept : Unix.file_descr -> [ `Admit of 'a | `Reject of 'a * string ];
       (** admission decision; [`Reject] still registers the connection,
           pre-loaded with refusal bytes and marked closing *)
-  h_dispatch : 'a conn -> string list -> mark:int -> [ `Ok | `Full | `Closed ];
+  h_dispatch : 'a conn -> string list -> mark:int -> [ `Ok | `Closed ];
       (** hand one chunk's complete lines to the workers *)
   h_overflow : 'a -> string;  (** reply bytes for an over-long line *)
   h_kill : [ `Idle | `Write ] -> unit;  (** deadline-kill accounting *)
@@ -172,7 +171,7 @@ let wait_detached conn =
 
 (* Worker-side liveness check, consulted between the commands of a
    batch.  True once the loop has observed the peer's departure
-   (POLLRDHUP/POLLERR/POLLHUP while the batch was in flight or parked):
+   (POLLRDHUP/POLLERR/POLLHUP while the batch was in flight):
    the reply is undeliverable and the client's retry layer treats the
    connection as ambiguous-and-replayed, so executing the remaining
    commands anyway risks zombie writes — stale-argument mutations
@@ -263,29 +262,15 @@ let take_lines conn =
   in
   go []
 
-(* Hand a batch to the workers, or park it when the queue is full; a
-   parked batch retries each iteration (completions free slots). *)
+(* Hand a batch to the workers; reads stay off until it completes. *)
 let dispatch t conn lines ~mark =
   if lines <> [] && not conn.dead then begin
     match t.handlers.h_dispatch conn lines ~mark with
     | `Ok ->
         conn.busy <- true;
         set_read_interest t conn false
-    | `Full ->
-        conn.parked <- Some (lines, mark);
-        set_read_interest t conn false
     | `Closed -> conn.closing <- true
   end
-
-let retry_parked t conn =
-  match conn.parked with
-  | Some (lines, mark) when not conn.busy ->
-      conn.parked <- None;
-      (* A parked batch whose peer has since departed is dropped whole:
-         none of it executed, none of it will. *)
-      if Atomic.get conn.peer_gone then conn.closing <- true
-      else dispatch t conn lines ~mark
-  | _ -> ()
 
 (* Nonblocking flush of up to one 64K slice.  Returns [`Empty] when the
    outbuf fully drained, [`More] when bytes remain (write interest is
@@ -359,7 +344,7 @@ let rec flush_conn t conn =
 (* A connection that owes nothing and has nothing in flight can finish
    its terminal state. *)
 let try_finish t conn =
-  if (not conn.busy) && conn.parked = None then begin
+  if not conn.busy then begin
     if conn.detaching then begin
       match flush_conn t conn with
       | `Empty -> finish_detach t conn
@@ -384,20 +369,10 @@ let process_completions t =
          | `Close -> conn.closing <- true
          | `Detach -> conn.detaching <- true
          | `Continue -> ());
-        if Atomic.get conn.peer_gone then begin
-          conn.parked <- None;
-          if not conn.detaching then conn.closing <- true
-        end;
-        retry_parked t conn;
-        (* Lines that arrived in the same chunk as a QUIT (or while the
-           batch was parked) are already buffered; dispatch them before
-           re-arming reads. *)
-        if (not conn.busy) && not (conn.closing || conn.detaching) then begin
-          (match take_lines conn with
-           | [] -> ()
-           | lines -> dispatch t conn lines ~mark:(Verlib.Hwclock.now ()));
-          if not conn.busy then set_read_interest t conn true
-        end;
+        if Atomic.get conn.peer_gone && not conn.detaching then
+          conn.closing <- true;
+        if not (conn.closing || conn.detaching) then
+          set_read_interest t conn true;
         (match flush_conn t conn with
          | `Closed -> ()
          | `Empty | `More -> try_finish t conn)
@@ -435,7 +410,6 @@ let register t fd data ~accept_ticks ~closing ~preload =
       out = Buffer.create 512;
       out_off = 0;
       busy = false;
-      parked = None;
       closing;
       detaching = false;
       detached = false;
@@ -490,8 +464,7 @@ let accept_pass t =
   done
 
 let read_conn t conn =
-  if (not conn.busy) && conn.parked = None && not (conn.closing || conn.detaching)
-  then begin
+  if not (conn.busy || conn.closing || conn.detaching) then begin
     let cap =
       match Fault.io_check t.fp_read with
       | Some Fault.Econnreset -> -1
@@ -537,8 +510,8 @@ let read_conn t conn =
 let sweep_deadlines t now conn =
   if not conn.dead then begin
     if
-      t.idle_timeout > 0. && (not conn.busy) && conn.parked = None
-      && (not (conn.closing || conn.detaching))
+      t.idle_timeout > 0.
+      && (not (conn.busy || conn.closing || conn.detaching))
       && out_pending conn = 0
       && now -. conn.last_act > t.idle_timeout
     then begin
@@ -562,47 +535,32 @@ let live_conns t =
   done;
   !n
 
-(* Graceful drain: stop accepting; answer every complete line already
-   read; flush what we owe; close everything.  Connections stuck on a
-   dead worker queue or an unreadable peer are force-closed at the
-   drain deadline, and workers parked in [wait_detached] are released
-   with [`Dead]. *)
+(* Graceful drain: stop accepting; let every in-flight batch complete
+   (a read dispatches all the complete lines it finds, so a connection
+   with nothing in flight owes no further batch); flush what we owe;
+   close everything.  Connections stuck on a dead worker queue or an
+   unreadable peer are force-closed at the drain deadline, and workers
+   parked in [wait_detached] are released with [`Dead]. *)
 let drain t =
   let deadline = Unix.gettimeofday () +. t.drain_timeout in
   Evpoll.Set.set_interest t.set listen_slot 0;
-  (* Final batches: everything readable was read before stop; dispatch
-     whatever complete lines remain. *)
-  for i = Evpoll.Set.length t.set - 1 downto 2 do
-    match t.conns.(i) with
-    | None -> ()
-    | Some conn ->
-        if (not conn.busy) && conn.parked = None then begin
-          (match take_lines conn with
-           | [] -> ()
-           | lines -> dispatch t conn lines ~mark:(Verlib.Hwclock.now ()));
+  let finish_idle () =
+    for i = Evpoll.Set.length t.set - 1 downto 2 do
+      match t.conns.(i) with
+      | None -> ()
+      | Some conn ->
           if not (conn.busy || conn.closing || conn.detaching) then
             conn.closing <- true;
           try_finish t conn
-        end
-  done;
+    done
+  in
+  finish_idle ();
   while live_conns t > 0 && Unix.gettimeofday () < deadline do
     ignore (Evpoll.Set.poll t.set ~timeout_ms:20);
     if Evpoll.has (Evpoll.Set.revents t.set wake_slot) Evpoll.ev_in then
       drain_wake t;
     process_completions t;
-    for i = Evpoll.Set.length t.set - 1 downto 2 do
-      match t.conns.(i) with
-      | None -> ()
-      | Some conn ->
-          retry_parked t conn;
-          if (not conn.busy) && not (conn.closing || conn.detaching) then begin
-            (match take_lines conn with
-             | [] -> ()
-             | lines -> dispatch t conn lines ~mark:(Verlib.Hwclock.now ()));
-            if not (conn.busy || conn.detaching) then conn.closing <- true
-          end;
-          try_finish t conn
-    done
+    finish_idle ()
   done;
   (* Force-close survivors.  [close_conn] also releases any worker
      parked in [wait_detached] with [`Dead], and late completions from
@@ -637,18 +595,16 @@ let run t =
             let r = Evpoll.Set.revents t.set conn.slot in
             if Evpoll.has r Evpoll.ev_nval then close_conn t conn
             else begin
-              (* The peer left while its batch was in flight or parked
-                 (read interest is off then, so this FIN/RST would
-                 otherwise stay invisible until completion): flag it so
-                 the worker stops before the not-yet-executed commands
-                 and the parked batch is dropped.  A [closing]
-                 connection is exempt — its final (EOF-dispatched)
-                 lines are still answered politely. *)
+              (* The peer left while its batch was in flight (read
+                 interest is off then, so this FIN/RST would otherwise
+                 stay invisible until completion): flag it so the
+                 worker stops before the not-yet-executed commands.  A
+                 [closing] connection is exempt — its final
+                 (EOF-dispatched) lines are still answered politely. *)
               if
                 Evpoll.has r
                   (Evpoll.ev_rdhup lor Evpoll.ev_err lor Evpoll.ev_hup)
-                && (conn.busy || conn.parked <> None)
-                && not conn.closing
+                && conn.busy && not conn.closing
               then Atomic.set conn.peer_gone true;
               if
                 Evpoll.has r Evpoll.ev_in
@@ -663,14 +619,13 @@ let run t =
                 (* Half-closed peers still get their replies; a HUP with
                    nothing owed and nothing in flight is just a close. *)
                 if
-                  (not conn.busy) && conn.parked = None
+                  (not conn.busy)
                   && out_pending conn = 0
                   && Protocol.Linebuf.pending conn.inbuf = 0
                   && not (conn.closing || conn.detaching)
                 then close_conn t conn
               end;
               if not conn.dead then begin
-                retry_parked t conn;
                 try_finish t conn;
                 if not conn.dead then sweep_deadlines t now conn
               end

@@ -403,11 +403,11 @@ let parse_trace body =
 
 (* Stateful '\n'-framed line reassembly shared by every path that reads
    the wire in arbitrary-sized chunks: the event loop's per-connection
-   inbox and the replica ACK drain.  The invariant that matters — and
-   that an earlier ad-hoc splitter got subtly right only by luck — is
-   that a trailing partial line after the last '\n' stays buffered
-   until its terminator arrives, no matter how the kernel splits the
-   delivery.  A terminating '\r' before the '\n' is stripped. *)
+   inbox, the replica ACK drain and the client's reply [Reader].  The
+   invariant that matters — and that an earlier ad-hoc splitter got
+   subtly right only by luck — is that a trailing partial line after
+   the last '\n' stays buffered until its terminator arrives, no matter
+   how the kernel splits the delivery.  A terminating '\r' before the '\n' is stripped. *)
 module Linebuf = struct
   type t = {
     buf : Buffer.t;  (** received, not yet consumed *)
@@ -452,6 +452,17 @@ module Linebuf = struct
       Some line
     end
 
+  (* Pops exactly [n] bytes, terminators included, or [None] while fewer
+     are buffered: the payload of a length-prefixed bulk reply. *)
+  let take t n =
+    if pending t < n then None
+    else begin
+      let s = Buffer.sub t.buf t.pos n in
+      t.pos <- t.pos + n;
+      compact t;
+      Some s
+    end
+
   let drain t f =
     let rec go () =
       match next t with
@@ -469,14 +480,13 @@ module Reader = struct
   type t = {
     read : bytes -> int -> int -> int;
     chunk : bytes;
-    buf : Buffer.t;  (** bytes received, not yet consumed *)
-    mutable pos : int;  (** consumed prefix of [buf] *)
+    lb : Linebuf.t;  (** bytes received, not yet consumed *)
     mutable last_trace : trace_info option;
         (** trace frame attached to the most recently parsed reply *)
   }
 
   let create read =
-    { read; chunk = Bytes.create 65536; buf = Buffer.create 4096; pos = 0;
+    { read; chunk = Bytes.create 65536; lb = Linebuf.create ();
       last_trace = None }
 
   let of_string s =
@@ -487,26 +497,11 @@ module Reader = struct
         consumed := !consumed + n;
         n)
 
-  (* Compact once the consumed prefix dominates, so long-lived
-     connections don't grow the buffer without bound. *)
-  let compact t =
-    if t.pos > 0 && t.pos >= Buffer.length t.buf then begin
-      Buffer.clear t.buf;
-      t.pos <- 0
-    end
-    else if t.pos > 65536 then begin
-      let rest = Buffer.sub t.buf t.pos (Buffer.length t.buf - t.pos) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      t.pos <- 0
-    end
-
   let refill t =
-    compact t;
     match t.read t.chunk 0 (Bytes.length t.chunk) with
     | 0 -> false
     | n ->
-        Buffer.add_subbytes t.buf t.chunk 0 n;
+        Linebuf.feed t.lb t.chunk 0 n;
         true
     | exception _ -> false
 
@@ -514,42 +509,22 @@ module Reader = struct
 
   (* One CRLF/LF-terminated line, without the terminator. *)
   let rec line t =
-    let len = Buffer.length t.buf in
-    let rec find i = if i >= len then None else if Buffer.nth t.buf i = '\n' then Some i else find (i + 1) in
-    match find t.pos with
-    | Some i ->
-        let stop = if i > t.pos && Buffer.nth t.buf (i - 1) = '\r' then i - 1 else i in
-        let l = Buffer.sub t.buf t.pos (stop - t.pos) in
-        t.pos <- i + 1;
-        Ok l
+    match Linebuf.next t.lb with
+    | Some l -> Ok l
     | None ->
-        if len - t.pos > max_line then Error "reply line too long"
+        if Linebuf.pending t.lb > max_line then Error "reply line too long"
         else if refill t then line t
         else Error "connection closed mid-reply"
 
   (* Exactly [n] payload bytes followed by CRLF (or LF). *)
   let rec payload t n =
-    let avail = Buffer.length t.buf - t.pos in
-    if avail >= n + 1 then begin
-      match Buffer.nth t.buf (t.pos + n) with
-      | '\n' ->
-          let s = Buffer.sub t.buf t.pos n in
-          t.pos <- t.pos + n + 1;
-          Ok s
-      | '\r' when avail >= n + 2 ->
-          if Buffer.nth t.buf (t.pos + n + 1) = '\n' then begin
-            let s = Buffer.sub t.buf t.pos n in
-            t.pos <- t.pos + n + 2;
-            Ok s
-          end
-          else Error "bulk reply not newline-terminated"
-      | '\r' ->
-          (* only the \r of the CRLF has arrived — wait for the \n *)
-          if refill t then payload t n else Error "connection closed mid-bulk"
-      | _ -> Error "bulk reply not newline-terminated"
-    end
-    else if refill t then payload t n
-    else Error "connection closed mid-bulk"
+    match Linebuf.take t.lb n with
+    | Some s -> (
+        match line t with
+        | Ok "" -> Ok s
+        | Ok _ -> Error "bulk reply not newline-terminated"
+        | Error _ -> Error "connection closed mid-bulk")
+    | None -> if refill t then payload t n else Error "connection closed mid-bulk"
 
   let ( let* ) = Result.bind
 

@@ -9,18 +9,11 @@ type config = {
   port : int;
   domains : int;
   backlog : int;
-  queue_depth : int;
   census_interval : float;
   max_conns : int;
   idle_timeout : float;
   write_timeout : float;
   shed_queue : int;
-  shed_epoch_lag : int;
-  shed_chain_p99 : int;
-  shed_dwell_us : int;
-      (** shed when the last handoff batch waited this long (µs) for a
-          worker — the latency signal that replaces "queue full" as the
-          overload definition under the event loop; 0 disables *)
   retry_after_ms : int;
   metrics_interval : float;
   flight_dir : string;
@@ -38,15 +31,11 @@ let default_config =
     port = 7379;
     domains = 4;
     backlog = 64;
-    queue_depth = 64;
     census_interval = 0.;
     max_conns = 0;
     idle_timeout = 0.;
     write_timeout = 5.;
     shed_queue = 0;
-    shed_epoch_lag = 0;
-    shed_chain_p99 = 0;
-    shed_dwell_us = 0;
     retry_after_ms = 50;
     metrics_interval = 0.;
     flight_dir = "";
@@ -68,8 +57,8 @@ let shed_total_a = Atomic.make 0
 let deadline_kills_a = Atomic.make 0
 
 (* Most recent handoff-queue dwell (µs): how long the last executed
-   batch sat between the event loop's push and a worker's pop — the
-   live overload signal behind [shed_dwell_us]. *)
+   batch sat between the event loop's push and a worker's pop.
+   Reported only; admission control reads the queue length instead. *)
 let queue_dwell_us_a = Atomic.make 0
 
 let (_ : Flock.Telemetry.Gauge.t) =
@@ -181,7 +170,7 @@ let create ?(config = default_config) mount =
        | Some _ -> Some (Repl.Apply.create (Mount.store mount))
        | None -> None);
     replica_d = None;
-    queue = Bqueue.create config.queue_depth;
+    queue = Bqueue.create ();
     loop = None;
     flight =
       (if config.flight_dir = "" then None
@@ -565,34 +554,34 @@ let stream_serve t fd ~lo ~hi ~start_seq =
       Atomic.incr deadline_kills_a
   | Fault.Injected _ | Unix.Unix_error _ -> ()
 
-(* Admission control.  0 = admit everything; 1 = shed snapshot-heavy
-   commands; 2 = shed every data command (PING/STATS/QUIT are always
-   answered — an overloaded server stays observable).  Any configured
-   pressure signal at its threshold sheds the expensive class; the same
-   signal at twice its threshold sheds point ops too.  The signals:
-   handoff-queue depth (batches the workers have not reached), the
-   measured queue dwell of the last executed batch (the latency form of
-   the same pressure — under the event loop, -BUSY is a latency policy,
-   not a capacity one), and the reclamation-health gauges the census
-   line of work watches: epoch lag and the p99 version-chain length —
-   exactly the quantities that grow when snapshot-heavy load outruns
-   truncation. *)
-let overload_level t =
-  let level = ref 0 in
-  let look v thr =
-    if thr > 0 && v >= thr then level := max !level (if v >= 2 * thr then 2 else 1)
-  in
-  look (Bqueue.length t.queue) t.cfg.shed_queue;
-  look (Atomic.get t.queue_dwell_us) t.cfg.shed_dwell_us;
-  look (Flock.Epoch.epoch_lag ()) t.cfg.shed_epoch_lag;
-  (match Atomic.get t.latest_census with
-   | Some c -> look (Verlib.Chainscan.chain_p99 c) t.cfg.shed_chain_p99
-   | None -> ());
-  !level
-
 let count_shed t =
   Atomic.incr t.shed;
   Atomic.incr shed_total_a
+
+(* Admission control on one signal, the handoff queue length: batches
+   read off the wire that no worker has reached yet.  At [shed_queue]
+   waiting batches (soft level) a snapshot-heavy command is refused; at
+   twice it (hard level) every data command is.  Only data commands
+   come here — PING, STATS and the other observability verbs are always
+   answered, so an overloaded server stays measurable.  Entering the
+   hard level files a flight report (rising edge only, so steady-state
+   refusals stay cheap).  With shedding off, nothing is read. *)
+let shed t c =
+  let thr = t.cfg.shed_queue in
+  thr > 0
+  &&
+  let waiting = Span.in_phase Span.Shed (fun () -> Bqueue.length t.queue) in
+  let hard = waiting >= 2 * thr in
+  if hard then begin
+    if not (Atomic.exchange t.hard_shed_on true) then
+      flight_record t ~trigger:Harness.Flight.Hard_shed ()
+  end
+  else if waiting < thr then Atomic.set t.hard_shed_on false;
+  let refuse = hard || (waiting >= thr && Protocol.snapshot_heavy c) in
+  if refuse then count_shed t;
+  refuse
+
+let busy t = Protocol.Busy t.cfg.retry_after_ms
 
 (* The @-frame for a traced command, built from its finished span. *)
 let trace_info_of (sp : Span.t) id outcome : Protocol.trace_info =
@@ -767,30 +756,20 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
               Atomic.incr t.errors_total;
               (tid, "error", Protocol.Err replica_readonly_msg)
             end
+            else if shed t c then
+              (* EXEC is snapshot-heavy, so it sheds at soft level —
+                 but WITHOUT dropping the queued transaction: a
+                 backed-off retry of just EXEC still commits it. *)
+              (tid, "shed", busy t)
             else begin
-              let lvl = Span.in_phase Span.Shed (fun () -> overload_level t) in
-              if lvl >= 2 then begin
-                if not (Atomic.exchange t.hard_shed_on true) then
-                  flight_record t ~trigger:Harness.Flight.Hard_shed ()
-              end
-              else if lvl = 0 then Atomic.set t.hard_shed_on false;
-              if lvl >= 1 then begin
-                (* EXEC is snapshot-heavy, so it sheds at soft level —
-                   but WITHOUT dropping the queued transaction: a
-                   backed-off retry of just EXEC still commits it. *)
-                count_shed t;
-                (tid, "shed", Protocol.Busy t.cfg.retry_after_ms)
-              end
-              else begin
-                let cs = List.rev sess.s_queued in
-                multi_reset ();
-                match Mount.exec_txn t.mount ~token cs with
-                | Protocol.Err _ as r ->
-                    Atomic.incr t.errors_total;
-                    (tid, "error", r)
-                | Protocol.Aborted _ as r -> (tid, "abort", r)
-                | r -> (tid, "ok", r)
-              end
+              let cs = List.rev sess.s_queued in
+              multi_reset ();
+              match Mount.exec_txn t.mount ~token cs with
+              | Protocol.Err _ as r ->
+                  Atomic.incr t.errors_total;
+                  (tid, "error", r)
+              | Protocol.Aborted _ as r -> (tid, "abort", r)
+              | r -> (tid, "ok", r)
             end
         | ( Protocol.Get _ | Protocol.Put _ | Protocol.Del _
           | Protocol.Mget _ | Protocol.Range _ | Protocol.Rangecount _ )
@@ -855,11 +834,7 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
         | Protocol.Sync -> (
             (* Snapshot-heavy (an uncapped fold) — shed before
                dumping, and a latched partition severs it. *)
-            let lvl = Span.in_phase Span.Shed (fun () -> overload_level t) in
-            if lvl >= 1 then begin
-              count_shed t;
-              (tid, "shed", Protocol.Busy t.cfg.retry_after_ms)
-            end
+            if shed t c then (tid, "shed", busy t)
             else
               match sync_reply t with
               | r -> (tid, "ok", r)
@@ -870,11 +845,7 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
             Atomic.incr t.errors_total;
             (tid, "error", Protocol.Err "ACK outside a SUBSCRIBE stream")
         | Protocol.Watch (lo, hi, ms) ->
-            let lvl = Span.in_phase Span.Shed (fun () -> overload_level t) in
-            if lvl >= 1 then begin
-              count_shed t;
-              (tid, "shed", Protocol.Busy t.cfg.retry_after_ms)
-            end
+            if shed t c then (tid, "shed", busy t)
             else (tid, "ok", run_watch t lo hi ms)
         | Protocol.Subscribe (lo, hi, seq) ->
             sess.s_stream <- Some (lo, hi, seq);
@@ -884,20 +855,9 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
             Atomic.incr t.errors_total;
             (tid, "error", Protocol.Err replica_readonly_msg)
         | c ->
-            let lvl = Span.in_phase Span.Shed (fun () -> overload_level t) in
-            (* Hard-shed engagement is a flight trigger on the rising
-               edge only — the first refused command files the report,
-               steady-state refusals stay cheap. *)
-            if lvl >= 2 then begin
-              if not (Atomic.exchange t.hard_shed_on true) then
-                flight_record t ~trigger:Harness.Flight.Hard_shed ()
-            end
-            else if lvl = 0 then Atomic.set t.hard_shed_on false;
-            if lvl >= 2 || (lvl >= 1 && Protocol.snapshot_heavy c) then begin
-              count_shed t;
-              (tid, "shed", Protocol.Busy t.cfg.retry_after_ms)
-            end
+            if shed t c then (tid, "shed", busy t)
             else begin
+
               let r = Mount.exec t.mount c in
               match r with
               | Protocol.Err _ ->
@@ -1143,7 +1103,7 @@ let metrics_loop t () =
 
 let busy_bytes t =
   let b = Buffer.create 32 in
-  Protocol.render_reply b (Protocol.Busy t.cfg.retry_after_ms);
+  Protocol.render_reply b (busy t);
   Buffer.contents b
 
 let handlers t : session Evloop.handlers =

@@ -6,15 +6,15 @@
     holding {e every} connection: it accepts from a nonblocking
     listener, reads ready sockets, reassembles complete command lines,
     and hands each read chunk's lines to the [domains] worker domains
-    as one batch through a bounded {!Bqueue}.  Workers parse, execute
+    as one batch through a {!Bqueue}.  Workers parse, execute
     and render; the coalesced reply bytes come back to the loop, which
     flushes them nonblockingly — all replies for the commands found in
     one read are written together, so pipelined clients get batched
     responses, and concurrent connections are bounded by [ulimit -n],
     not by the domain count.  While a batch is in flight the
     connection's read interest is off (structural pipelining
-    backpressure); a full worker queue parks the batch on its
-    connection rather than ever blocking the loop.  An optional census
+    backpressure), so the handoff queue holds at most one batch per
+    connection and never blocks the loop.  An optional census
     domain walks the mounted structure's versioned pointers every
     [census_interval] seconds ([Verlib.Chainscan]), keeping the latest
     census for [STATS] and accumulating the invariant-violation count.
@@ -35,7 +35,6 @@ type config = {
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
   domains : int;  (** worker (execution) domains — {e not} a connection cap *)
   backlog : int;  (** listen(2) backlog *)
-  queue_depth : int;  (** loop→worker batch handoff bound *)
   census_interval : float;  (** seconds; 0 disables the census domain *)
   max_conns : int;
       (** connection cap: beyond [max_conns] simultaneously registered
@@ -48,18 +47,11 @@ type config = {
       (** seconds reply bytes may sit unflushed against a peer that
           stopped reading before the connection is killed; 0 = forever *)
   shed_queue : int;
-      (** admission control: shed snapshot-heavy commands while the
-          loop→worker queue holds at least this many batches
-          (and {e all} data commands at twice it); 0 = off *)
-  shed_epoch_lag : int;  (** same, against [Flock.Epoch.epoch_lag]; 0 = off *)
-  shed_chain_p99 : int;
-      (** same, against the p99 version-chain length of the latest
-          census (needs [census_interval > 0]); 0 = off *)
-  shed_dwell_us : int;
-      (** same, against the measured queue dwell (µs) of the last
-          executed batch — the {e latency} form of queue pressure:
-          under the event loop [-BUSY] is a latency policy, not a
-          capacity one; 0 = off *)
+      (** admission control, the server's one shedding signal: answer
+          snapshot-heavy commands ({!Protocol.snapshot_heavy}) with
+          [-BUSY] while the loop→worker queue holds at least this many
+          batches, and {e all} data commands at twice it; PING, STATS
+          and the other observability verbs are never shed; 0 = off *)
   retry_after_ms : int;  (** the hint carried in [-BUSY] replies *)
   metrics_interval : float;
       (** seconds between metrics-plane sweeps (background census + SLO
@@ -91,7 +83,7 @@ type config = {
 }
 
 val default_config : config
-(** port 7379, 4 domains, backlog 64, queue_depth 64, no census; no
+(** port 7379, 4 domains, backlog 64, no census; no
     connection cap, no idle timeout, 5 s write timeout, shedding off,
     retry hint 50 ms; metrics plane, flight recorder and profiler off;
     primary role, 65536-record feed. *)
@@ -132,9 +124,10 @@ val deadline_kill_count : t -> int
 
 val queue_dwell_us : t -> int
 (** Queue dwell (µs) of the most recently executed batch: how long it
-    sat between the loop's push and a worker's pop — the live latency
-    signal behind [shed_dwell_us] (process-wide: the [queue_dwell_us]
-    gauge). *)
+    sat between the loop's push and a worker's pop (process-wide: the
+    [queue_dwell_us] gauge).  Reported only; shedding reads the queue
+    length ([shed_queue]). *)
+
 
 val flight_dump_count : t -> int
 (** Flight-recorder dumps written so far (0 when the recorder is off). *)

@@ -302,7 +302,6 @@ let start_server ?(domains = 4) ?(census_interval = 0.) ?(max_conns = 0) map =
       S.default_config with
       S.port = 0;
       domains;
-      queue_depth = 16;
       census_interval;
       max_conns;
     }

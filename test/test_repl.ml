@@ -202,16 +202,15 @@ let test_watermark_monotone_under_chaos () =
 
 (* --- live: primary → replica pair ----------------------------------------- *)
 
-(* A streaming subscriber pins a worker for the life of its connection
-   (connection-per-worker pool), and so does a parked WATCH — so the
-   primary needs headroom beyond the replica's one stream: workers for
-   the test clients too.  docs/REPLICATION.md spells out the sizing
-   rule for deployments. *)
+(* A streaming subscriber pins a worker for the life of its connection,
+   and so does a parked WATCH — so the primary needs headroom beyond
+   the replica's one stream for the test clients' batches.
+   docs/REPLICATION.md spells out the sizing rule for deployments. *)
 let with_pair f =
   Verlib.reset ();
   let pmount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
   let pconfig =
-    { S.default_config with S.port = 0; domains = 4; queue_depth = 16 }
+    { S.default_config with S.port = 0; domains = 4 }
   in
   let primary = S.create ~config:pconfig pmount in
   S.start primary;
@@ -221,7 +220,6 @@ let with_pair f =
       S.default_config with
       S.port = 0;
       domains = 2;
-      queue_depth = 16;
       replica_of = Some ("127.0.0.1", S.port primary);
     }
   in
@@ -328,7 +326,7 @@ let test_client_failover () =
   let pmount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
   let primary =
     S.create
-      ~config:{ S.default_config with S.port = 0; domains = 4; queue_depth = 16 }
+      ~config:{ S.default_config with S.port = 0; domains = 4 }
       pmount
   in
   S.start primary;
@@ -340,7 +338,6 @@ let test_client_failover () =
           S.default_config with
           S.port = 0;
           domains = 4;
-          queue_depth = 16;
           replica_of = Some ("127.0.0.1", S.port primary);
         }
       rmount

@@ -291,39 +291,19 @@ let test_record_split_delivery () =
       | Error e -> Alcotest.fail e)
   | Error e -> Alcotest.fail e
 
-(* --- bounded queue ------------------------------------------------------ *)
+(* --- handoff queue ------------------------------------------------------ *)
 
 let test_bqueue_order_and_close () =
-  let q = S.Bqueue.create 4 in
-  Alcotest.(check bool) "push 1" true (S.Bqueue.push q 1);
-  Alcotest.(check bool) "push 2" true (S.Bqueue.push q 2);
+  let q = S.Bqueue.create () in
+  Alcotest.(check bool) "push 1" true (S.Bqueue.try_push q 1 = `Ok);
+  Alcotest.(check bool) "push 2" true (S.Bqueue.try_push q 2 = `Ok);
   Alcotest.(check int) "length" 2 (S.Bqueue.length q);
   S.Bqueue.close q;
-  Alcotest.(check bool) "push after close" false (S.Bqueue.push q 3);
+  Alcotest.(check bool) "push after close" true
+    (S.Bqueue.try_push q 3 = `Closed);
   Alcotest.(check (option int)) "pop 1" (Some 1) (S.Bqueue.pop q);
   Alcotest.(check (option int)) "pop 2" (Some 2) (S.Bqueue.pop q);
   Alcotest.(check (option int)) "drained" None (S.Bqueue.pop q)
-
-let test_bqueue_backpressure () =
-  let q = S.Bqueue.create 1 in
-  Alcotest.(check bool) "fill" true (S.Bqueue.push q 0);
-  let consumer =
-    Domain.spawn (fun () ->
-        (* drain slowly so the producer must block at least once *)
-        let got = ref [] in
-        for _ = 1 to 4 do
-          Unix.sleepf 0.01;
-          match S.Bqueue.pop q with
-          | Some v -> got := v :: !got
-          | None -> ()
-        done;
-        List.rev !got)
-  in
-  for i = 1 to 3 do
-    Alcotest.(check bool) "push blocks then succeeds" true (S.Bqueue.push q i)
-  done;
-  let got = Domain.join consumer in
-  Alcotest.(check (list int)) "fifo under backpressure" [ 0; 1; 2; 3 ] got
 
 (* --- Linebuf: stateful '\n'-framed reassembly ---------------------------- *)
 
@@ -400,11 +380,12 @@ let test_mount_capability () =
 
 (* --- live server helpers ------------------------------------------------ *)
 
-let with_server ?(domains = 4) ?(census_interval = 0.) map f =
+let with_server ?(domains = 4) ?(census_interval = 0.) ?(shed_queue = 0) map f
+    =
   Verlib.reset ();
   let mount = S.Mount.mount ~n_hint:1024 map in
   let config =
-    { S.default_config with S.port = 0; domains; queue_depth = 16; census_interval }
+    { S.default_config with S.port = 0; domains; census_interval; shed_queue }
   in
   let srv = S.create ~config mount in
   S.start srv;
@@ -850,6 +831,116 @@ let test_wire_two_busy_conns () =
   if median >= 0.05 then
     Alcotest.failf "median of the last round trips %.1f ms" (median *. 1000.)
 
+(* Pipelining helpers: write a whole batch in one send, read [n] replies. *)
+let send_batch conn cmds =
+  C.send_raw conn (String.concat "" (List.map (fun c -> P.command_line c) cmds))
+
+let read_replies conn n =
+  List.init n (fun _ ->
+      match C.read_reply conn with
+      | Ok r -> r
+      | Error e -> Alcotest.fail ("reply: " ^ e))
+
+(* 128 connections each with a 4-command batch in flight at once, on
+   one worker.  The handoff queue has no bound of its own (one batch per
+   connection is the bound), so all 128 must fit.  A PROFILE window
+   parks the worker while every batch arrives, so they all wait in the
+   queue together (the METRICS that runs first after the window sees
+   them), and each connection still gets its four replies, in order. *)
+let test_wire_many_batches_one_domain () =
+  with_server ~domains:1 (module Dstruct.Btree) @@ fun _srv port ->
+  let n = 128 in
+  let parker = C.connect ~retries:20 ~port () in
+  let conns = Array.init n (fun _ -> C.connect ~retries:20 ~port ()) in
+  let probe = C.connect ~retries:20 ~port () in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter C.close conns;
+      C.close probe;
+      C.close parker)
+  @@ fun () ->
+  Alcotest.(check bool) "worker up" true (req probe P.Ping = P.Pong);
+  send_batch parker [ P.Profile 300 ];
+  Unix.sleepf 0.02;
+  send_batch probe [ P.Metrics ];
+  Unix.sleepf 0.02;
+  Array.iteri
+    (fun i c -> send_batch c [ P.Put (i, i * 10); P.Get i; P.Del i; P.Get i ])
+    conns;
+  (match read_replies probe 1 with
+   | [ P.Bulk text ] -> (
+       match Harness.Obs_report.parse_prometheus text with
+       | Error e -> Alcotest.fail ("METRICS: " ^ e)
+       | Ok samples ->
+           let queued =
+             Harness.Obs_report.prom_find samples "verlib_server_queue_depth"
+           in
+           Alcotest.(check bool) "every batch queued at once" true
+             (match queued with Some q -> q >= float_of_int n | None -> false))
+   | rs ->
+       Alcotest.fail
+         ("METRICS: " ^ String.concat ";" (List.map P.pp_reply rs)));
+  Array.iteri
+    (fun i c ->
+      match read_replies c 4 with
+      | [ P.Ok_; P.Int v; P.Int 1; P.Nil ] when v = i * 10 -> ()
+      | rs ->
+          Alcotest.failf "connection %d: %s" i
+            (String.concat ";" (List.map P.pp_reply rs)))
+    conns;
+  ignore (read_replies parker 1)
+
+(* --- live: admission control --------------------------------------------- *)
+
+(* Shedding on the handoff queue length, at [shed_queue = 1] on one
+   worker.  A's PROFILE window parks the worker; B, C and D then queue
+   one batch each, 20 ms apart.  B runs with C and D still waiting
+   (hard level: every data command shed), C with only D waiting (soft
+   level: the snapshot-heavy MGET and EXEC shed, GET served), D with
+   nothing waiting.  PING and STATS are answered at every level, and
+   the EXEC shed at soft level keeps its queued transaction. *)
+let test_shed_queue_levels () =
+  with_server ~domains:1 ~shed_queue:1 (module Dstruct.Btree)
+  @@ fun srv port ->
+  let a = C.connect ~retries:20 ~port () in
+  let b = C.connect ~retries:20 ~port () in
+  let c = C.connect ~retries:20 ~port () in
+  let d = C.connect ~retries:20 ~port () in
+  Fun.protect ~finally:(fun () -> List.iter C.close [ a; b; c; d ])
+  @@ fun () ->
+  Alcotest.(check bool) "seed" true (req a (P.Put (1, 10)) = P.Ok_);
+  let kind = function
+    | P.Busy _ -> "busy"
+    | P.Bulk _ -> "bulk"
+    | r -> P.pp_reply r
+  in
+  let expect who want got =
+    Alcotest.(check (list string)) who (List.map kind want) (List.map kind got)
+  in
+  let mget = P.Mget [| 1; 2 |] and served_mget = P.Arr [ P.Int 10; P.Nil ] in
+  send_batch a [ P.Profile 200 ];
+  Unix.sleepf 0.02;
+  send_batch b [ P.Get 1; mget; P.Ping; P.Stats ];
+  Unix.sleepf 0.02;
+  send_batch c
+    [ P.Get 1; mget; P.Ping; P.Stats; P.Multi; P.Put (5, 50); P.Exec 0 ];
+  Unix.sleepf 0.02;
+  send_batch d [ P.Ping ];
+  expect "B at hard level" [ P.Busy 0; P.Busy 0; P.Pong; P.Bulk "" ]
+    (read_replies b 4);
+  expect "C at soft level"
+    [ P.Int 10; P.Busy 0; P.Pong; P.Bulk ""; P.Ok_; P.Queued; P.Busy 0 ]
+    (read_replies c 7);
+  expect "D with nothing waiting" [ P.Pong ] (read_replies d 1);
+  ignore (read_replies a 1);
+  Alcotest.(check int) "shed count" 4 (S.shed_count srv);
+  expect "lone MGET on an empty queue" [ served_mget ] [ req d mget ];
+  (match req c (P.Exec 0) with
+   | P.Arr (P.Int _ :: _) -> ()
+   | r -> Alcotest.fail ("EXEC retry: " ^ P.pp_reply r));
+  Alcotest.(check bool) "the kept transaction committed" true
+    (req d (P.Get 5) = P.Int 50)
+
 (* --- live: the change feed ---------------------------------------------- *)
 
 let raw_connect ?rcvbuf port =
@@ -891,7 +982,6 @@ let test_feed_stalled_subscriber () =
       S.default_config with
       S.port = 0;
       domains = 2;
-      queue_depth = 16;
       feed_capacity = 64;
       write_timeout;
     }
@@ -1221,7 +1311,6 @@ let () =
       ( "bqueue",
         [
           Alcotest.test_case "order and close" `Quick test_bqueue_order_and_close;
-          Alcotest.test_case "backpressure" `Quick test_bqueue_backpressure;
         ] );
       ( "evloop",
         [
@@ -1236,6 +1325,13 @@ let () =
             test_wire_split_ack;
           Alcotest.test_case "two busy connections on 2 domains" `Quick
             test_wire_two_busy_conns;
+          Alcotest.test_case "128 batches in flight on 1 domain" `Quick
+            test_wire_many_batches_one_domain;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "queue-length shedding levels" `Quick
+            test_shed_queue_levels;
         ] );
       ( "feed",
         [
