@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-full bench-json bench-check examples obs-smoke serve-smoke serve-baseline c10k-smoke chaos-smoke trace-smoke profile-smoke txn-smoke repl-smoke repl-baseline ci doc clean
+.PHONY: all build test bench bench-full bench-json bench-check examples obs-smoke serve-smoke serve-baseline c10k-smoke chaos-smoke trace-smoke profile-smoke txn-smoke repl-smoke repl-baseline perfbench-smoke ci doc clean
 
 # Sections that produce BENCH json rows (see bench/main.ml --json).
 BENCH_JSON_SECTIONS = fig8a fig9 fig12 extra_skiplist shard_sweep txn
@@ -511,14 +511,31 @@ repl-baseline:
 	dune build bin/verlib_soak.exe
 	./_build/default/bin/verlib_soak.exe --repl --ci --json BENCH_PR7.json
 
+# Served-path benchmark gate: one short run of each perfbench workload
+# (perfbench/run.py builds the server and its load client from source).
+# The client checks every reply against a model of the store and exits
+# non-zero on the first wrong answer; the figures are not gated here.
+PERFBENCH_WORKLOADS = kv-point kv-scan txn-feed
+
+perfbench-smoke:
+	@set -e; \
+	for w in $(PERFBENCH_WORKLOADS); do \
+	  echo "perfbench-smoke: $$w"; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 0 > /tmp/verlib_perfbench_$$w.json; \
+	  grep -q '"correct": true' /tmp/verlib_perfbench_$$w.json \
+	    || { echo "FAIL: $$w replies failed the model check"; exit 1; }; \
+	done; \
+	echo "perfbench-smoke: OK"
+
 # Everything the CI workflow (.github/workflows/ci.yml) runs, callable
 # locally: full build, the test suites, the perf-trajectory gate at
 # --ci scale, the observability gate, the profiling gate, the
 # transactional end-to-end gate, the replication chaos gate, the c10k
-# gate and the chaos gate (whose overload stanza is the end-to-end
-# shedding check).  The heavier smoke targets (serve-smoke, obs-smoke)
-# stay opt-in.
-ci: build test bench-check trace-smoke profile-smoke txn-smoke repl-smoke c10k-smoke chaos-smoke
+# gate, the chaos gate (whose overload stanza is the end-to-end
+# shedding check) and the served-path benchmark gate.  The heavier
+# smoke targets (serve-smoke, obs-smoke) stay opt-in.
+ci: build test bench-check trace-smoke profile-smoke txn-smoke repl-smoke c10k-smoke chaos-smoke perfbench-smoke
 
 doc:
 	dune build @doc

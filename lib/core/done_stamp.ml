@@ -13,20 +13,22 @@ let withdraw () = Atomic.set announced.(Flock.Registry.my_id ()) idle
    the clock value observed during the refresh. *)
 let cache = Atomic.make 0
 
+let rec raise_cache fresh =
+  let c = Atomic.get cache in
+  if fresh > c && not (Atomic.compare_and_set cache c fresh) then raise_cache fresh
+
+(* Allocation-free: the fold's function has no free variables, and the
+   refresh runs on the load path every [interval] calls. *)
 let refresh () =
   (* [Stamp.floor], not [Stamp.read]: under schemes whose snapshots take
      one below the clock, a bound equal to the clock would already exceed
      the stamp of a snapshot starting immediately afterwards. *)
-  let m = ref (Stamp.floor ()) in
-  Flock.Registry.iter_ids (fun i ->
-      let a = Atomic.get announced.(i) in
-      if a < !m then m := a);
-  let fresh = !m in
-  let rec raise_cache () =
-    let c = Atomic.get cache in
-    if fresh > c && not (Atomic.compare_and_set cache c fresh) then raise_cache ()
-  in
-  raise_cache ();
+  raise_cache
+    (Flock.Registry.fold_ids
+       (fun i (m : int) ->
+         let a = Atomic.get announced.(i) in
+         if a < m then a else m)
+       (Stamp.floor ()));
   Atomic.get cache
 
 let reset () = Atomic.set cache 0

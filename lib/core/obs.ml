@@ -188,7 +188,7 @@ module Span = struct
     sp_phase : int array;  (** accumulated ticks per phase index *)
     mutable sp_fanout : int;  (** per-shard sub-calls performed *)
     mutable sp_outcome : string;  (** ok | shed | error | killed *)
-    mutable sp_stack : int list;  (** open phase indices, top first *)
+    mutable sp_stack : int;  (** open phases, see [push_phase] *)
     mutable sp_last : int;  (** tick of the last transition *)
     mutable sp_slot : int;
   }
@@ -236,7 +236,7 @@ module Span = struct
         sp_phase = Array.make nphases 0;
         sp_fanout = 0;
         sp_outcome = "ok";
-        sp_stack = [];
+        sp_stack = 0;
         sp_last = now;
         sp_slot = slot;
       }
@@ -248,20 +248,29 @@ module Span = struct
 
   let set_trace_id sp id = sp.sp_trace_id <- id
 
+  (* The stack of open phases, packed into one int so that entering a
+     phase allocates nothing: 4 bits per level holding [phase_index + 1]
+     (0 = no entry), the top in the low bits.  Fifteen levels fit; the
+     deepest nesting the server produces is five. *)
+  let push_phase stack i = (stack lsl 4) lor (i + 1)
+
+  let top_phase stack = (stack land 15) - 1
+
+  let pop_phase stack = stack lsr 4
+
   (* Book the segment since the last transition to the open phase. *)
   let account sp now =
-    (match sp.sp_stack with
-     | p :: _ -> sp.sp_phase.(p) <- sp.sp_phase.(p) + max 0 (now - sp.sp_last)
-     | [] -> ());
+    let p = top_phase sp.sp_stack in
+    if p >= 0 then sp.sp_phase.(p) <- sp.sp_phase.(p) + max 0 (now - sp.sp_last);
     sp.sp_last <- now
 
   let enter_sp sp p =
     account sp (Hwclock.now ());
-    sp.sp_stack <- phase_index p :: sp.sp_stack
+    sp.sp_stack <- push_phase sp.sp_stack (phase_index p)
 
   let leave_sp sp =
     account sp (Hwclock.now ());
-    match sp.sp_stack with [] -> () | _ :: rest -> sp.sp_stack <- rest
+    sp.sp_stack <- pop_phase sp.sp_stack
 
   let enter p = match current () with None -> () | Some sp -> enter_sp sp p
 
@@ -272,9 +281,18 @@ module Span = struct
     else
       match current () with
       | None -> f ()
-      | Some sp ->
+      | Some sp -> (
           enter_sp sp p;
-          Fun.protect ~finally:(fun () -> leave_sp sp) f
+          (* Not [Fun.protect]: its [finally] closure would be allocated
+             on every bracket of the served path. *)
+          match f () with
+          | v ->
+              leave_sp sp;
+              v
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              leave_sp sp;
+              Printexc.raise_with_backtrace e bt)
 
   let add p ticks =
     match current () with
@@ -296,7 +314,7 @@ module Span = struct
   let finish ?(outcome = "ok") sp =
     let now = Hwclock.now () in
     account sp now;
-    sp.sp_stack <- [];
+    sp.sp_stack <- 0;
     sp.sp_end <- now;
     sp.sp_outcome <- outcome;
     Hist.observe span_total (now - sp.sp_begin);
@@ -465,9 +483,8 @@ module Profile = struct
     let phase =
       match span with
       | Some sp -> (
-          match sp.Span.sp_stack with
-          | p :: _ when p >= 0 && p < Span.nphases -> Span.phase_names.(p)
-          | _ -> "")
+          let p = Span.top_phase sp.Span.sp_stack in
+          if p >= 0 && p < Span.nphases then Span.phase_names.(p) else "")
       | None -> ""
     in
     let hold = A.name_of (A.get slot A.dim_lock_hold) in

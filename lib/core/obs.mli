@@ -125,7 +125,8 @@ module Span : sig
     sp_phase : int array;  (** accumulated ticks, indexed by {!phase_index} *)
     mutable sp_fanout : int;  (** per-shard sub-calls performed *)
     mutable sp_outcome : string;  (** [ok] / [shed] / [error] / [killed] *)
-    mutable sp_stack : int list;
+    mutable sp_stack : int;
+        (** open phases, packed 4 bits per level, top in the low bits *)
     mutable sp_last : int;
     mutable sp_slot : int;
   }

@@ -71,10 +71,10 @@ let set_stamp_meta m =
     ignore (Atomic.compare_and_set m.stamp Stamp.tbd (Stamp.read ()))
   end
 
-let set_stamp d chain =
-  match chain_meta d.meta_of chain with
-  | Some m -> set_stamp_meta m
-  | None -> ()
+let set_stamp d = function
+  | Clink l -> set_stamp_meta l.lmeta
+  | Cval (Some o) -> set_stamp_meta (d.meta_of o)
+  | Cval None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Shortcutting (§5): splice out an indirect link as soon as no live or
@@ -125,23 +125,26 @@ let shortcut t chain =
    atomic RMW on [prev] would close that sliver at a cost on every
    traversal, so it stays a documented margin of the counter, not of the
    mechanism (severing twice is idempotent). *)
+let truncate_meta d chain m =
+  match m.prev with
+  | Cval None -> ()
+  | Cval (Some _) | Clink _ ->
+      let s = Atomic.get m.stamp in
+      if s <> Stamp.tbd && s <= Done_stamp.get () then begin
+        (* Chain length is sampled *before* severing: it measures the
+           history the truncation releases. *)
+        if Obs.chain_sample () then
+          Obs.Hist.observe Obs.chain_len (chain_length d chain 0);
+        m.prev <- Cval None;
+        Stats.incr Stats.truncations;
+        Obs.emit Obs.ev_truncate s
+      end
+
 let truncate_chain d chain =
-  match chain_meta d.meta_of chain with
-  | None -> ()
-  | Some m -> (
-      match m.prev with
-      | Cval None -> ()
-      | Cval (Some _) | Clink _ ->
-          let s = Atomic.get m.stamp in
-          if s <> Stamp.tbd && s <= Done_stamp.get () then begin
-            (* Chain length is sampled *before* severing: it measures the
-               history the truncation releases. *)
-            if Obs.chain_sample () then
-              Obs.Hist.observe Obs.chain_len (chain_length d chain 0);
-            m.prev <- Cval None;
-            Stats.incr Stats.truncations;
-            Obs.emit Obs.ev_truncate s
-          end)
+  match chain with
+  | Clink l -> truncate_meta d chain l.lmeta
+  | Cval (Some o) -> truncate_meta d chain (d.meta_of o)
+  | Cval None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot reads: walk the version chain to the newest version whose
@@ -164,7 +167,7 @@ let rec read_snapshot d chain ts =
       if s > ts then read_snapshot d l.lmeta.prev ts else accept s l.lvalue
 
 let load t =
-  let head = Flock.Idem.once (fun () -> Atomic.get t.head) in
+  let head = Flock.Idem.get t.head in
   match t.d.dmode with
   | Plain -> chain_value head
   | Indirect | No_shortcut | Ind_on_need | Rec_once ->
@@ -226,7 +229,7 @@ let build_new_version t old new_v =
         (match new_v with
          | None -> invalid_arg "Vptr: Rec_once mode cannot store null"
          | Some o ->
-             let s = Flock.Idem.once (fun () -> Atomic.get (t.d.meta_of o).stamp) in
+             let s = Flock.Idem.get (t.d.meta_of o).stamp in
              if s <> Stamp.tbd then
                invalid_arg "Vptr: Rec_once mode: object recorded more than once");
         false
@@ -235,7 +238,7 @@ let build_new_version t old new_v =
         match new_v with
         | None -> true
         | Some o ->
-            let s = Flock.Idem.once (fun () -> Atomic.get (t.d.meta_of o).stamp) in
+            let s = Flock.Idem.get (t.d.meta_of o).stamp in
             s <> Stamp.tbd)
   in
   if indirect then begin
@@ -265,7 +268,7 @@ let build_new_version t old new_v =
 let is_link = function Clink _ -> true | Cval _ -> false
 
 let cas t exp new_v =
-  let old = Flock.Idem.once (fun () -> Atomic.get t.head) in
+  let old = Flock.Idem.get t.head in
   if opt_eq exp new_v then true
   else if not (opt_eq (chain_value old) exp) then false
   else if t.d.dmode = Plain then
@@ -322,7 +325,7 @@ let store t v = ignore (cas t (load t) v)
    an indirect current version) and lagging helpers of this same store,
    both of which the CAS-from-expected handles. *)
 let store_norace t new_v =
-  let old = Flock.Idem.once (fun () -> Atomic.get t.head) in
+  let old = Flock.Idem.get t.head in
   if t.d.dmode = Plain then begin
     let new_chain = Flock.Idem.once (fun () -> Cval new_v) in
     if Flock.Idem.in_frame () then ignore (Atomic.compare_and_set t.head old new_chain)

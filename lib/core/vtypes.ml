@@ -50,8 +50,3 @@ let opt_eq a b =
   | None, Some _ | Some _, None -> false
 
 let chain_value = function Cval v -> v | Clink l -> l.lvalue
-
-let chain_meta meta_of = function
-  | Clink l -> Some l.lmeta
-  | Cval (Some o) -> Some (meta_of o)
-  | Cval None -> None

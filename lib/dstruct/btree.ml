@@ -97,11 +97,14 @@ let slot_holds (slot : slot) (expected : node) =
   slot.s_live ()
   && (match Vptr.load slot.s_cell with Some n -> n == expected | None -> false)
 
-(* Child index for key [k]: first child whose interval contains [k]. *)
-let child_index (p : inner) k =
-  let n = Array.length p.ikeys in
-  let rec go i = if i < n && k >= p.ikeys.(i) then go (i + 1) else i in
-  go 0
+(* Child index for key [k]: first child whose interval contains [k].
+   The descent helpers below are top-level recursions, not local [go]
+   closures, so a read-only find allocates nothing on the way down. *)
+let rec child_index_from (ikeys : int array) (k : int) i =
+  if i < Array.length ikeys && k >= ikeys.(i) then child_index_from ikeys k (i + 1)
+  else i
+
+let child_index (p : inner) k = child_index_from p.ikeys k 0
 
 let node_full = function
   | Leaf l -> Array.length l.lkeys >= leaf_max
@@ -113,18 +116,16 @@ let node_underfull = function
 
 (* --- pure array surgery on immutable nodes --------------------------- *)
 
-let leaf_find (l : leaf) k =
-  let n = Array.length l.lkeys in
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let km = l.lkeys.(mid) in
-      if km = k then Some l.lvals.(mid)
-      else if km < k then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 n
+let rec leaf_search (l : leaf) k lo hi =
+  if lo >= hi then None
+  else
+    let mid = (lo + hi) / 2 in
+    let km = l.lkeys.(mid) in
+    if km = k then Some l.lvals.(mid)
+    else if km < k then leaf_search l k (mid + 1) hi
+    else leaf_search l k lo mid
+
+let leaf_find (l : leaf) k = leaf_search l k 0 (Array.length l.lkeys)
 
 let array_insert a i x =
   let n = Array.length a in
@@ -140,9 +141,10 @@ let array_remove a i =
   b
 
 (* insertion position of k in sorted array *)
-let lower_bound a k =
-  let rec go i = if i < Array.length a && a.(i) < k then go (i + 1) else i in
-  go 0
+let rec lower_bound_from (a : int array) (k : int) i =
+  if i < Array.length a && a.(i) < k then lower_bound_from a k (i + 1) else i
+
+let lower_bound a k = lower_bound_from a k 0
 
 let leaf_with (l : leaf) k v =
   let i = lower_bound l.lkeys k in

@@ -4,7 +4,7 @@
 
 let empty : Obj.t = Obj.repr (ref 0)
 
-let chunk_size = 32
+let chunk_size = 8
 
 type chunk = { slots : Obj.t Atomic.t array; next : chunk option Atomic.t }
 
@@ -66,19 +66,30 @@ let next_slot fr =
    through the slot (Theorem 6.2's idempotence argument). *)
 let fp_cas = Fault.Point.make "idem.cas"
 
+(* Publish candidate [x] into [slot] unless a racing helper got there
+   first; either way return the agreed value. *)
+let publish (type a) slot (x : a) : a =
+  Fault.hit fp_cas;
+  if Atomic.compare_and_set slot empty (Obj.repr x) then x
+  else Obj.obj (Atomic.get slot)
+
 let once (type a) (f : unit -> a) : a =
   match !(stack ()) with
   | [] -> f ()
   | fr :: _ ->
       let slot = next_slot fr in
       let v = Atomic.get slot in
-      if v != empty then Obj.obj v
-      else begin
-        let x = f () in
-        Fault.hit fp_cas;
-        if Atomic.compare_and_set slot empty (Obj.repr x) then x
-        else Obj.obj (Atomic.get slot)
-      end
+      if v != empty then Obj.obj v else publish slot (f ())
+
+(* [once (fun () -> Atomic.get a)] without the closure: the logged read
+   sits on every helped load and CAS, so it must not allocate. *)
+let get (type a) (a : a Atomic.t) : a =
+  match !(stack ()) with
+  | [] -> Atomic.get a
+  | fr :: _ ->
+      let slot = next_slot fr in
+      let v = Atomic.get slot in
+      if v != empty then Obj.obj v else publish slot (Atomic.get a)
 
 (* A private heap block distinct from [empty]: the token a claim winner
    installs.  Its value is never read back, only compared away. *)

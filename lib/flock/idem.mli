@@ -48,6 +48,11 @@ val once : (unit -> 'a) -> 'a
     the canonical use: losers' objects are dropped and reclaimed by the
     GC. *)
 
+val get : 'a Atomic.t -> 'a
+(** [get a] is [once (fun () -> Atomic.get a)] — the same slot, fault
+    point and replay — without allocating a closure.  The logged read of
+    shared state. *)
+
 val claim : unit -> bool
 (** A claim point: among all helpers replaying this position of a
     critical section, exactly one receives [true]; the rest (and every

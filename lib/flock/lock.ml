@@ -279,7 +279,7 @@ let try_lock_free t (f : unit -> Obj.t) : Obj.t option =
           result = Atomic.make None;
           owner_slot = Registry.my_id () })
   in
-  let observed = Idem.once (fun () -> Atomic.get t.state) in
+  let observed = Idem.get t.state in
   if observed != unlocked then begin
     help t observed;
     None

@@ -31,7 +31,11 @@ let iter_ids f =
     if Atomic.get used.(i) then f i
   done
 
-let registered_count () =
-  let n = ref 0 in
-  iter_ids (fun _ -> incr n);
-  !n
+let fold_ids f init =
+  let acc = ref init in
+  for i = 0 to max_slots - 1 do
+    if Atomic.get used.(i) then acc := f i !acc
+  done;
+  !acc
+
+let registered_count () = fold_ids (fun _ n -> n + 1) 0

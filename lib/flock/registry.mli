@@ -18,5 +18,9 @@ val iter_ids : (int -> unit) -> unit
     concurrently registered or released may or may not be visited; callers
     must tolerate this (announcement scans do). *)
 
+val fold_ids : (int -> 'a -> 'a) -> 'a -> 'a
+(** [iter_ids] with an accumulator, under the same racy contract; with a
+    closed function it allocates nothing. *)
+
 val registered_count : unit -> int
 (** Number of currently registered domains (racy snapshot, for stats). *)

@@ -46,13 +46,20 @@ let unsupported_range name =
 let pairs_reply pairs =
   Protocol.Arr (List.concat_map (fun (k, v) -> Protocol.[ Int k; Int v ]) pairs)
 
-let exec (Mount { m = (module M); h; store }) (c : Protocol.command) :
+(* The whole structure execution books to the request span's [op]
+   phase; snapshot dwell and per-shard fan-out nested inside subtract
+   from it (exclusive accounting), so [op] ends up meaning "structure
+   work that is neither snapshot overhead nor shard dispatch".  [body]
+   is total (it turns every exception into an [Err] reply), so a plain
+   enter/leave pair brackets it without allocating a thunk. *)
+let in_op body mount x =
+  Verlib.Obs.Span.enter Verlib.Obs.Span.Op;
+  let r = body mount x in
+  Verlib.Obs.Span.leave ();
+  r
+
+let exec_body (Mount { m = (module M); h; store }) (c : Protocol.command) :
     Protocol.reply =
-  (* The whole structure execution books to the request span's [op]
-     phase; snapshot dwell and per-shard fan-out nested inside subtract
-     from it (exclusive accounting), so [op] ends up meaning "structure
-     work that is neither snapshot overhead nor shard dispatch". *)
-  Verlib.Obs.Span.in_phase Verlib.Obs.Span.Op @@ fun () ->
   try
     match c with
     | Protocol.Ping -> Protocol.Pong
@@ -100,6 +107,8 @@ let exec (Mount { m = (module M); h; store }) (c : Protocol.command) :
         Protocol.Err "connection-level command reached the executor"
   with e -> Protocol.Err ("internal: " ^ Printexc.to_string e)
 
+let exec mount c = in_op exec_body mount c
+
 (* --- transactions -------------------------------------------------------- *)
 
 let op_of_command : Protocol.command -> Txn.op option = function
@@ -127,8 +136,8 @@ let reply_of_step : Txn.step -> Protocol.reply = function
            vs)
   | Txn.S_pairs ps -> pairs_reply ps
 
-let exec_txn (Mount { m = (module M); store; _ }) ~token cs : Protocol.reply =
-  Verlib.Obs.Span.in_phase Verlib.Obs.Span.Op @@ fun () ->
+let exec_txn_body (Mount { m = (module M); store; _ }) (token, cs) :
+    Protocol.reply =
   try
     let wants_order =
       List.exists
@@ -150,3 +159,5 @@ let exec_txn (Mount { m = (module M); store; _ }) ~token cs : Protocol.reply =
               Protocol.Arr (Protocol.Int vs :: List.map reply_of_step steps)
           | Txn.Aborted { attempts } -> Protocol.Aborted attempts)
   with e -> Protocol.Err ("internal: " ^ Printexc.to_string e)
+
+let exec_txn mount ~token cs = in_op exec_txn_body mount (token, cs)

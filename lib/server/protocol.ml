@@ -82,95 +82,183 @@ let snapshot_heavy = function
 
 (* --- command parsing ---------------------------------------------------- *)
 
-(* Tokenise one line: split on single spaces, drop empty tokens (so runs
-   of spaces and a trailing \r are harmless). *)
-let tokens line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+(* The parser reads the line in place: tokens are [start, stop) ranges
+   of the line, separated by runs of single spaces, and a trailing '\r'
+   is not part of the line.  Nothing is copied on the success path, so
+   parsing a point command allocates only the command it returns. *)
+
+let line_end line =
+  let n = String.length line in
+  if n > 0 && line.[n - 1] = '\r' then n - 1 else n
+
+let rec skip_spaces line i stop =
+  if i < stop && line.[i] = ' ' then skip_spaces line (i + 1) stop else i
+
+let rec token_end line i stop =
+  if i < stop && line.[i] <> ' ' then token_end line (i + 1) stop else i
+
+(* Start of the token after the one starting at [i]. *)
+let next_token line i stop = skip_spaces line (token_end line i stop) stop
+
+let rec count_tokens line i stop acc =
+  if i >= stop then acc else count_tokens line (next_token line i stop) stop (acc + 1)
+
+(* Wire integers are an optional sign and decimal digits, within the
+   native int range.  The value is accumulated as a negative number so
+   [min_int] parses too.  A bad integer raises instead of returning an
+   option, so a parsed one is never boxed. *)
+exception Not_decimal
+
+let rec decimal_digits line i stop acc =
+  if i >= stop then acc
+  else
+    let c = line.[i] in
+    if c < '0' || c > '9' then raise Not_decimal
+    else
+      let d = Char.code c - Char.code '0' in
+      if acc < (min_int + d) / 10 then raise Not_decimal
+      else decimal_digits line (i + 1) stop ((acc * 10) - d)
+
+let decimal line i stop =
+  let neg = line.[i] = '-' in
+  let first = if neg || line.[i] = '+' then i + 1 else i in
+  if first >= stop then raise Not_decimal;
+  let v = decimal_digits line first stop 0 in
+  if neg then v else if v = min_int then raise Not_decimal else -v
+
+(* A malformed command; the message is the error reply. *)
+exception Bad_command of string
+
+let fail msg = raise (Bad_command msg)
+
+(* The integer token starting at [i]; [name] labels the error. *)
+let int_token name line i stop =
+  let e = token_end line i stop in
+  try decimal line i e
+  with Not_decimal ->
+    fail (Printf.sprintf "%s: not an integer %S" name (String.sub line i (e - i)))
+
+type verb =
+  | V_ping | V_get | V_put | V_del | V_mget | V_range | V_rangecount
+  | V_scan | V_size | V_stats | V_metrics | V_profile | V_multi | V_exec
+  | V_discard | V_subscribe | V_watch | V_sync | V_replstats | V_promote
+  | V_ack | V_quit | V_unknown
+
+let verbs =
+  [ (V_ping, "PING"); (V_get, "GET"); (V_put, "PUT"); (V_del, "DEL");
+    (V_mget, "MGET"); (V_range, "RANGE"); (V_rangecount, "RANGECOUNT");
+    (V_scan, "SCAN"); (V_size, "SIZE"); (V_stats, "STATS");
+    (V_metrics, "METRICS"); (V_profile, "PROFILE"); (V_multi, "MULTI");
+    (V_exec, "EXEC"); (V_discard, "DISCARD"); (V_subscribe, "SUBSCRIBE");
+    (V_watch, "WATCH"); (V_sync, "SYNC"); (V_replstats, "REPLSTATS");
+    (V_promote, "PROMOTE"); (V_ack, "ACK"); (V_quit, "QUIT") ]
+
+(* Whether the token [start, stop) is [lit], ignoring ASCII case. *)
+let rec same_from line start lit j =
+  j >= String.length lit
+  || (Char.uppercase_ascii line.[start + j] = lit.[j] && same_from line start lit (j + 1))
+
+let token_is line start stop lit =
+  stop - start = String.length lit && same_from line start lit 0
+
+let rec find_verb line start stop = function
+  | [] -> V_unknown
+  | (v, name) :: rest ->
+      if token_is line start stop name then v else find_verb line start stop rest
+
+let verb_of_token line start stop = find_verb line start stop verbs
+
+let verb_name v = List.assq v verbs
+
+let mget_keys line i stop n =
+  let ks = Array.make n 0 in
+  let rec fill j i =
+    if j < n then begin
+      ks.(j) <- int_token "key" line i stop;
+      fill (j + 1) (next_token line i stop)
+    end
   in
-  String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
+  fill 0 i;
+  ks
 
-let int_arg name s k =
-  match int_of_string_opt s with
-  | Some v -> k v
-  | None -> Error (Printf.sprintf "%s: not an integer %S" name s)
+(* Parse the command whose verb starts at [i] (a token start, or [stop]
+   for an empty command). *)
+let parse_command_at line i stop =
+  if i >= stop then fail "empty command"
+  else
+    let ve = token_end line i stop in
+    let a = skip_spaces line ve stop in
+    let b = next_token line a stop in
+    let c = next_token line b stop in
+    match (verb_of_token line i ve, count_tokens line a stop 0) with
+    | V_ping, 0 -> Ping
+    | V_get, 1 -> Get (int_token "key" line a stop)
+    | V_put, 2 ->
+        let k = int_token "key" line a stop in
+        Put (k, int_token "value" line b stop)
+    | V_del, 1 -> Del (int_token "key" line a stop)
+    | V_mget, 0 -> fail "MGET needs at least one key"
+    | V_mget, n -> Mget (mget_keys line a stop n)
+    | V_range, 2 ->
+        let lo = int_token "lo" line a stop in
+        Range (lo, int_token "hi" line b stop)
+    | V_rangecount, 2 ->
+        let lo = int_token "lo" line a stop in
+        Rangecount (lo, int_token "hi" line b stop)
+    | V_scan, 0 -> Scan 0
+    | V_scan, 1 -> Scan (max 0 (int_token "limit" line a stop))
+    | V_size, 0 -> Size
+    | V_stats, 0 -> Stats
+    | V_metrics, 0 -> Metrics
+    | V_profile, 0 -> Profile 0
+    | V_profile, 1 -> Profile (max 0 (int_token "window" line a stop))
+    | V_multi, 0 -> Multi
+    | V_exec, 0 -> Exec 0
+    | V_exec, 1 ->
+        let t = int_token "token" line a stop in
+        if t > 0 then Exec t else fail "EXEC: token must be > 0"
+    | V_discard, 0 -> Discard
+    | V_subscribe, 2 ->
+        let lo = int_token "lo" line a stop in
+        Subscribe (lo, int_token "hi" line b stop, 0)
+    | V_subscribe, 3 ->
+        let lo = int_token "lo" line a stop in
+        let hi = int_token "hi" line b stop in
+        let seq = int_token "seq" line c stop in
+        if seq >= 0 then Subscribe (lo, hi, seq)
+        else fail "SUBSCRIBE: seq must be >= 0"
+    | V_watch, 2 ->
+        let lo = int_token "lo" line a stop in
+        Watch (lo, int_token "hi" line b stop, 0)
+    | V_watch, 3 ->
+        let lo = int_token "lo" line a stop in
+        let hi = int_token "hi" line b stop in
+        Watch (lo, hi, max 0 (int_token "timeout" line c stop))
+    | V_sync, 0 -> Sync
+    | V_replstats, 0 -> Replstats
+    | V_promote, 0 -> Promote
+    | V_ack, 2 ->
+        let seq = int_token "seq" line a stop in
+        let stamp = int_token "stamp" line b stop in
+        if seq >= 0 && stamp >= 0 then Ack (seq, stamp)
+        else fail "ACK: seq and stamp must be >= 0"
+    | V_quit, 0 -> Quit
+    | V_unknown, _ ->
+        (* Cap the echoed verb so garbage can't bloat the error. *)
+        let v = String.uppercase_ascii (String.sub line i (ve - i)) in
+        let v = if String.length v > 32 then String.sub v 0 32 ^ "..." else v in
+        fail (Printf.sprintf "unknown command %S" v)
+    | v, _ -> fail (Printf.sprintf "wrong number of arguments for %s" (verb_name v))
 
-let parse_command_tokens toks =
-  (* Total by construction; the catch-all is belt-and-braces so a parser
-     bug can never take a connection (or the server) down. *)
+(* Total by construction; the catch-all is belt-and-braces so a parser
+   bug can never take a connection (or the server) down. *)
+let parse_command line =
   try
-    match toks with
-    | [] -> Error "empty command"
-    | verb :: args -> (
-        match (String.uppercase_ascii verb, args) with
-        | "PING", [] -> Ok Ping
-        | "GET", [ k ] -> int_arg "key" k (fun k -> Ok (Get k))
-        | "PUT", [ k; v ] ->
-            int_arg "key" k (fun k -> int_arg "value" v (fun v -> Ok (Put (k, v))))
-        | "DEL", [ k ] -> int_arg "key" k (fun k -> Ok (Del k))
-        | "MGET", (_ :: _ as ks) ->
-            let rec go acc = function
-              | [] -> Ok (Mget (Array.of_list (List.rev acc)))
-              | k :: rest -> int_arg "key" k (fun k -> go (k :: acc) rest)
-            in
-            go [] ks
-        | "MGET", [] -> Error "MGET needs at least one key"
-        | "RANGE", [ lo; hi ] ->
-            int_arg "lo" lo (fun lo -> int_arg "hi" hi (fun hi -> Ok (Range (lo, hi))))
-        | "RANGECOUNT", [ lo; hi ] ->
-            int_arg "lo" lo (fun lo ->
-                int_arg "hi" hi (fun hi -> Ok (Rangecount (lo, hi))))
-        | "SCAN", [] -> Ok (Scan 0)
-        | "SCAN", [ n ] -> int_arg "limit" n (fun n -> Ok (Scan (max 0 n)))
-        | "SIZE", [] -> Ok Size
-        | "STATS", [] -> Ok Stats
-        | "METRICS", [] -> Ok Metrics
-        | "PROFILE", [] -> Ok (Profile 0)
-        | "PROFILE", [ ms ] ->
-            int_arg "window" ms (fun ms -> Ok (Profile (max 0 ms)))
-        | "MULTI", [] -> Ok Multi
-        | "EXEC", [] -> Ok (Exec 0)
-        | "EXEC", [ t ] ->
-            int_arg "token" t (fun t ->
-                if t > 0 then Ok (Exec t) else Error "EXEC: token must be > 0")
-        | "DISCARD", [] -> Ok Discard
-        | "SUBSCRIBE", [ lo; hi ] ->
-            int_arg "lo" lo (fun lo ->
-                int_arg "hi" hi (fun hi -> Ok (Subscribe (lo, hi, 0))))
-        | "SUBSCRIBE", [ lo; hi; seq ] ->
-            int_arg "lo" lo (fun lo ->
-                int_arg "hi" hi (fun hi ->
-                    int_arg "seq" seq (fun seq ->
-                        if seq >= 0 then Ok (Subscribe (lo, hi, seq))
-                        else Error "SUBSCRIBE: seq must be >= 0")))
-        | "WATCH", [ lo; hi ] ->
-            int_arg "lo" lo (fun lo ->
-                int_arg "hi" hi (fun hi -> Ok (Watch (lo, hi, 0))))
-        | "WATCH", [ lo; hi; ms ] ->
-            int_arg "lo" lo (fun lo ->
-                int_arg "hi" hi (fun hi ->
-                    int_arg "timeout" ms (fun ms -> Ok (Watch (lo, hi, max 0 ms)))))
-        | "SYNC", [] -> Ok Sync
-        | "REPLSTATS", [] -> Ok Replstats
-        | "PROMOTE", [] -> Ok Promote
-        | "ACK", [ seq; stamp ] ->
-            int_arg "seq" seq (fun seq ->
-                int_arg "stamp" stamp (fun stamp ->
-                    if seq >= 0 && stamp >= 0 then Ok (Ack (seq, stamp))
-                    else Error "ACK: seq and stamp must be >= 0"))
-        | "QUIT", [] -> Ok Quit
-        | ( (("PING" | "GET" | "PUT" | "DEL" | "RANGE" | "RANGECOUNT" | "SCAN"
-             | "SIZE" | "STATS" | "METRICS" | "PROFILE" | "MULTI" | "EXEC"
-             | "DISCARD" | "SUBSCRIBE" | "WATCH" | "SYNC" | "REPLSTATS"
-             | "PROMOTE" | "ACK" | "QUIT") as v),
-            _ ) ->
-            Error (Printf.sprintf "wrong number of arguments for %s" v)
-        | v, _ ->
-            (* Cap the echoed verb so garbage can't bloat the error. *)
-            let v = if String.length v > 32 then String.sub v 0 32 ^ "..." else v in
-            Error (Printf.sprintf "unknown command %S" v))
-  with _ -> Error "unparsable command"
+    let stop = line_end line in
+    Ok (parse_command_at line (skip_spaces line 0 stop) stop)
+  with
+  | Bad_command msg -> Error msg
+  | _ -> Error "unparsable command"
 
 (* Trace-context propagation (docs/PROTOCOL.md): any command may be
    prefixed [TRACE <id>], asking the server to record a request span and
@@ -180,15 +268,27 @@ let parse_command_tokens toks =
    [TRACE] composes with every verb and is invisible to classification —
    tracing a command never changes its idempotence or shedding class. *)
 let parse_command_traced line =
-  match tokens line with
-  | verb :: id :: rest when String.uppercase_ascii verb = "TRACE" -> (
-      match int_of_string_opt id with
-      | Some id when id > 0 ->
-          Result.map (fun c -> (Some id, c)) (parse_command_tokens rest)
-      | Some _ | None -> Error (Printf.sprintf "TRACE: bad trace id %S" id))
-  | toks -> Result.map (fun c -> (None, c)) (parse_command_tokens toks)
-
-let parse_command line = parse_command_tokens (tokens line)
+  try
+    let stop = line_end line in
+    let i = skip_spaces line 0 stop in
+    let ve = token_end line i stop in
+    let id_at = skip_spaces line ve stop in
+    let tid, cmd_at =
+      if id_at < stop && token_is line i ve "TRACE" then begin
+        let id_end = token_end line id_at stop in
+        match decimal line id_at id_end with
+        | id when id > 0 -> (Some id, skip_spaces line id_end stop)
+        | _ | (exception Not_decimal) ->
+            fail
+              (Printf.sprintf "TRACE: bad trace id %S"
+                 (String.sub line id_at (id_end - id_at)))
+      end
+      else (None, i)
+    in
+    Ok (tid, parse_command_at line cmd_at stop)
+  with
+  | Bad_command msg -> Error msg
+  | _ -> Error "unparsable command"
 
 (* --- command rendering --------------------------------------------------- *)
 
@@ -240,25 +340,53 @@ let command_line ?trace_id c =
 let sanitize msg =
   String.map (fun ch -> if Char.code ch < 0x20 then ' ' else ch) msg
 
+(* Decimal digits of [n <= 0] without the sign: worked on the negative
+   side so [min_int] needs no special case. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+(* [string_of_int] straight into [buf], without the intermediate string. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
+
+(* [prefix], an integer and CRLF: the shape of every counted header. *)
+let add_int_line buf prefix n =
+  Buffer.add_string buf prefix;
+  add_int buf n;
+  Buffer.add_string buf "\r\n"
+
 let rec render_reply buf r =
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   match r with
-  | Ok_ -> p "+OK\r\n"
-  | Pong -> p "+PONG\r\n"
-  | Exists -> p "+EXISTS\r\n"
-  | Err msg -> p "-ERR %s\r\n" (sanitize msg)
-  | Busy ms -> p "-BUSY %d\r\n" (max 0 ms)
-  | Int n -> p ":%d\r\n" n
-  | Nil -> p "$-1\r\n"
+  | Ok_ -> Buffer.add_string buf "+OK\r\n"
+  | Pong -> Buffer.add_string buf "+PONG\r\n"
+  | Exists -> Buffer.add_string buf "+EXISTS\r\n"
+  | Err msg ->
+      Buffer.add_string buf "-ERR ";
+      Buffer.add_string buf (sanitize msg);
+      Buffer.add_string buf "\r\n"
+  | Busy ms -> add_int_line buf "-BUSY " (max 0 ms)
+  | Int n -> add_int_line buf ":" n
+  | Nil -> Buffer.add_string buf "$-1\r\n"
   | Bulk s ->
-      p "$%d\r\n" (String.length s);
+      add_int_line buf "$" (String.length s);
       Buffer.add_string buf s;
       Buffer.add_string buf "\r\n"
   | Arr rs ->
-      p "*%d\r\n" (List.length rs);
-      List.iter (render_reply buf) rs
-  | Queued -> p "+QUEUED\r\n"
-  | Aborted n -> p "-ABORT %d\r\n" (max 0 n)
+      add_int_line buf "*" (List.length rs);
+      render_replies buf rs
+  | Queued -> Buffer.add_string buf "+QUEUED\r\n"
+  | Aborted n -> add_int_line buf "-ABORT " (max 0 n)
+
+and render_replies buf = function
+  | [] -> ()
+  | r :: rs ->
+      render_reply buf r;
+      render_replies buf rs
 
 let rec reply_equal a b =
   match (a, b) with
@@ -343,6 +471,18 @@ let trace_line t =
   let b = Buffer.create 64 in
   render_trace b t;
   Buffer.contents b
+
+(* The frame's tokens as strings; trace frames are parsed client-side,
+   off the served path. *)
+let tokens line =
+  let stop = line_end line in
+  let rec go i acc =
+    if i >= stop then List.rev acc
+    else
+      let e = token_end line i stop in
+      go (skip_spaces line e stop) (String.sub line i (e - i) :: acc)
+  in
+  go (skip_spaces line 0 stop) []
 
 (* [body] is the frame line without the leading ['@']. *)
 let parse_trace body =

@@ -678,6 +678,15 @@ let verb_activity : Protocol.command -> int =
 
 (* --- command execution (worker side) -------------------------------------- *)
 
+(* Per-worker reply buffers above this many bytes are shrunk back after
+   their batch. *)
+let reply_buffer_keep = 65536
+
+let multi_reset sess =
+  sess.s_multi <- false;
+  sess.s_queued <- [];
+  sess.s_dirty <- false
+
 (* Execute one wire line against [sess], appending the rendered reply
    (and any @-trace frame) to [out].  Runs on a worker domain; the
    event loop guarantees at most one batch per connection in flight, so
@@ -690,14 +699,11 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
   let sp = Span.start ~begin_ticks:mark ~cmd:"?" () in
   if accept_ticks > 0 then Span.add_to sp Span.Accept accept_ticks;
   if queue_ticks > 0 then Span.add_to sp Span.Queue queue_ticks;
-  let multi_reset () =
-    sess.s_multi <- false;
-    sess.s_queued <- [];
-    sess.s_dirty <- false
-  in
-  let parsed =
-    Span.in_phase Span.Parse (fun () -> Protocol.parse_command_traced line)
-  in
+  (* Parsing and rendering are total, so a plain [enter]/[leave] pair
+     brackets them without the closure an [in_phase] thunk costs. *)
+  Span.enter Span.Parse;
+  let parsed = Protocol.parse_command_traced line in
+  Span.leave ();
   let trace_id, outcome, r =
     match parsed with
     | Error msg ->
@@ -721,13 +727,13 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
               (tid, "error", Protocol.Err "MULTI: nested MULTI")
             end
             else begin
-              multi_reset ();
+              multi_reset sess;
               sess.s_multi <- true;
               (tid, "ok", Protocol.Ok_)
             end
         | Protocol.Discard ->
             if sess.s_multi then begin
-              multi_reset ();
+              multi_reset sess;
               (tid, "ok", Protocol.Ok_)
             end
             else begin
@@ -740,7 +746,7 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
               (tid, "error", Protocol.Err "EXEC without MULTI")
             end
             else if sess.s_dirty then begin
-              multi_reset ();
+              multi_reset sess;
               Atomic.incr t.errors_total;
               ( tid,
                 "error",
@@ -752,7 +758,7 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
               (* The queued writes must come through the feed, not the
                  wire — a replica that committed its own transactions
                  would diverge from the primary. *)
-              multi_reset ();
+              multi_reset sess;
               Atomic.incr t.errors_total;
               (tid, "error", Protocol.Err replica_readonly_msg)
             end
@@ -763,7 +769,7 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
               (tid, "shed", busy t)
             else begin
               let cs = List.rev sess.s_queued in
-              multi_reset ();
+              multi_reset sess;
               match Mount.exec_txn t.mount ~token cs with
               | Protocol.Err _ as r ->
                   Atomic.incr t.errors_total;
@@ -873,7 +879,9 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
      flush is shared across pipelined commands and is not attributed to
      any span. *)
   Buffer.clear scratch;
-  Span.in_phase Span.Reply (fun () -> Protocol.render_reply scratch r);
+  Span.enter Span.Reply;
+  Protocol.render_reply scratch r;
+  Span.leave ();
   Span.finish ~outcome sp;
   (match trace_id with
    | Some id -> Protocol.render_trace out (trace_info_of sp id outcome)
@@ -883,8 +891,10 @@ let exec_line t sess ~out ~scratch ~mark ~accept_ticks ~queue_ticks ~quit line =
 (* Execute one handoff batch: run every line, publish the coalesced
    reply bytes to the connection in a single [Evloop.output], report
    completion, and — when a SUBSCRIBE flipped the session — adopt the
-   fd and run the push stream right here on the worker domain. *)
-let exec_batch t loop (b : batch) =
+   fd and run the push stream right here on the worker domain.  [out]
+   and [scratch] are the worker's own reply buffers, reused across
+   batches. *)
+let exec_batch t loop ~out ~scratch (b : batch) =
   let t_pop = Verlib.Hwclock.now () in
   let queue_ticks = max 0 (t_pop - b.b_push) in
   let dwell_us = int_of_float (Verlib.Hwclock.to_us queue_ticks) in
@@ -892,8 +902,7 @@ let exec_batch t loop (b : batch) =
   Atomic.set queue_dwell_us_a dwell_us;
   let conn = b.b_conn in
   let sess = conn.Evloop.data in
-  let out = Buffer.create 512 in
-  let scratch = Buffer.create 256 in
+  Buffer.clear out;
   let quit = ref false in
   let first = ref true in
   List.iter
@@ -923,6 +932,10 @@ let exec_batch t loop (b : batch) =
       end)
     b.b_lines;
   if Buffer.length out > 0 then Evloop.output conn (Buffer.contents out);
+  (* A large reply (SYNC, SCAN, PROFILE) must not pin its capacity in
+     the worker for good. *)
+  if Buffer.length out > reply_buffer_keep then Buffer.reset out;
+  if Buffer.length scratch > reply_buffer_keep then Buffer.reset scratch;
   (* Amortized GC telemetry: one [quick_stat] per batch (dozens of
      commands), published into this worker's slot for the gauges and
      PROFILE to sum. *)
@@ -1037,12 +1050,16 @@ let replica_loop t host port () =
 
 (* --- domains ------------------------------------------------------------- *)
 
-let rec worker_loop t loop () =
-  match Bqueue.pop t.queue with
-  | None -> ()
-  | Some b ->
-      exec_batch t loop b;
-      worker_loop t loop ()
+let worker_loop t loop () =
+  let out = Buffer.create 512 and scratch = Buffer.create 256 in
+  let rec go () =
+    match Bqueue.pop t.queue with
+    | None -> ()
+    | Some b ->
+        exec_batch t loop ~out ~scratch b;
+        go ()
+  in
+  go ()
 
 let take_census t =
   let c = Verlib.Chainscan.census_of_iter (Mount.iter_vptrs t.mount) in

@@ -693,25 +693,33 @@ let get store k =
   | Store.Store st ->
       let module M = (val st.m) in
       let s = mix k land st.mask in
-      let b = Flock.Backoff.create () in
-      let expired = grace_clock () in
-      let rec go () =
-        if expired () then M.find st.h k
-        else
-          let v1 = Atomic.get st.stripes.(s) in
-          if v1 land 1 <> 0 then begin
-            Flock.Backoff.once b;
-            go ()
-          end
+      (* One uncontended bracket first, before any retry state exists:
+         a point read that meets no writer allocates only what the map
+         returns. *)
+      let v0 = Atomic.get st.stripes.(s) in
+      let r0 = if v0 land 1 = 0 then M.find st.h k else None in
+      if v0 land 1 = 0 && Atomic.get st.stripes.(s) = v0 then r0
+      else begin
+        let b = Flock.Backoff.create () in
+        let expired = grace_clock () in
+        let rec go () =
+          if expired () then M.find st.h k
           else
-            let r = M.find st.h k in
-            if Atomic.get st.stripes.(s) = v1 then r
-            else begin
+            let v1 = Atomic.get st.stripes.(s) in
+            if v1 land 1 <> 0 then begin
               Flock.Backoff.once b;
               go ()
             end
-      in
-      go ()
+            else
+              let r = M.find st.h k in
+              if Atomic.get st.stripes.(s) = v1 then r
+              else begin
+                Flock.Backoff.once b;
+                go ()
+              end
+        in
+        go ()
+      end
 
 let mget store keys =
   match store with

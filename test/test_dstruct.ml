@@ -420,6 +420,42 @@ let bank_qcheck_tests =
            (fun (seed, pairs) -> bank_violations m ~seed ~pairs = 0)))
     [ (module Sharded_btree_8 : MAP); (module Sharded_hashtable_5 : MAP) ]
 
+(* --- allocation budget ------------------------------------------------- *)
+
+(* Minor-heap words allocated by [n] calls of [f].  [Gc.minor_words] is
+   unboxed, so the measurement itself allocates nothing. *)
+let minor_words_of n f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. w0
+
+(* A read-only find outside any snapshot allocates at most the [Some]
+   it returns (two words): the descent itself is allocation-free. *)
+let test_btree_find_alloc_budget () =
+  V.reset ();
+  let n = 100_000 in
+  let h = Dstruct.Btree.create ~mode:V.Vptr.Ind_on_need ~n_hint:n () in
+  for k = 1 to n do
+    ignore (Dstruct.Btree.insert h k (k * 2))
+  done;
+  let calls = 10_000 in
+  let next = ref 0 in
+  let words =
+    minor_words_of calls (fun () ->
+        next := (!next + 7919) mod n;
+        Dstruct.Btree.find h (!next + 1))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d hits <= %d" words calls (2 * calls))
+    true
+    (words <= float_of_int (2 * calls));
+  let misses = minor_words_of calls (fun () -> Dstruct.Btree.find h (n + 1)) in
+  Alcotest.(check (float 0.)) "a miss allocates nothing" 0. misses;
+  Alcotest.(check (option int)) "value" (Some 84) (Dstruct.Btree.find h 42)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let per_map_cases (module M : MAP) =
@@ -459,4 +495,5 @@ let () =
       ("maps", List.concat_map per_map_cases maps);
       ("qcheck-model", qcheck_model_tests);
       ("sharded-bank", bank_qcheck_tests);
+      ("alloc-budget", [ case "btree find on 100k keys" test_btree_find_alloc_budget ]);
     ]

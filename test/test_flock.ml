@@ -87,6 +87,42 @@ let test_frame_nesting () =
   Flock.Idem.exit ();
   Alcotest.(check (list int)) "outer replay skips inner slots" [ 1; 3 ] [ a'; c' ]
 
+(* Logged reads under helping: two domains replay one section reading
+   29 atomics (more than three 8-slot chunks) while a third keeps
+   changing them.  Both replays must agree slot by slot, and a helper
+   arriving after every atomic has moved on must still read the logged
+   values, not the current ones. *)
+let test_get_helping_two_domains () =
+  let n = (3 * 8) + 5 in
+  let cells = Array.init n (fun i -> Atomic.make i) in
+  Alcotest.(check int) "outside a frame: a plain read" 3
+    (Flock.Idem.get cells.(3));
+  let log = Flock.Idem.create_log () in
+  let replay () =
+    Flock.Idem.enter log;
+    let xs = List.init n (fun i -> Flock.Idem.get cells.(i)) in
+    Flock.Idem.exit ();
+    xs
+  in
+  let stop = Atomic.make false in
+  let mutator =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Array.iter Atomic.incr cells
+        done)
+  in
+  let helper = Domain.spawn replay in
+  let owner = replay () in
+  let helped = Domain.join helper in
+  Atomic.set stop true;
+  Domain.join mutator;
+  Alcotest.(check (list int)) "concurrent replays agree" owner helped;
+  Array.iter (fun c -> Atomic.set c (-1)) cells;
+  let late = Domain.join (Domain.spawn replay) in
+  Alcotest.(check (list int)) "late helper reads the log" owner late;
+  Alcotest.(check bool) "logged values predate the change" true
+    (List.for_all (fun v -> v >= 0) late)
+
 (* --- Fatomic --------------------------------------------------------- *)
 
 let test_fatomic_basic () =
@@ -485,6 +521,7 @@ let () =
           case "replay agrees" test_once_replay_agrees;
           case "chunk chaining" test_once_many_slots_cross_chunks;
           case "frame nesting" test_frame_nesting;
+          case "get under two-domain helping" test_get_helping_two_domains;
         ] );
       ( "idem-claim",
         [

@@ -661,6 +661,29 @@ let qcheck_history_tests =
            ~count:80 vcmds_arb (history_faithful mode)))
     V.Vptr.[ Indirect; No_shortcut; Ind_on_need ]
 
+(* --- allocation budget ------------------------------------------------- *)
+
+(* Minor-heap words allocated by [n] calls of [f].  [Gc.minor_words] is
+   unboxed, so the measurement itself allocates nothing. *)
+let minor_words_of n f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. w0
+
+(* A load outside any snapshot or critical section is a plain read: it
+   must not allocate, whatever the head holds (direct value, indirect
+   link, a superseded version still to truncate). *)
+let test_load_allocates_nothing mode () =
+  reset ();
+  let p = V.Vptr.make (desc mode) (Some (mk 1)) in
+  V.Vptr.store p (Some (mk 2));
+  let words = minor_words_of 10_000 (fun () -> V.Vptr.load p) in
+  Alcotest.(check (float 0.)) "words over 10k loads" 0. words;
+  Alcotest.(check (option int)) "value" (Some 2) (value_of (V.Vptr.load p))
+
 let case name f = Alcotest.test_case name `Quick f
 
 let mode_cases name f =
@@ -717,6 +740,7 @@ let () =
             test_helping_direct_installed_exact;
         ] );
       ("qcheck-history", qcheck_history_tests);
+      ("alloc-budget", mode_cases "load outside a frame" test_load_allocates_nothing);
       ( "truncation",
         [
           case "bounds chains without snapshots" test_truncation_bounds_chains;
