@@ -231,12 +231,17 @@ module Profile : sig
 
   val write_collapsed : string -> unit
 
-  val json : ?window_ms:int -> unit -> string
+  type window
+
+  val open_window : unit -> window
+  (** Start a profiling window: remember the stacks accumulated so far. *)
+
+  val json : ?window:window -> unit -> string
   (** The [PROFILE] wire payload: one JSON object with [clock_source],
       sampler state, stacks, per-slot activity, per-site lock contention
-      (including sampled waits-on edges) and GC telemetry.
-      [window_ms > 0] sleeps the calling thread (clamped to 5 s) and
-      reports only the stacks accumulated inside the window. *)
+      (including sampled waits-on edges) and GC telemetry.  With
+      [window], only the stacks accumulated since {!open_window}, and
+      [window_ms] is the window's elapsed length. *)
 
   val reset : unit -> unit
   (** Drop accumulated stacks and sample counts (not the sampler). *)

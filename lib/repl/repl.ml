@@ -191,21 +191,6 @@ module Log = struct
     in
     go ()
 
-  (* One-shot WATCH: the first record past [seq] touching [lo, hi]. *)
-  let wait_matching t ~seq ~lo ~hi ~deadline =
-    let rec go seq =
-      match wait_after t ~seq ~deadline with
-      | (`Resync | `Timeout) as r -> r
-      | `Records l -> (
-          match List.find_opt (touches lo hi) l with
-          | Some r -> `Record r
-          | None -> (
-              match List.rev l with
-              | last :: _ -> go last.r_seq
-              | [] -> go seq))
-    in
-    go seq
-
   (* Subscriber cursors: what the lag gauges measure against.  A fresh
      cursor adopts the stalest orphan if one exists — that is how a
      replica reconnecting after a partition resumes the same lag

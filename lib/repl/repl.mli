@@ -86,15 +86,6 @@ module Log : sig
     [ `Records of record list | `Resync | `Timeout ]
   (** Block (poll) until something lands past [seq] or [deadline]. *)
 
-  val wait_matching :
-    t ->
-    seq:int ->
-    lo:int ->
-    hi:int ->
-    deadline:float ->
-    [ `Record of record | `Resync | `Timeout ]
-  (** One-shot WATCH: first record past [seq] touching [\[lo, hi\]]. *)
-
   val subscribe : t -> int
   (** Register a cursor; the id keys {!ack}/{!unsubscribe} and the lag
       gauges measure against the slowest registered cursor.  Adopts the

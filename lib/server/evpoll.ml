@@ -13,9 +13,10 @@
      live prefix out before releasing the runtime lock (the GC may move
      the arrays while poll sleeps) and writes revents back after.
 
-   - [readable] / [writable]: one-shot single-fd waits that replace the
-     scattered [Unix.select [fd] [] [] t] idioms (replica ACK drain,
-     dashboard keypress wait, client flush backoff). *)
+   - [readable] / [writable] / [departed]: one-shot single-fd waits
+     that replace the scattered [Unix.select [fd] [] [] t] idioms
+     (replica ACK drain, dashboard keypress wait, client flush backoff)
+     and probe a peer mid-batch. *)
 
 external poll_stub :
   int array -> int array -> int array -> int -> int -> int
@@ -125,6 +126,13 @@ let wait_fd fd ~interest ~timeout =
 let readable ?timeout fd =
   let r = wait_fd fd ~interest:ev_in ~timeout in
   has r (ev_in lor ev_err lor ev_hup lor ev_nval)
+
+(* Zero-timeout probe: has the peer sent FIN, reset, or otherwise gone?
+   Without POLLRDHUP (non-Linux) only an error or hangup shows. *)
+let departed fd =
+  has
+    (wait_fd fd ~interest:ev_rdhup ~timeout:(Some 0.))
+    (ev_rdhup lor ev_err lor ev_hup lor ev_nval)
 
 let writable ?timeout fd =
   let r = wait_fd fd ~interest:ev_out ~timeout in
