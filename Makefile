@@ -179,16 +179,18 @@ serve-baseline:
 	wait $$srv; \
 	trap - EXIT
 
-# c10k gate (docs/ASYNC.md): the event loop holds thousands of
+# c10k gate (docs/ASYNC.md): four event loops hold thousands of
 # mostly-idle connections while a pipelined hot set drives load — the
 # posture the old serving core could never reach (select(2) dies past
 # FD_SETSIZE=1024 fds; thread-per-connection capped concurrency at the
-# worker-domain count).  Asserts:
+# domain count).  Asserts:
 #   - every idle connection survives the run (the loadgen PINGs each at
 #     open and again after the workload, exiting non-zero on any death);
 #   - zero census violations under the c10k posture;
-#   - the queue-dwell p99 stays bounded (latency, not capacity, is the
-#     -BUSY currency under the event loop);
+#   - the connections are balanced across the loops: STATS loop_conns
+#     max - min <= 1;
+#   - the queue-phase p99 stays bounded (the wait from the poll round
+#     that saw a chunk to its inline execution);
 #   - SIGINT drains gracefully and the final report shows zero
 #     registered connections — no leaked fds.
 # Needs ~2.2k fds: raise the soft ulimit if the hard limit allows.
@@ -211,12 +213,20 @@ c10k-smoke:
 	  --stats-out /tmp/verlib_c10k_stats.json; \
 	grep -q '"violations":0' /tmp/verlib_c10k_stats.json \
 	  || { echo "FAIL: census violations under the c10k posture"; exit 1; }; \
+	loops=$$(sed -n 's/.*"loop_conns":\[\([0-9,]*\)\].*/\1/p' \
+	  /tmp/verlib_c10k_stats.json); \
+	test -n "$$loops" || { echo "FAIL: no per-loop connection counts in STATS"; exit 1; }; \
+	echo "$$loops" | awk -F, '{ mn = $$1; mx = $$1; \
+	    for (i = 2; i <= NF; i++) { if ($$i < mn) mn = $$i; if ($$i > mx) mx = $$i } \
+	    exit !(NF == 4 && mx - mn <= 1) }' \
+	  || { echo "FAIL: connections unbalanced across the loops: $$loops"; exit 1; }; \
+	echo "c10k-smoke: connections per loop $$loops"; \
 	dwell=$$(sed -n 's/.*"phase_queue_cycles":{[^}]*"p99_us":\([0-9.]*\).*/\1/p' \
 	  /tmp/verlib_c10k_stats.json); \
 	test -n "$$dwell" || { echo "FAIL: no queue-phase histogram in STATS"; exit 1; }; \
 	awk -v d="$$dwell" 'BEGIN { exit !(d+0 < 500000) }' \
-	  || { echo "FAIL: queue dwell p99 $${dwell}us is unbounded"; exit 1; }; \
-	echo "c10k-smoke: queue dwell p99 $${dwell}us"; \
+	  || { echo "FAIL: queue-phase p99 $${dwell}us is unbounded"; exit 1; }; \
+	echo "c10k-smoke: queue-phase p99 $${dwell}us"; \
 	sleep 1; \
 	kill -INT $$srv; \
 	wait $$srv; \
@@ -233,7 +243,7 @@ c10k-smoke:
 #      wire; exits non-zero unless the final quiescent census is
 #      violation-free, no domain is left parked, clients saw zero
 #      errors, and money is conserved exactly.
-#   2. Overload: a 1-worker server with admission control is overdriven
+#   2. Overload: a 1-loop server with admission control is overdriven
 #      by 6 client domains — the loadgen must observe -BUSY sheds
 #      (shed > 0) — and must then serve an untroubled follow-up run
 #      (shed = 0, 0 errors): shedding engages and releases.
@@ -252,7 +262,7 @@ chaos-smoke:
 	./_build/default/bin/verlib_soak.exe --plan flaky-wire \
 	  -s sharded-hashtable:2 --duration 1.5 --ci
 	@set -e; \
-	echo "chaos-smoke: overload shedding (1 worker, admission control)"; \
+	echo "chaos-smoke: overload shedding (1 loop, admission control)"; \
 	./_build/default/bin/verlib_serve.exe -s btree -p 0 -t 1 \
 	  --shed-queue 1 --retry-after-ms 1 --duration 120 --stats none \
 	  > /tmp/verlib_shed_port.txt 2>/tmp/verlib_shed_srv.log & \
@@ -340,10 +350,11 @@ trace-smoke:
 #      lock until disarm) with the sampling profiler at 97 Hz.  Update
 #      traffic on unfilled trees trips the stall at the btree root-slot
 #      lock; --rt-attempts 1 stops the client retry layer from replaying
-#      wedged requests onto fresh workers (each stuck connection parks
-#      one of the 8 server workers, leaving spares for the dashboard),
+#      wedged requests onto fresh connections (each stuck connection
+#      holds one of the 8 server loops; the free loops keep accepting
+#      and the least-loaded handoff puts the dashboard on one of them),
 #      and timeout -s KILL reaps the loadgen since its cooperative stop
-#      waits on the wedged workers.  Workload health is chaos-smoke's
+#      waits on the wedged connections.  Workload health is chaos-smoke's
 #      business; this gate only asserts the profiler SAW the convoy:
 #      verlib_top --once must render from the live server, name the
 #      convoyed site as the top contention entry and attribute >= 10% of

@@ -34,8 +34,10 @@ let port =
 
 let domains =
   Arg.(value & opt int 4 & info [ "t"; "domains" ]
-       ~doc:"Worker (execution) domains.  Each SUBSCRIBE stream or parked \
-             WATCH holds one (docs/REPLICATION.md).")
+       ~doc:"Event-loop domains.  Each runs its own loop over an even \
+             share of the connections and executes their commands inline \
+             (docs/ASYNC.md).  Not a connection cap: streams and parked \
+             WATCHes do not hold a domain.")
 
 let n_hint =
   Arg.(value & opt int 10_000 & info [ "n"; "size-hint" ]
@@ -75,8 +77,9 @@ let shed_queue =
   Arg.(value & opt int 0 & info [ "shed-queue" ] ~docv:"N"
        ~doc:"Admission control: answer snapshot-heavy commands (MGET, \
              RANGE, RANGECOUNT, SCAN, EXEC, SYNC, WATCH) with -BUSY while \
-             $(docv) or more batches wait in the event loop's handoff queue \
-             to the workers, and every data command at 2x$(docv).  PING, \
+             $(docv) or more other connections that the same poll round \
+             reported readable still wait on the loop, and every data \
+             command at 2x$(docv).  PING, \
              STATS and the other observability commands are never shed.  \
              0 = off.")
 
@@ -262,7 +265,7 @@ let run structure mode port domains n_hint prefill census_interval max_conns
          (Fault.plan_to_string p));
   Printf.printf "PORT %d\n%!" (Server.port srv);
   Printf.eprintf
-    "verlib-serve: %s (%s, %s) on 127.0.0.1:%d — %d worker domain(s)%s\n%!"
+    "verlib-serve: %s (%s, %s) on 127.0.0.1:%d — %d loop domain(s)%s\n%!"
     structure
     (Verlib.Vptr.mode_name mode)
     (Dstruct.Map_intf.range_capability_name M.range_capability)

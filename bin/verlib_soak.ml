@@ -14,7 +14,7 @@
    - the bank conservation audit balances: after the drain, the sum
      over every account equals 2*BASE*pairs — transfers replayed after
      ambiguous failures (lost replies, killed connections,
-     crash-stopped workers whose critical sections were finished by
+     crash-stopped loop domains whose critical sections were finished by
      helpers) must have landed exactly once in effect.
 
    This is the executable form of the paper's robustness story: the
@@ -53,7 +53,7 @@ let readers = Arg.(value & opt int 2 & info [ "readers" ] ~doc:"Reader domains."
 
 let srv_domains =
   Arg.(value & opt int 4 & info [ "server-domains" ]
-       ~doc:"Server worker domains.")
+       ~doc:"Server event-loop domains.")
 
 let ci =
   Arg.(value & flag & info [ "ci" ] ~doc:"Smoke scale: duration capped at 1s.")
@@ -268,15 +268,11 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
   Verlib.reset ();
   let pmount = Server.Mount.mount ~n_hint:(4 * pairs) map in
   seed_ledger pmount ~pairs;
-  (* The replica's stream pins one primary worker for its whole life
-     (docs/REPLICATION.md, "Worker sizing"); the rest serve the bank
-     clients' batches.  One worker per client is more than the event
-     loop needs, but keeps the chaos schedule comparable across runs. *)
   let config =
     {
       Server.default_config with
       Server.port = 0;
-      domains = max srv_domains (writers + readers + 2);
+      domains = srv_domains;
       census_interval = 0.05;
       write_timeout = 2.;
       idle_timeout = 10.;
@@ -497,7 +493,7 @@ let run plan_spec structure duration pairs writers readers srv_domains ci repl
     {
       Server.default_config with
       Server.port = 0;
-      domains = max 2 srv_domains;
+      domains = srv_domains;
       census_interval = 0.05;
       write_timeout = 2.;
       idle_timeout = 10.;
@@ -529,7 +525,7 @@ let run plan_spec structure duration pairs writers readers srv_domains ci repl
   Unix.sleepf duration;
   Atomic.set stop true;
   List.iter Domain.join ds;
-  (* Disarm BEFORE the server drain: crash-stopped workers resume, so
+  (* Disarm BEFORE the server drain: crash-stopped loops resume, so
      the joins inside [Server.stop] terminate; the grace sleep lets
      them finish their interrupted critical sections. *)
   Fault.disarm ();

@@ -192,6 +192,14 @@ let render ~host ~port ~prev snap =
     (fmt_count (jnum "shed" st))
     (fmt_count (jnum "deadline_kills" st))
     (fmt_count (jnum "protocol_errors" st));
+  (* Event loops: connections each owns (the balance the acceptor keeps)
+     and the admission signal, readable connections not yet executed. *)
+  line "loops: conns [%s]  waiting %d"
+    (String.concat " "
+       (List.map
+          (fun c -> Printf.sprintf "%.0f" (Option.value ~default:0. (J.to_number c)))
+          (jlist "loop_conns" st)))
+    (jint "queue_depth" st);
   (* Transactions, from the txn_* gauges: commit rate, the abort share
      of finished transactions, mean validation retries per commit (the
      OCC contention signal) and exactly-once replays served from the

@@ -202,10 +202,10 @@ let test_watermark_monotone_under_chaos () =
 
 (* --- live: primary → replica pair ----------------------------------------- *)
 
-(* A streaming subscriber pins a worker for the life of its connection,
-   and so does a parked WATCH — so the primary needs headroom beyond
-   the replica's one stream for the test clients' batches.
-   docs/REPLICATION.md spells out the sizing rule for deployments. *)
+(* A primary and a replica following it.  Each server runs one event
+   loop per domain; the replica's SUBSCRIBE stream and any parked WATCH
+   live on a loop without holding it, so the domain counts are not
+   sized by streams. *)
 let with_pair f =
   Verlib.reset ();
   let pmount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
