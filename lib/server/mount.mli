@@ -41,7 +41,7 @@ val exec : t -> Protocol.command -> Protocol.reply
     intercepts them first).  [Put]/[Del] route through the mount's
     {!Txn.Store} so they serialize with transactional commits.
     Structure exceptions are caught and surfaced as [-ERR internal:
-    ...] so a bug cannot take the worker down. *)
+    ...] so a bug cannot take the serving loop down. *)
 
 val exec_txn : t -> token:int -> Protocol.command list -> Protocol.reply
 (** Commit one MULTI/EXEC transaction: the queued commands execute as a

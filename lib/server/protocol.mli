@@ -36,7 +36,7 @@ type command =
           per-site lock contention, GC telemetry.  The argument is a
           window in milliseconds: 0 (bare [PROFILE]) reports cumulative
           stacks, positive values report only the stacks accumulated
-          inside the window (the serving worker sleeps for it, clamped
+          inside the window (the connection parks for it, clamped
           server-side to 5 s).  Never shed, like [Stats]. *)
   | Multi
       (** Open a transaction: subsequent data commands are queued (each
