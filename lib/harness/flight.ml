@@ -36,7 +36,8 @@ type t = {
   dir : string;
   min_interval : float;
   max_dumps : int;
-  mutable dumps : int;
+  mutable dumps : int;  (** reserved under the cap *)
+  mutable written : int;  (** on disk, [last_path] set *)
   mutable suppressed : int;
   mutable last_at : float;
   mutable last_path : string option;
@@ -49,17 +50,18 @@ let create ?(min_interval = 5.0) ?(max_dumps = 16) ~dir () =
     min_interval;
     max_dumps;
     dumps = 0;
+    written = 0;
     suppressed = 0;
     last_at = neg_infinity;
     last_path = None;
     lock = Mutex.create ();
   }
 
-let dump_count t = t.dumps
+let dump_count t = Mutex.protect t.lock (fun () -> t.written)
 
 let suppressed_count t = t.suppressed
 
-let last_path t = t.last_path
+let last_path t = Mutex.protect t.lock (fun () -> t.last_path)
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
@@ -204,6 +206,7 @@ let record t ~trigger ?census ?extra () =
       (fun () -> output_string oc body);
     Mutex.lock t.lock;
     t.last_path <- Some path;
+    t.written <- t.written + 1;
     Mutex.unlock t.lock;
     Some path
   end

@@ -46,6 +46,8 @@ val record :
     approximate under concurrent writers (the ring contract). *)
 
 val dump_count : t -> int
+(** Dumps written so far; {!last_path} names the latest once this
+    counts it. *)
 
 val suppressed_count : t -> int
 (** Trigger firings swallowed by the cooldown or the cap. *)
