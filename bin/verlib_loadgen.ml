@@ -167,8 +167,8 @@ let rt_attempts =
        ~doc:"Bound the retrying transport's reconnect-and-replay budget for \
              opgen workers (0 = library default).  Use 1 against a \
              deliberately wedged server (e.g. the blocking-convoy profile \
-             smoke) so each client connection parks at most one server \
-             worker instead of replaying onto ten.")
+             smoke) so each client connection wedges at most one server \
+             connection instead of replaying onto ten.")
 
 let faults =
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN"
@@ -290,7 +290,8 @@ let opgen_worker ~host ~port ~depth ~gen_of ~trace_sample ~rt_attempts ~wid st
      (every opgen command is idempotent), honours [-BUSY] shedding.
      [rt_attempts] bounds the reconnect-and-replay budget: against a
      deliberately convoyed server (blocking-convoy smoke) the default
-     budget would wedge up to 10 fresh workers per client connection. *)
+     budget would wedge up to 10 fresh server connections per client
+     connection. *)
   let rt =
     match rt_attempts with
     | Some n ->

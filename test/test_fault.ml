@@ -375,7 +375,7 @@ let test_crash_stop_served_census () =
      | _ -> incr failed
    done;
    C.rt_close rt);
-  (* disarmed: the parked worker resumes, the drain below joins it *)
+  (* disarmed: the parked loop resumes, the drain below joins it *)
   Unix.sleepf 0.05;
   S.stop srv;
   Alcotest.(check int) "puts landed despite the crash-stopped locker" 0 !failed;
