@@ -36,8 +36,8 @@ let domains =
   Arg.(value & opt int 4 & info [ "t"; "domains" ]
        ~doc:"Event-loop domains.  Each runs its own loop over an even \
              share of the connections and executes their commands inline \
-             (docs/ASYNC.md).  Not a connection cap: streams and parked \
-             WATCHes do not hold a domain.")
+             (docs/ASYNC.md), SUBSCRIBE streams and parked WATCHes \
+             included.  Not a connection cap.")
 
 let n_hint =
   Arg.(value & opt int 10_000 & info [ "n"; "size-hint" ]

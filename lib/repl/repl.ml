@@ -13,9 +13,9 @@
      overwrites its oldest record and a laggard whose cursor fell below
      the trim point is told to resync (full snapshot), which is the
      bounded-feed contract the multiversion-GC papers motivate.
-   - Timed waits poll under the mutex (OCaml's Condition has no timed
-     wait); the 1ms tick bounds push latency, which the feed consumers
-     (replica apply, WATCH) are happy with. *)
+   - Readers never block: the server's event loops poll [read_after]
+     every iteration (1 ms while a stream or WATCH is live), which
+     bounds push latency. *)
 
 type record = {
   r_seq : int;
@@ -152,44 +152,25 @@ module Log = struct
 
   (* Records with [r_seq > seq], oldest first; [`Resync] when the ring
      has already overwritten part of that suffix. *)
-  let read_after_locked t seq =
-    if seq < trim t then begin
-      Atomic.incr resyncs_ctr;
-      `Resync
-    end
-    else begin
-      let acc = ref [] in
-      for s = t.tail downto seq + 1 do
-        match t.ring.(s mod t.capacity) with
-        | Some r when r.r_seq = s -> acc := r :: !acc
-        | _ -> ()
-      done;
-      `Records !acc
-    end
-
   let read_after t ~seq =
     Mutex.lock t.mu;
-    let r = read_after_locked t seq in
+    let r =
+      if seq < trim t then begin
+        Atomic.incr resyncs_ctr;
+        `Resync
+      end
+      else begin
+        let acc = ref [] in
+        for s = t.tail downto seq + 1 do
+          match t.ring.(s mod t.capacity) with
+          | Some r when r.r_seq = s -> acc := r :: !acc
+          | _ -> ()
+        done;
+        `Records !acc
+      end
+    in
     Mutex.unlock t.mu;
     r
-
-  (* Timed wait for anything past [seq]; polls at 1ms. *)
-  let wait_after t ~seq ~deadline =
-    let rec go () =
-      Mutex.lock t.mu;
-      let r = if t.tail > seq then read_after_locked t seq else `Nothing in
-      Mutex.unlock t.mu;
-      match r with
-      | `Records l when l <> [] -> `Records l
-      | `Resync -> `Resync
-      | _ ->
-          if Unix.gettimeofday () >= deadline then `Timeout
-          else begin
-            Unix.sleepf 0.001;
-            go ()
-          end
-    in
-    go ()
 
   (* Subscriber cursors: what the lag gauges measure against.  A fresh
      cursor adopts the stalest orphan if one exists — that is how a

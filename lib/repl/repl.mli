@@ -79,13 +79,6 @@ module Log : sig
       has overwritten part of that suffix (cursor behind the trim
       point). *)
 
-  val wait_after :
-    t ->
-    seq:int ->
-    deadline:float ->
-    [ `Records of record list | `Resync | `Timeout ]
-  (** Block (poll) until something lands past [seq] or [deadline]. *)
-
   val subscribe : t -> int
   (** Register a cursor; the id keys {!ack}/{!unsubscribe} and the lag
       gauges measure against the slowest registered cursor.  Adopts the

@@ -6,25 +6,30 @@
    connection to the least-loaded loop; reads ready connections,
    reassembling '\n'-framed lines ([Protocol.Linebuf]) and executing
    each chunk's lines inline as one batch ([h_exec]) whose replies land
-   in the connection's outbuf; flushes; re-checks parked connections;
-   and sweeps idle/write deadlines.  Outbuf, session and poll set are
-   loop-only.
+   in the connection's outbuf; flushes; and, in one pass over its
+   connections, sweeps idle/write deadlines and re-checks the parked
+   and streaming ones ([h_resume]).  Outbuf, session and poll set are
+   loop-only, and the loop is the fd's only closer.
 
    A connection is a state machine:
 
      reading --exec--> reading
          |       `Park -> parked --resume--> reading (or again parked)
+         |       `Stream -> streaming --resume--> streaming
          |       `Close -> closing --flushed--> closed
-         |       `Detach -> detaching --flushed--> stream thread
          `-- EOF/error/deadline --> closing/closed
 
    A parked connection (a WATCH, a windowed PROFILE) is not read, so a
-   pipelining peer queues in the kernel; the loop re-checks it every
-   iteration, polling with a 1 ms timeout while any is parked.  A peer
+   pipelining peer queues in the kernel.  A streaming connection (a
+   SUBSCRIBE) is read on the loop's tick, not on readiness: each
+   re-check reads its peer's ACK lines, then pumps the feed into its
+   outbuf.  (Read on readiness, a replica that ACKs every record would
+   wake the loop once per record.)  The loop re-checks both every
+   iteration, polling with a 1 ms timeout while any exists.  A peer
    that stops reading accumulates outbuf until [out_hwm] pauses reads
-   and [write_timeout] kills the connection. *)
+   (and a stream's pump) and [write_timeout] kills the connection. *)
 
-type action = [ `Continue | `Close | `Park | `Detach ]
+type action = [ `Continue | `Close | `Park | `Stream ]
 
 type 'a conn = {
   fd : Unix.file_descr;
@@ -33,9 +38,11 @@ type 'a conn = {
   out : Buffer.t;  (** reply bytes not yet written *)
   mutable out_off : int;  (** written prefix of [out] *)
   mutable parked : bool;  (** a command waits on [h_resume]; reads off *)
+  mutable streaming : bool;
+      (** [h_resume] pumps a push stream; read on the tick, not on
+          readiness *)
   mutable closing : bool;  (** flush what we owe, then close *)
-  mutable detaching : bool;  (** flush, deregister, start the stream *)
-  mutable dead : bool;  (** closed or handed to a stream thread *)
+  mutable dead : bool;  (** closed *)
   mutable last_act : float;  (** last byte read (idle deadline) *)
   mutable out_since : float;  (** outbuf first went nonempty; 0 = empty *)
   mutable accept_ticks : int;  (** accept-to-register cost, for spans *)
@@ -51,13 +58,15 @@ type 'a handlers = {
           [conn.out]; [mark] is the tick stamp of the poll round that
           reported the chunk readable *)
   h_resume : 'a t -> 'a conn -> now:float -> action;
-      (** re-check a parked connection; [`Park] keeps it parked *)
-  h_stream : 'a conn -> unit;
-      (** serve a detached connection; runs on a systhread of the
-          loop's domain, which closes the fd when it returns *)
+      (** re-check a parked connection ([`Park] keeps it parked) or pump
+          a streaming one ([`Stream] keeps it streaming); not called
+          while a stream's outbuf is at [out_hwm] *)
   h_overflow : 'a -> string;  (** reply bytes for an over-long line *)
   h_kill : [ `Idle | `Write ] -> unit;  (** deadline-kill accounting *)
-  h_close : 'a -> unit;  (** fired once when the connection's fd closes *)
+  h_close : 'a -> graceful:bool -> unit;
+      (** fired once when the connection's fd closes; [graceful] when it
+          was closing (EOF, a [`Close] verdict, the drain), not cut by
+          an error, a deadline or a handler's own [close_conn] *)
 }
 
 (* Every loop of one server, for connection handoff.  [gm] serializes
@@ -82,12 +91,13 @@ and 'a t = {
   mutable conns : 'a conn option array;  (** index = poll slot *)
   mutable ready : 'a conn option array;  (** this round's ready conns *)
   mutable rotor : int;  (** where the next round starts serving *)
-  mutable parked_conns : 'a conn list;
+  mutable rechecks : int;
+      (** parked or streaming connections at the last pass; while any,
+          the loop polls with a 1 ms timeout *)
   mutable waiting : int;
       (** connections this poll round reported readable that the loop
           has not executed yet — the admission-control signal *)
-  load : int Atomic.t;  (** connections owned, streams included *)
-  streams : int Atomic.t;  (** live stream threads *)
+  load : int Atomic.t;  (** connections owned *)
   wake_rd : Unix.file_descr;
   wake_wr : Unix.file_descr;
   im : Mutex.t;  (** guards [inbox] and [inbox_open] *)
@@ -146,10 +156,9 @@ let create ~n ~lsock ~handlers ~stop_flag ~idle_timeout ~write_timeout ~max_line
       conns = Array.make 256 None;
       ready = Array.make 256 None;
       rotor = 0;
-      parked_conns = [];
+      rechecks = 0;
       waiting = 0;
       load = Atomic.make 0;
-      streams = Atomic.make 0;
       wake_rd;
       wake_wr;
       im = Mutex.create ();
@@ -207,15 +216,16 @@ let deregister t conn =
          t.conns.(moved) <- None)
   end
 
-(* The fd has exactly one closer: the loop here, or — after a detach —
-   the stream thread. *)
+(* [h_close] runs before the fd closes, so a peer that sees its EOF
+   also sees the session's end (a stream's cursor dropped or
+   orphaned). *)
 let close_conn t conn =
   if not conn.dead then begin
     conn.dead <- true;
     deregister t conn;
+    t.handlers.h_close conn.data ~graceful:conn.closing;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    Atomic.decr t.load;
-    t.handlers.h_close conn.data
+    Atomic.decr t.load
   end
 
 let set_interest t conn bit on =
@@ -236,18 +246,11 @@ let take_lines conn =
   in
   go []
 
-(* A closing or detaching connection reads nothing more; dropping
-   rdhup too keeps a departed peer's level-triggered FIN from spinning
-   the poll while the last replies flush. *)
+(* A closing connection reads nothing more; dropping rdhup too keeps a
+   departed peer's level-triggered FIN from spinning the poll while the
+   last replies flush. *)
 let stop_reading t conn =
   set_interest t conn (Evpoll.ev_in lor Evpoll.ev_rdhup) false
-
-let park t conn =
-  if not conn.parked then begin
-    conn.parked <- true;
-    set_interest t conn Evpoll.ev_in false;
-    t.parked_conns <- conn :: t.parked_conns
-  end
 
 let apply t conn (a : action) =
   match a with
@@ -255,10 +258,12 @@ let apply t conn (a : action) =
   | `Close ->
       conn.closing <- true;
       stop_reading t conn
-  | `Detach ->
-      conn.detaching <- true;
-      stop_reading t conn
-  | `Park -> park t conn
+  | `Park ->
+      conn.parked <- true;
+      set_interest t conn Evpoll.ev_in false
+  | `Stream ->
+      conn.streaming <- true;
+      set_interest t conn Evpoll.ev_in false
 
 let exec t conn lines ~mark =
   if lines <> [] && not conn.dead then
@@ -318,36 +323,13 @@ let rec flush_conn t conn =
           `Closed
   end
 
-(* Hand a flushed, deregistered connection to a stream thread on this
-   domain.  The thread owns the fd from here on and closes it. *)
-let start_stream t conn =
-  conn.dead <- true;
-  deregister t conn;
-  Atomic.incr t.streams;
-  ignore
-    (Thread.create
-       (fun () ->
-         (try t.handlers.h_stream conn with _ -> ());
-         (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-         t.handlers.h_close conn.data;
-         Atomic.decr t.load;
-         Atomic.decr t.streams)
-       ())
-
-(* A connection that owes nothing and waits on nothing can finish its
-   terminal state. *)
+(* A closing connection that owes nothing and waits on nothing is
+   done. *)
 let try_finish t conn =
-  if not (conn.dead || conn.parked) then begin
-    if conn.detaching then begin
-      match flush_conn t conn with
-      | `Empty -> start_stream t conn
-      | `More | `Closed -> ()
-    end
-    else if conn.closing then
-      match flush_conn t conn with
-      | `Empty -> close_conn t conn
-      | `More | `Closed -> ()
-  end
+  if conn.closing && not (conn.dead || conn.parked) then
+    match flush_conn t conn with
+    | `Empty -> close_conn t conn
+    | `More | `Closed -> ()
 
 let register t fd data ~accept_ticks ~closing ~preload =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -360,8 +342,8 @@ let register t fd data ~accept_ticks ~closing ~preload =
       out = Buffer.create 512;
       out_off = 0;
       parked = false;
+      streaming = false;
       closing;
-      detaching = false;
       dead = false;
       last_act = Unix.gettimeofday ();
       out_since = 0.;
@@ -431,7 +413,7 @@ let hand_over t fd data ~accept_ticks =
     if not accepted then begin
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Atomic.decr target.load;
-      t.handlers.h_close data
+      t.handlers.h_close data ~graceful:false
     end
   end
 
@@ -458,7 +440,7 @@ let rec accept_pass t budget =
         ()
 
 let read_conn t conn ~mark =
-  if not (conn.parked || conn.closing || conn.detaching) then begin
+  if not (conn.parked || conn.closing) then begin
     let cap =
       match Fault.io_check t.fp_read with
       | Some Fault.Econnreset -> -1
@@ -501,45 +483,56 @@ let read_conn t conn ~mark =
       | exception Unix.Unix_error _ -> close_conn t conn
   end
 
-(* Re-check every parked connection; one that is done resumes its
-   batch's rest and goes back to reading. *)
-let resume_parked t ~now =
-  let still = ref [] in
-  List.iter
-    (fun conn ->
-      if not conn.dead then
-        match t.handlers.h_resume t conn ~now with
-        | `Park -> still := conn :: !still
-        | a ->
-            conn.parked <- false;
-            apply t conn a;
-            if not (conn.closing || conn.detaching) then
-              set_interest t conn (Evpoll.ev_in lor Evpoll.ev_rdhup) true;
-            (match flush_conn t conn with
-             | `Closed -> ()
-             | `Empty | `More -> try_finish t conn))
-    t.parked_conns;
-  t.parked_conns <- !still
+(* Re-check a parked connection, or read and pump a streaming one (the
+   read only when the fd is readable, so [fp_read] meets a stream as
+   often as a connection read on readiness).  A parked one that is done
+   resumes its batch's rest and goes back to reading (or streaming). *)
+let resume t conn ~now =
+  if conn.streaming && Evpoll.readable ~timeout:0. conn.fd then
+    read_conn t conn ~mark:0;
+  if
+    conn.parked
+    || not (conn.dead || conn.closing || out_pending conn >= out_hwm)
+  then
+    match t.handlers.h_resume t conn ~now with
+    | _ when conn.dead -> ()
+    | `Park when conn.parked -> ()
+    | a ->
+        if conn.parked then begin
+          conn.parked <- false;
+          if not conn.closing then
+            set_interest t conn (Evpoll.ev_in lor Evpoll.ev_rdhup) true
+        end;
+        apply t conn a;
+        (match flush_conn t conn with
+         | `Closed -> ()
+         | `Empty | `More -> try_finish t conn)
 
-let sweep_deadlines t now conn =
-  if not conn.dead then begin
-    if
-      t.idle_timeout > 0.
-      && (not (conn.parked || conn.closing || conn.detaching))
-      && out_pending conn = 0
-      && now -. conn.last_act > t.idle_timeout
-    then begin
-      (* The client connected and went silent. *)
-      t.handlers.h_kill `Idle;
-      close_conn t conn
-    end
-    else if
-      t.write_timeout > 0. && conn.out_since > 0.
-      && now -. conn.out_since > t.write_timeout
-    then begin
-      t.handlers.h_kill `Write;
-      close_conn t conn
-    end
+(* One connection's share of the per-iteration pass: deadlines, then
+   the re-check.  A stream is exempt from the idle deadline: an idle
+   feed draws no ACKs. *)
+let sweep t now conn =
+  if
+    t.idle_timeout > 0.
+    && (not (conn.parked || conn.streaming || conn.closing))
+    && out_pending conn = 0
+    && now -. conn.last_act > t.idle_timeout
+  then begin
+    (* The client connected and went silent. *)
+    t.handlers.h_kill `Idle;
+    close_conn t conn
+  end
+  else if
+    t.write_timeout > 0. && conn.out_since > 0.
+    && now -. conn.out_since > t.write_timeout
+  then begin
+    t.handlers.h_kill `Write;
+    close_conn t conn
+  end
+  else if conn.parked || conn.streaming then begin
+    resume t conn ~now;
+    if not conn.dead && (conn.parked || not conn.closing) then
+      t.rechecks <- t.rechecks + 1
   end
 
 (* One ready connection's share of a poll round. *)
@@ -622,16 +615,18 @@ let iterate t ~timeout_ms =
   let now = Unix.gettimeofday () in
   (* Downward scan: a swap-remove pulls an already-visited entry into
      the hole, so removal during iteration never skips a live conn. *)
+  t.rechecks <- 0;
   for i = Evpoll.Set.length t.set - 1 downto 2 do
-    Option.iter (sweep_deadlines t now) t.conns.(i)
-  done;
-  if t.parked_conns <> [] then resume_parked t ~now
+    Option.iter (sweep t now) t.conns.(i)
+  done
+
+let timeout_ms t ~idle = if t.rechecks > 0 then 1 else idle
 
 (* Graceful drain: stop accepting and refuse handoffs; let every parked
-   command finish (it answers promptly once [stop_flag] is set);
-   flush what we owe; close everything; wait for the stream threads,
-   which notice [stop_flag] on their own.  Connections stuck on an
-   unreadable peer are force-closed at the drain deadline. *)
+   command finish (it answers promptly once [stop_flag] is set); close
+   streams and idle connections once they have flushed what they owe.
+   Connections stuck on an unreadable peer are force-closed at the
+   drain deadline. *)
 let drain t =
   let deadline = Unix.gettimeofday () +. t.drain_timeout in
   Evpoll.Set.set_interest t.set listen_slot 0;
@@ -645,25 +640,20 @@ let drain t =
     done
   in
   let finish_idle conn =
-    if not (conn.parked || conn.closing || conn.detaching) then
-      apply t conn `Close;
+    if not (conn.parked || conn.closing) then apply t conn `Close;
     try_finish t conn
   in
   each finish_idle;
   while Evpoll.Set.length t.set > 2 && Unix.gettimeofday () < deadline do
-    iterate t ~timeout_ms:(if t.parked_conns <> [] then 1 else 20);
+    iterate t ~timeout_ms:(timeout_ms t ~idle:20);
     each finish_idle
   done;
   each (close_conn t);
-  t.parked_conns <- [];
-  while Atomic.get t.streams > 0 do
-    Thread.delay 0.01
-  done;
   (try Unix.close t.wake_rd with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_wr with Unix.Unix_error _ -> ())
 
 let run t =
   while not (Atomic.get t.stop_flag) do
-    iterate t ~timeout_ms:(if t.parked_conns <> [] then 1 else 200)
+    iterate t ~timeout_ms:(timeout_ms t ~idle:200)
   done;
   drain t

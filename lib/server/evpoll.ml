@@ -13,10 +13,8 @@
      live prefix out before releasing the runtime lock (the GC may move
      the arrays while poll sleeps) and writes revents back after.
 
-   - [readable] / [writable] / [departed]: one-shot single-fd waits
-     that replace the scattered [Unix.select [fd] [] [] t] idioms
-     (replica ACK drain, dashboard keypress wait, client flush backoff)
-     and probe a peer mid-batch. *)
+   - [readable] / [departed]: one-shot single-fd waits, for the
+     dashboard's keypress wait and to probe a peer mid-batch. *)
 
 external poll_stub :
   int array -> int array -> int array -> int -> int -> int
@@ -133,7 +131,3 @@ let departed fd =
   has
     (wait_fd fd ~interest:ev_rdhup ~timeout:(Some 0.))
     (ev_rdhup lor ev_err lor ev_hup lor ev_nval)
-
-let writable ?timeout fd =
-  let r = wait_fd fd ~interest:ev_out ~timeout in
-  has r (ev_out lor ev_err lor ev_hup lor ev_nval)

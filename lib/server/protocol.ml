@@ -602,16 +602,6 @@ module Linebuf = struct
       compact t;
       Some s
     end
-
-  let drain t f =
-    let rec go () =
-      match next t with
-      | Some l ->
-          f l;
-          go ()
-      | None -> ()
-    in
-    go ()
 end
 
 (* --- incremental reply reader -------------------------------------------- *)

@@ -176,8 +176,8 @@ val parse_trace : string -> (trace_info, string) result
 
 (** Stateful '\n'-framed line reassembly, shared by every path that
     reads the wire in kernel-sized pieces (the event loop's
-    per-connection inbox, the replica ACK drain, the client's reply
-    {!Reader}): bytes are fed in
+    per-connection inbox, SUBSCRIBE ACKs included, and the client's
+    reply {!Reader}): bytes are fed in
     arbitrary chunks, complete lines pop out, and a trailing partial
     line is re-buffered until its terminator arrives — a split delivery
     never drops or mangles a frame. *)
@@ -199,9 +199,6 @@ module Linebuf : sig
   val take : t -> int -> string option
   (** Pop exactly [n] bytes with no framing (a ['\n'] among them is
       payload), or [None] while fewer are buffered. *)
-
-  val drain : t -> (string -> unit) -> unit
-  (** [next] until exhausted. *)
 
   val pending : t -> int
   (** Bytes buffered and not yet popped; once {!next} answers [None],

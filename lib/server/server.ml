@@ -63,8 +63,7 @@ let (_ : Flock.Telemetry.Gauge.t) =
       Atomic.get deadline_kills_a)
 
 (* Wire-layer fault points (docs/RESILIENCE.md): interpreted against the
-   live file descriptor by the event loop's read/flush paths and the
-   stream writer below. *)
+   live file descriptor by the event loop's read/flush paths. *)
 let fp_read = Fault.Point.make "server.read"
 
 let fp_write = Fault.Point.make "server.write"
@@ -87,6 +86,16 @@ type parked = {
   pk_tid : int option;
 }
 
+(* A SUBSCRIBE push stream, pumped by its loop every iteration. *)
+type stream = {
+  st_lo : int;
+  st_hi : int;
+  st_id : int;  (** the feed cursor ([Repl.Log.subscribe]) *)
+  mutable st_seq : int;  (** the last feed seq pumped *)
+  mutable st_held : Repl.record option;  (** held back by [reorder] *)
+  mutable st_beat : float;  (** the last record or heartbeat *)
+}
+
 (* Per-connection protocol state, owned by the connection's loop. *)
 type session = {
   s_admitted : bool;
@@ -95,8 +104,7 @@ type session = {
   mutable s_multi : bool;  (** inside MULTI...EXEC *)
   mutable s_queued : Protocol.command list;  (** reversed *)
   mutable s_dirty : bool;  (** transaction poisoned *)
-  mutable s_stream : (int * int * int) option;
-      (** SUBSCRIBE mode-switch: (lo, hi, start_seq) *)
+  mutable s_stream : stream option;  (** SUBSCRIBE mode-switch *)
   mutable s_first : bool;  (** next span is the connection's first *)
   mutable s_rest : string list;  (** the batch's unexecuted lines *)
   mutable s_park : parked option;
@@ -368,46 +376,6 @@ let sync_reply t =
     (Protocol.Int seq :: Protocol.Int stamp
     :: List.concat_map (fun (k, v) -> Protocol.[ Int k; Int v ]) pairs)
 
-(* --- stream writes -------------------------------------------------------- *)
-
-exception Write_deadline
-
-(* Push every byte of [s] to [fd], surviving EINTR and partial writes
-   (short TCP buffers, injected [Short_write]).  Stream fds are
-   nonblocking (they were registered in the event loop before the
-   SUBSCRIBE detach), so EAGAIN parks on poll-writable instead of hot
-   spinning.  A peer that stops reading cannot wedge the stream thread:
-   once [deadline] (absolute, [infinity] = none) passes with bytes
-   still queued the write is abandoned with [Write_deadline] and the
-   connection is killed.  EPIPE/ECONNRESET propagate to the caller
-   (dead peer); with SIGPIPE ignored (see [start]) EPIPE is an
-   exception, not a signal. *)
-let write_all ?(deadline = infinity) fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < len then begin
-      let cap =
-        match Fault.io_check fp_write with
-        | Some (Fault.Short_write n) -> max 1 (min n (len - off))
-        | Some Fault.Econnreset ->
-            raise (Unix.Unix_error (Unix.ECONNRESET, "write", "fault"))
-        | Some (Fault.Eagain_burst _) | Some _ | None -> len - off
-      in
-      match Unix.write fd b off cap with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          if Unix.gettimeofday () > deadline then raise Write_deadline
-          else begin
-            ignore (Evpoll.writable ~timeout:0.05 fd);
-            go off
-          end
-    end
-  in
-  go 0
-
 let max_line = 1 lsl 20
 
 (* Commands one MULTI may queue before EXEC refuses more (bounds the
@@ -418,9 +386,16 @@ let multi_queue_cap = 1024
 
 (* After SUBSCRIBE's +OK the connection inverts: the server pushes one
    record frame per committed change touching [lo, hi] past the cursor,
-   plus an +OK heartbeat on idle rounds (keeps the peer's read timeout
-   quiet, and gives a latched partition something to sever even when the
-   feed is idle); the peer sends ACK lines back on the same socket.
+   plus an +OK heartbeat once [heartbeat] seconds pass without a record
+   (keeps the peer's read timeout quiet, and gives a latched partition
+   something to sever even when the feed is idle); the peer sends ACK
+   lines back on the same socket.  The connection stays on its loop:
+   each iteration the loop reads the peer's lines ([stream_lines]),
+   then [pump] renders what the feed gained into the outbuf, which the
+   loop flushes.  A peer that stops reading stalls the pump at the
+   outbuf's high-water mark, so its cursor falls behind (the ring trim
+   answers a resync if the peer ever drains) until the write deadline
+   kills the connection.
 
    The [repl.send] fault point interprets here: [partition] latches the
    point down and kills the stream (and [sync_reply]/re-subscription for
@@ -430,27 +405,35 @@ let multi_queue_cap = 1024
 
    On abnormal death the cursor is orphaned, not dropped: the lag gauges
    must keep rising through a partition, and the reconnecting replica
-   adopts the orphan (see [Repl.Log.subscribe]). *)
-let stream_serve t fd ~lo ~hi ~start_seq =
-  let log = t.feed in
-  Fault.hit Repl.fp_send;
-  let id = Repl.Log.subscribe log in
-  let clean = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if !clean then Repl.Log.unsubscribe log id else Repl.Log.orphan log id)
-  @@ fun () ->
-  let out = Buffer.create 4096 in
-  let inbuf = Protocol.Linebuf.create () in
-  let chunk = Bytes.create 4096 in
-  let cursor = ref start_seq in
-  let held = ref None in
-  let quit = ref false in
+   adopts the orphan (see [Repl.Log.subscribe] and [h_close]). *)
+
+let heartbeat = 0.2
+
+(* SUBSCRIBE's cursor; [None] when a latched partition refuses it (the
+   +OK still goes out, then the connection closes). *)
+let subscribe t ~lo ~hi ~seq =
+  match Fault.hit Repl.fp_send with
+  | () ->
+      Some
+        {
+          st_lo = lo;
+          st_hi = hi;
+          st_id = Repl.Log.subscribe t.feed;
+          st_seq = seq;
+          st_held = None;
+          st_beat = Unix.gettimeofday ();
+        }
+  | exception Fault.Injected _ -> None
+
+(* Render what the feed holds past the stream's cursor into its
+   outbuf. *)
+let pump t loop (conn : session Evloop.conn) st ~now : Evloop.action =
+  let out = conn.Evloop.out in
   let push r = Protocol.render_reply out (Protocol.reply_of_record r) in
   let release_held () =
-    match !held with
+    match st.st_held with
     | Some r ->
-        held := None;
+        st.st_held <- None;
         push r
     | None -> ()
   in
@@ -460,85 +443,58 @@ let stream_serve t fd ~lo ~hi ~start_seq =
         push r;
         push r;
         release_held ()
-    | Some Fault.Reorder when !held = None -> held := Some r
+    | Some Fault.Reorder when st.st_held = None -> st.st_held <- Some r
     | Some _ | None ->
         push r;
         release_held ()
   in
-  (* ACK lines arrive in arbitrary kernel-sized pieces; [Linebuf]
-     re-buffers a trailing partial until its '\n' lands, so a split
-     delivery never drops or mangles a frame.  The poll-readable probe
-     replaces the old [Unix.select], which broke outright on fds past
-     FD_SETSIZE — precisely the many-connection regime this server now
-     runs in. *)
-  let drain_acks () =
-    if Evpoll.readable ~timeout:0. fd then
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 ->
-          clean := true;
-          quit := true
-      | n ->
-          Protocol.Linebuf.feed inbuf chunk 0 n;
-          Protocol.Linebuf.drain inbuf (fun line ->
-              match Protocol.parse_command line with
-              | Ok (Protocol.Ack (seq, stamp)) -> (
-                  (* A dropped ack is invisible to the peer; the lag
-                     gauges simply stay high until the next one. *)
-                  try
-                    Fault.hit Repl.fp_ack;
-                    Repl.Log.ack log ~id ~seq ~stamp
-                  with Fault.Injected _ -> ())
-              | Ok Protocol.Quit ->
-                  clean := true;
-                  quit := true
-              | Ok _ | Error _ -> () (* stream peers speak ACK/QUIT only *))
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        -> ()
-  in
-  let flush () =
-    if Buffer.length out > 0 then begin
-      let deadline =
-        if t.cfg.write_timeout > 0. then
-          Unix.gettimeofday () +. t.cfg.write_timeout
-        else infinity
-      in
-      write_all ~deadline fd (Buffer.contents out);
-      Buffer.clear out
-    end
-  in
   try
-    while not (!quit || Atomic.get t.stop_flag) do
-      drain_acks ();
-      (match
-         Repl.Log.wait_after log ~seq:!cursor
-           ~deadline:(Unix.gettimeofday () +. 0.2)
-       with
-       | `Timeout ->
-           Fault.hit Repl.fp_send;
-           (* Nothing follows a held record soon: stop reordering it. *)
-           release_held ();
-           Protocol.render_reply out Protocol.Ok_
-       | `Resync ->
-           (* Laggard shed: the ring trimmed past this cursor.  A clean
-              refusal — the peer re-bootstraps via SYNC. *)
-           Protocol.render_reply out (Protocol.Err "resync required");
-           clean := true;
-           quit := true
-       | `Records rs ->
-           List.iter
-             (fun r ->
-               cursor := r.Repl.r_seq;
-               if Repl.touches lo hi r then emit r)
-             rs);
-      flush ()
-    done;
-    if Atomic.get t.stop_flag then clean := true
-  with
-  | Write_deadline ->
-      Atomic.incr t.deadline_kills;
-      Atomic.incr deadline_kills_a
-  | Fault.Injected _ | Unix.Unix_error _ -> ()
+    match Repl.Log.read_after t.feed ~seq:st.st_seq with
+    | `Resync ->
+        (* Laggard shed: the ring trimmed past this cursor.  A clean
+           refusal — the peer re-bootstraps via SYNC. *)
+        Protocol.render_reply out (Protocol.Err "resync required");
+        `Close
+    | `Records [] ->
+        if now -. st.st_beat >= heartbeat then begin
+          Fault.hit Repl.fp_send;
+          (* Nothing follows a held record soon: stop reordering it. *)
+          release_held ();
+          Protocol.render_reply out Protocol.Ok_;
+          st.st_beat <- now
+        end;
+        `Stream
+    | `Records rs ->
+        List.iter
+          (fun r ->
+            st.st_seq <- r.Repl.r_seq;
+            if Repl.touches st.st_lo st.st_hi r then emit r)
+          rs;
+        st.st_beat <- now;
+        `Stream
+  with Fault.Injected _ ->
+    (* A partition severs the stream at once, unflushed: an abrupt
+       close, so the cursor is orphaned. *)
+    Evloop.close_conn loop conn;
+    `Close
+
+(* A stream peer's lines: ACKs and QUIT, nothing else.  They open no
+   request span. *)
+let stream_lines t st lines =
+  List.fold_left
+    (fun (a : Evloop.action) line ->
+      match Protocol.parse_command line with
+      | Ok (Protocol.Ack (seq, stamp)) ->
+          (* A dropped ack is invisible to the peer; the lag gauges
+             simply stay high until the next one. *)
+          (try
+             Fault.hit Repl.fp_ack;
+             Repl.Log.ack t.feed ~id:st.st_id ~seq ~stamp
+           with Fault.Injected _ -> ());
+          a
+      | Ok Protocol.Quit -> `Close
+      | Ok _ | Error _ -> a)
+    `Stream lines
 
 let count_shed t =
   Atomic.incr t.shed;
@@ -868,7 +824,7 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
                 (Watch { lo; hi; cursor = Repl.Log.tail_seq t.feed })
                 ~ms:(if ms <= 0 then 5000 else min ms 30000)
         | Protocol.Subscribe (lo, hi, seq) ->
-            sess.s_stream <- Some (lo, hi, seq);
+            sess.s_stream <- subscribe t ~lo ~hi ~seq;
             sess.s_quit <- true;
             (tid, "ok", Protocol.Ok_)
         | (Protocol.Put _ | Protocol.Del _) when is_replica t ->
@@ -933,7 +889,7 @@ let step t loop (conn : session Evloop.conn) ~first line =
 
 let verdict sess : Evloop.action =
   match sess.s_stream with
-  | Some _ -> `Detach
+  | Some _ -> `Stream
   | None -> if sess.s_quit then `Close else `Continue
 
 (* Run the batch's unexecuted lines in order until they run out, one
@@ -950,21 +906,25 @@ let rec run_rest t loop conn ~first =
       verdict sess
 
 (* Execute one read chunk's lines inline on the loop; [mark] is the
-   tick stamp of the poll round that reported the chunk. *)
+   tick stamp of the poll round that reported the chunk.  A stream's
+   lines are its peer's ACKs. *)
 let exec_batch t loop conn lines ~mark =
   let sess = conn.Evloop.data in
-  sess.s_rest <- lines;
-  sess.s_mark <- mark;
-  let v = run_rest t loop conn ~first:true in
-  (* A large reply (SYNC, SCAN, PROFILE) must not pin the loop's render
-     buffer at its size for good. *)
-  if Buffer.length loop.Evloop.scratch > 65536 then
-    Buffer.reset loop.Evloop.scratch;
-  (* Amortized GC telemetry: one [quick_stat] per batch (dozens of
-     commands), published into this domain's slot for the gauges and
-     PROFILE to sum. *)
-  Flock.Telemetry.Gcstat.publish ();
-  v
+  match sess.s_stream with
+  | Some st -> stream_lines t st lines
+  | None ->
+      sess.s_rest <- lines;
+      sess.s_mark <- mark;
+      let v = run_rest t loop conn ~first:true in
+      (* A large reply (SYNC, SCAN, PROFILE) must not pin the loop's
+         render buffer at its size for good. *)
+      if Buffer.length loop.Evloop.scratch > 65536 then
+        Buffer.reset loop.Evloop.scratch;
+      (* Amortized GC telemetry: one [quick_stat] per batch (dozens of
+         commands), published into this domain's slot for the gauges
+         and PROFILE to sum. *)
+      Flock.Telemetry.Gcstat.publish ();
+      v
 
 (* The parked command's answer, once it has one. *)
 let parked_reply t pk ~now =
@@ -986,11 +946,14 @@ let parked_reply t pk ~now =
               if expired then Some Protocol.Nil else None))
 
 (* Re-check a parked connection; once its command has an answer, emit
-   it and run the rest of its batch. *)
+   it and run the rest of its batch.  Pump a streaming one. *)
 let resume t loop conn ~now =
   let sess = conn.Evloop.data in
   match sess.s_park with
-  | None -> verdict sess
+  | None -> (
+      match sess.s_stream with
+      | Some st -> pump t loop conn st ~now
+      | None -> verdict sess)
   | Some pk -> (
       match parked_reply t pk ~now with
       | None -> `Park
@@ -1172,12 +1135,6 @@ let handlers t : session Evloop.handlers =
         end);
     h_exec = exec_batch t;
     h_resume = resume t;
-    h_stream =
-      (fun conn ->
-        match conn.Evloop.data.s_stream with
-        | Some (lo, hi, seq) when not (Atomic.get t.stop_flag) ->
-            stream_serve t conn.Evloop.fd ~lo ~hi ~start_seq:seq
-        | _ -> ());
     h_overflow =
       (fun _sess ->
         Atomic.incr t.errors_total;
@@ -1189,7 +1146,17 @@ let handlers t : session Evloop.handlers =
         Atomic.incr t.deadline_kills;
         Atomic.incr deadline_kills_a;
         flight_record t ~trigger:Harness.Flight.Deadline_kill ());
-    h_close = (fun sess -> if sess.s_admitted then Atomic.decr t.conns_active);
+    h_close =
+      (fun sess ~graceful ->
+        if sess.s_admitted then Atomic.decr t.conns_active;
+        (* A stream that ended by QUIT, EOF, resync or the drain drops
+           its cursor; one cut by an error, a deadline or a partition
+           orphans it. *)
+        Option.iter
+          (fun st ->
+            if graceful then Repl.Log.unsubscribe t.feed st.st_id
+            else Repl.Log.orphan t.feed st.st_id)
+          sess.s_stream);
   }
 
 let start t =
@@ -1238,7 +1205,7 @@ let stop t =
     Atomic.set t.stop_flag true;
     (* Each loop drains on its way out: every complete line already read
        is answered, parked commands answer early, outbufs flush, fds
-       close, stream threads end. *)
+       close. *)
     Array.iter Evloop.wake t.loops;
     List.iter Domain.join t.loop_ds;
     t.loop_ds <- [];

@@ -14,16 +14,18 @@
     batched responses with no handoff, and concurrent connections are
     bounded by [ulimit -n], not by the domain count.  A WATCH or a
     windowed PROFILE parks its connection, not the loop; a SUBSCRIBE
-    stream runs on a systhread of its loop's domain.  An optional
+    stream stays on its loop, which pumps the change feed into the
+    connection's outbuf every iteration.  An optional
     census domain walks the mounted structure's versioned pointers
     every [census_interval] seconds ([Verlib.Chainscan]), keeping the
     latest census for [STATS] and accumulating the invariant-violation
     count.
 
     {!stop} is a graceful drain: the listener stops accepting, every
-    complete line already read is answered, outbufs flush, all fds
-    close, every domain is joined, and a final {e quiescent} census
-    (exact audit) is taken. *)
+    complete line already read is answered, streams end, outbufs flush,
+    all fds close (a connection still unflushed after 5 s is
+    force-closed), every domain is joined, and a final {e quiescent}
+    census (exact audit) is taken. *)
 
 module Protocol = Protocol
 module Mount = Mount

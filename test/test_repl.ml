@@ -448,6 +448,78 @@ let test_subscribe_stream () =
       | _ -> false);
   C.send_raw sc "QUIT\r\n"
 
+(* The stream's fault and cursor semantics, on a primary alone: an idle
+   feed gets +OK heartbeats at most 300 ms apart; a [repl.send]
+   partition kills a live stream and orphans its cursor, which REPLSTATS
+   still counts; a fresh SUBSCRIBE adopts that cursor; QUIT drops it. *)
+let test_stream_cursor_semantics () =
+  Verlib.reset ();
+  let mount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
+  let srv =
+    S.create ~config:{ S.default_config with S.port = 0; domains = 2 } mount
+  in
+  S.start srv;
+  Fun.protect
+    ~finally:(fun () ->
+      F.disarm ();
+      S.stop srv)
+  @@ fun () ->
+  let port = S.port srv in
+  let pc = C.connect ~retries:20 ~port () in
+  let sc = C.connect ~retries:20 ~read_timeout:2. ~port () in
+  let sc2 = C.connect ~retries:20 ~read_timeout:2. ~port () in
+  Fun.protect
+    ~finally:(fun () ->
+      C.close sc2;
+      C.close sc;
+      C.close pc)
+  @@ fun () ->
+  let subscribers () =
+    match req pc P.Replstats with
+    | P.Bulk json ->
+        let key = "\"subscribers\":" in
+        let rec find i =
+          if String.sub json i (String.length key) = key then
+            i + String.length key
+          else find (i + 1)
+        in
+        let i = find 0 in
+        Scanf.sscanf (String.sub json i (String.length json - i)) "%d" Fun.id
+    | r -> Alcotest.fail ("REPLSTATS: " ^ P.pp_reply r)
+  in
+  Alcotest.(check bool) "subscribe ok" true
+    (req sc (P.Subscribe (0, 1_000_000, 0)) = P.Ok_);
+  let last = ref (Unix.gettimeofday ()) in
+  for i = 1 to 4 do
+    (match C.read_reply sc with
+     | Ok P.Ok_ -> ()
+     | Ok r -> Alcotest.fail ("idle stream: " ^ P.pp_reply r)
+     | Error e -> Alcotest.fail ("idle stream: " ^ e));
+    let now = Unix.gettimeofday () in
+    if now -. !last > 0.3 then
+      Alcotest.failf "heartbeat %d came %.0f ms after the last" i
+        ((now -. !last) *. 1000.);
+    last := now
+  done;
+  Alcotest.(check int) "one cursor" 1 (subscribers ());
+  (match F.plan_of_string "repl.send:partition=300@once" with
+   | Ok p -> F.arm p
+   | Error e -> Alcotest.fail e);
+  let rec until_closed n =
+    match C.read_reply sc with
+    | Ok P.Ok_ when n > 0 -> until_closed (n - 1)
+    | Ok r -> Alcotest.fail ("partitioned stream: " ^ P.pp_reply r)
+    | Error _ -> ()
+  in
+  until_closed 10;
+  F.disarm ();
+  Alcotest.(check int) "orphaned cursor still counted" 1 (subscribers ());
+  Alcotest.(check bool) "resubscribe ok" true
+    (req sc2 (P.Subscribe (0, 1_000_000, 0)) = P.Ok_);
+  Alcotest.(check int) "orphan adopted" 1 (subscribers ());
+  C.send_raw sc2 "QUIT\r\n";
+  await "QUIT drops the cursor" (fun () -> subscribers () = 0)
+
 let () =
   Alcotest.run "repl"
     [
@@ -479,5 +551,7 @@ let () =
           Alcotest.test_case "WATCH one-shot" `Quick test_watch_over_wire;
           Alcotest.test_case "SUBSCRIBE stream + ACK" `Quick
             test_subscribe_stream;
+          Alcotest.test_case "stream partition, adoption, QUIT, heartbeats"
+            `Quick test_stream_cursor_semantics;
         ] );
     ]
