@@ -546,7 +546,7 @@ perfbench-smoke:
 # gate, the chaos gate (whose overload stanza is the end-to-end
 # shedding check) and the served-path benchmark gate.  The heavier
 # smoke targets (serve-smoke, obs-smoke) stay opt-in.
-ci: build test bench-check trace-smoke profile-smoke txn-smoke repl-smoke c10k-smoke chaos-smoke perfbench-smoke
+ci: build test examples bench-check trace-smoke profile-smoke txn-smoke repl-smoke c10k-smoke chaos-smoke perfbench-smoke
 
 doc:
 	dune build @doc

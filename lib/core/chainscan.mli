@@ -7,7 +7,7 @@
     version counts, outstanding indirect links, and shortcut
     effectiveness, together with an audit of the chain invariants the
     §4-§5 algorithms promise (non-increasing stamps, no buried TBD, no
-    indirect link whose direct cell disagrees with its value).
+    indirect link whose value is another link).
 
     Safe to run concurrently with mutators: chains are reached through
     atomic head reads and [prev] edges that are immutable after
@@ -18,9 +18,9 @@
     Violations are additionally emitted as [Obs.ev_census_violation]
     trace events, and each census as one [Obs.ev_census] event. *)
 
-type target = Target : 'a Vptr.t -> target
-    (** One versioned pointer to scan, with its element type hidden —
-        what a structure's [iter_vptrs] emits. *)
+type target = Target : 'a Vptr.desc * 'a Vptr.t -> target
+    (** One versioned pointer to scan with its structure's descriptor,
+        element type hidden — what a structure's [iter_vptrs] emits. *)
 
 (** {1 Audit violations} *)
 
@@ -30,7 +30,7 @@ type violation =
   | Buried_tbd of { depth : int }
       (** unresolved TBD stamp behind the head of a chain *)
   | Dangling_link of { stamp : int }
-      (** indirect link whose direct cell disagrees with its value *)
+      (** indirect link whose value is itself a link *)
 
 val violation_code : violation -> int
 (** 1 = unsorted, 2 = buried TBD, 3 = dangling link (the
@@ -54,7 +54,7 @@ type census = {
   c_versions : int;  (** versions reachable over all chains *)
   c_live_versions : int;  (** heads, TBDs, and stamps above the done stamp *)
   c_reclaimable : int;  (** non-head versions at or below the done stamp *)
-  c_indirect_links : int;  (** [Clink] cells anywhere in chains *)
+  c_indirect_links : int;  (** links anywhere in chains *)
   c_shortcutable : int;  (** indirect heads already at or below the done stamp *)
   c_max_chain : int;
   c_chain_hist : int array;  (** [Flock.Telemetry.Hist] bucket layout *)

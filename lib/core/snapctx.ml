@@ -21,6 +21,8 @@ let aborted () = (ctx ()).aborted
 
 let clear_aborted () = (ctx ()).aborted <- false
 
-let note_equal_stamp () =
-  let c = ctx () in
-  if c.optimistic then c.aborted <- true
+let note_equal_in c = if c.optimistic then c.aborted <- true
+
+let current = ctx
+
+let stamp_of c = c.local

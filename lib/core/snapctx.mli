@@ -24,7 +24,20 @@ val aborted : unit -> bool
 
 val clear_aborted : unit -> unit
 
-val note_equal_stamp : unit -> unit
+
+(** {2 One lookup per read}
+
+    The functions above each fetch the domain's context from
+    domain-local storage; {!Vptr.load} fetches it once and uses these. *)
+
+type ctx
+
+val current : unit -> ctx
+
+val stamp_of : ctx -> int
+(** {!local_stamp} of a fetched context. *)
+
+val note_equal_in : ctx -> unit
 (** Called by the snapshot read path when it accepts a version whose stamp
     equals the reader's stamp; aborts the run if it is optimistic
     (Algorithm 7, line 5). *)

@@ -29,7 +29,7 @@ val all : unit -> counter list
 (** Events instrumented throughout the library. *)
 
 val indirect_created : counter
-(** Indirect version links allocated (cas/store fell back to a [Clink]). *)
+(** Indirect version links allocated (cas/store fell back to a link). *)
 
 val direct_installed : counter
 (** Versions installed without indirection. *)

@@ -24,7 +24,13 @@ let stack_key : frame list ref Domain.DLS.key =
 
 let stack () = Domain.DLS.get stack_key
 
-let in_frame () = !(stack ()) <> []
+type frames = frame list ref
+
+let frames = stack
+
+let active (fs : frames) = !fs <> []
+
+let in_frame () = active (stack ())
 
 let frame_depth () = List.length !(stack ())
 
@@ -83,21 +89,35 @@ let once (type a) (f : unit -> a) : a =
 
 (* [once (fun () -> Atomic.get a)] without the closure: the logged read
    sits on every helped load and CAS, so it must not allocate. *)
-let get (type a) (a : a Atomic.t) : a =
-  match !(stack ()) with
+let get_in (type a) (fs : frames) (a : a Atomic.t) : a =
+  match !fs with
   | [] -> Atomic.get a
   | fr :: _ ->
       let slot = next_slot fr in
       let v = Atomic.get slot in
       if v != empty then Obj.obj v else publish slot (Atomic.get a)
 
+let get a = get_in (stack ()) a
+
+(* [once (fun () -> x)] without the closure, for a candidate the caller
+   has already built. *)
+let agree_in (type a) (fs : frames) (x : a) : a =
+  match !fs with
+  | [] -> x
+  | fr :: _ ->
+      let slot = next_slot fr in
+      let v = Atomic.get slot in
+      if v != empty then Obj.obj v else publish slot x
+
 (* A private heap block distinct from [empty]: the token a claim winner
    installs.  Its value is never read back, only compared away. *)
 let claimed : Obj.t = Obj.repr (ref 1)
 
-let claim () =
-  match !(stack ()) with
+let claim_in (fs : frames) =
+  match !fs with
   | [] -> true
   | fr :: _ ->
       let slot = next_slot fr in
       Atomic.get slot == empty && Atomic.compare_and_set slot empty claimed
+
+let claim () = claim_in (stack ())

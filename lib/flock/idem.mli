@@ -63,5 +63,30 @@ val claim : unit -> bool
     log slot, so it must sit on the same control path for every
     helper. *)
 
+(** {2 One lookup per operation}
+
+    Every entry point above first fetches the calling domain's frame
+    stack from domain-local storage.  An operation that takes several
+    logged steps fetches it once with {!frames} and passes it to the
+    [_in] variants, which behave exactly like their counterparts. *)
+
+type frames
+(** The calling domain's frame stack.  Valid for the domain that fetched
+    it; frames entered or left later are seen through it. *)
+
+val frames : unit -> frames
+
+val active : frames -> bool
+(** {!in_frame} through a fetched stack. *)
+
+val get_in : frames -> 'a Atomic.t -> 'a
+
+val claim_in : frames -> bool
+
+val agree_in : frames -> 'a -> 'a
+(** [agree_in fs x] is [once (fun () -> x)] without the closure: inside a
+    frame, all helpers return the first candidate published at this log
+    position; outside, [x]. *)
+
 val frame_depth : unit -> int
 (** Nesting depth of the calling domain (0 when outside any frame). *)
