@@ -20,6 +20,12 @@ val in_epoch : unit -> bool
 val current_epoch : unit -> int
 (** The global epoch counter (monotone). *)
 
+val passed : int -> bool
+(** [passed e], for an [e] read from {!current_epoch}: every domain that
+    was inside an epoch when [e] was read has left it since.  The
+    condition {!defer} waits for, as a test that can be polled without
+    queueing a callback. *)
+
 val defer : (unit -> unit) -> unit
 (** Schedule a callback to run once every domain currently inside an epoch
     has left it.  Callbacks run on whichever domain notices the epoch has

@@ -378,7 +378,16 @@ let try_lock (type a) t (f : unit -> a) : a option =
     match t.mode with
     | Blocking -> try_lock_blocking t f
     | Lock_free -> begin
-        match try_lock_free t (fun () -> Obj.repr (f ())) with
+        (* Inside an epoch from before the lock word is read until the
+           thunk has run: a helper that lags behind the section it helps
+           is then still announced, which is what lets a versioned
+           pointer hold back a shortcut that could bring an old head
+           back under that helper's machine CAS (Vptr.shortcut). *)
+        let g () = Obj.repr (f ()) in
+        match
+          if Epoch.in_epoch () then try_lock_free t g
+          else Epoch.with_epoch (fun () -> try_lock_free t g)
+        with
         | None -> None
         | Some v -> Some (Obj.obj v)
       end

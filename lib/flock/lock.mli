@@ -64,7 +64,10 @@ val try_lock : t -> (unit -> 'a) -> 'a option
     In lock-free mode a [None] answer may be spurious (the lock was held, or
     a helping race resolved against this attempt); callers retry their
     whole operation, re-validating state, exactly as in the paper's data
-    structures.  Contending callers help the current holder first. *)
+    structures.  Contending callers help the current holder first.  In
+    lock-free mode the attempt runs inside an {!Epoch} (entering one if
+    the caller is not already in one), so a helper stays announced from
+    reading the lock word until the thunk it helps has finished. *)
 
 val try_lock_bool : t -> (unit -> bool) -> bool
 (** Paper-style convenience: [false] means "not acquired or the critical
