@@ -634,6 +634,35 @@ let cold_find_ns mode =
   if !found <> batch * batches then failwith "micro: cold find lost a key";
   V.Hwclock.to_us !ticks *. 1e3 /. float_of_int (batch * batches)
 
+(* One served GET's request span, driven the way the server drives it
+   ([Server.step], [exec_line], [emit]): start backdated to the batch
+   mark with [parse] open, the [queue] credit, the verb, [op] before the
+   mount call, [reply] before rendering, finish with an outcome.
+   Returns ns and minor-heap words per command. *)
+let span_lifecycle () =
+  let module Span = V.Obs.Span in
+  V.reset ();
+  let n = 1_000_000 in
+  let mark = ref (V.Hwclock.now ()) and outcome = ref "ok" in
+  let once () =
+    let sp = Span.start ~begin_ticks:!mark ~cmd:"?" in
+    Span.add_to sp Span.Queue (sp.Span.sp_last - sp.Span.sp_begin);
+    Span.set_cmd sp "GET";
+    Span.switch sp Span.Op;
+    Span.switch sp Span.Reply;
+    Span.finish sp ~outcome:!outcome;
+    mark := sp.Span.sp_end
+  in
+  for _ = 1 to 10_000 do
+    once ()
+  done;
+  let w0 = Gc.minor_words () and t0 = V.Hwclock.now () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let ticks = V.Hwclock.now () - t0 and words = Gc.minor_words () -. w0 in
+  (V.Hwclock.to_us ticks *. 1e3 /. float_of_int n, words /. float_of_int n)
+
 let micro () =
   let open Bechamel in
   let mk v = Obj { v; meta = V.Vtypes.fresh_meta Unull } in
@@ -717,7 +746,14 @@ let micro () =
     ~header:[ "mode"; "ns/find" ]
     (List.map
        (fun m -> [ V.Vptr.mode_name m; Printf.sprintf "%.0f" (cold_find_ns m) ])
-       V.Vptr.[ Ind_on_need; Indirect; Plain ])
+       V.Vptr.[ Ind_on_need; Indirect; Plain ]);
+  let ns, words = span_lifecycle () in
+  T.print ~title:"Microbenchmark: request telemetry per served command"
+    ~header:[ "path"; "ns/cmd"; "words/cmd" ]
+    [
+      [ "span lifecycle (served GET)"; Printf.sprintf "%.0f" ns;
+        Printf.sprintf "%.1f" words ];
+    ]
 
 (* --- main ---------------------------------------------------------------- *)
 

@@ -132,6 +132,14 @@ let dwell_sample () = sample_tick ~off:1 ~mask:15
    [sum over phases <= end - begin] hold by construction, the property
    the loadgen's RTT-vs-phase-sum join relies on.
 
+   A span costs what it reports: each registry slot owns one span
+   record that every [start] resets, a phase boundary is one clock read
+   ([start] opens [parse], [switch] moves the top of the stack, [finish]
+   closes it), and the histograms are fed through the slot the span
+   already knows.  Finishing copies the span into a preallocated entry
+   of the slot's ring, so readers on other domains never see the record
+   that the next [start] reuses.
+
    The current span is registry-slot-private (the [ticks] discipline
    above): instrumented call sites ([Snapshot.with_snapshot],
    [Dstruct.Sharded]'s fan-out, the [Fault] blocking observer) attribute
@@ -140,13 +148,13 @@ let dwell_sample () = sample_tick ~off:1 ~mask:15
 
 module Span = struct
   type phase =
-    | Accept  (** accept() to handoff-queue push *)
-    | Queue  (** handoff-queue dwell until a worker popped the fd *)
-    | Parse  (** wire line to command *)
+    | Accept  (** the connection's accept handler, booked to its first command *)
+    | Queue  (** the poll round that read the chunk until its first command started *)
+    | Parse  (** wire line to command, and dispatch up to its execution *)
     | Shed  (** admission-control evaluation (terminal when shed) *)
     | Route  (** per-shard fan-out work ([Dstruct.Sharded] sub-calls) *)
     | Snapshot  (** inside [with_snapshot], net of nested phases *)
-    | Op  (** structure execution, net of nested phases *)
+    | Op  (** command execution, net of nested phases *)
     | Reply  (** reply rendering *)
     | Stall  (** injected fault stalls ([Fault] blocking actions) *)
     | Validate  (** transaction read-set validation ([Txn]) *)
@@ -190,26 +198,66 @@ module Span = struct
     mutable sp_outcome : string;  (** ok | shed | error | killed *)
     mutable sp_stack : int;  (** open phases, see [push_phase] *)
     mutable sp_last : int;  (** tick of the last transition *)
-    mutable sp_slot : int;
+    sp_slot : int;
   }
+
+  let blank slot =
+    {
+      sp_trace_id = 0;
+      sp_cmd = "";
+      sp_begin = 0;
+      sp_end = 0;
+      sp_phase = Array.make nphases 0;
+      sp_fanout = 0;
+      sp_outcome = "ok";
+      sp_stack = 0;
+      sp_last = 0;
+      sp_slot = slot;
+    }
 
   (* Cheap global gate: instrumented hot paths shared with the
      in-process harness (snapshots, sharded fan-out) pay one atomic load
      while no span has ever been started in this process. *)
   let any = Atomic.make false
 
-  let current_by_slot : t option array =
-    Array.make Flock.Registry.max_slots None
+  (* The slot's span record, and whether it is the slot's current span
+     (between [start] and [finish]/[abandon]). *)
+  let spans = Array.init Flock.Registry.max_slots blank
 
-  (* Per-domain rings of recently finished spans, for the flight
-     recorder and the Chrome exporter.  Slot-private writes; cross-
-     domain reads are approximate (same contract as the histograms). *)
+  let live = Array.make Flock.Registry.max_slots false
+
+  (* Per-slot rings of recently finished spans, for the flight recorder
+     and the Chrome exporter, allocated by the slot's first [finish].
+     Entry [j] is a seqlock: its sequence word is odd while the owning
+     domain copies a span in, and a reader keeps its own copy of the
+     entry only if the word was even and unchanged around the copy.
+     Sequence 0 marks an entry never written. *)
   let ring_capacity = 64
 
-  let rings : t option array array =
-    Array.init Flock.Registry.max_slots (fun _ -> Array.make ring_capacity None)
+  type ring = {
+    entries : t array;
+    seqs : int Atomic.t array;
+    mutable cursor : int;  (** spans ever retired into this ring *)
+  }
 
-  let ring_cursors = Array.make Flock.Registry.max_slots 0
+  let no_ring = { entries = [||]; seqs = [||]; cursor = 0 }
+
+  let rings = Array.make Flock.Registry.max_slots no_ring
+
+  let ring_of slot =
+    let r = rings.(slot) in
+    if r != no_ring then r
+    else begin
+      let r =
+        {
+          entries = Array.init ring_capacity (fun _ -> blank slot);
+          seqs = Array.init ring_capacity (fun _ -> Atomic.make 0);
+          cursor = 0;
+        }
+      in
+      rings.(slot) <- r;
+      r
+    end
 
   (* Phase-latency histograms (ticks; the [_cycles] suffix makes every
      report render them in µs) plus whole-request latency. *)
@@ -219,34 +267,6 @@ module Span = struct
   let span_total = Hist.make "span_total_cycles"
 
   let phase_hist p = phase_hists.(phase_index p)
-
-  let current () = current_by_slot.(Flock.Registry.my_id ())
-
-  let start ?(trace_id = 0) ?begin_ticks ~cmd () =
-    if not (Atomic.get any) then Atomic.set any true;
-    let slot = Flock.Registry.my_id () in
-    let now = Hwclock.now () in
-    let b = match begin_ticks with Some t when t > 0 -> t | _ -> now in
-    let sp =
-      {
-        sp_trace_id = trace_id;
-        sp_cmd = cmd;
-        sp_begin = b;
-        sp_end = 0;
-        sp_phase = Array.make nphases 0;
-        sp_fanout = 0;
-        sp_outcome = "ok";
-        sp_stack = 0;
-        sp_last = now;
-        sp_slot = slot;
-      }
-    in
-    current_by_slot.(slot) <- Some sp;
-    sp
-
-  let set_cmd sp cmd = sp.sp_cmd <- cmd
-
-  let set_trace_id sp id = sp.sp_trace_id <- id
 
   (* The stack of open phases, packed into one int so that entering a
      phase allocates nothing: 4 bits per level holding [phase_index + 1]
@@ -258,110 +278,169 @@ module Span = struct
 
   let pop_phase stack = stack lsr 4
 
-  (* Book the segment since the last transition to the open phase. *)
+  (* No optional arguments here or in [finish]: passing one allocates
+     its [Some] box on every served command. *)
+  let start ~begin_ticks ~cmd =
+    if not (Atomic.get any) then Atomic.set any true;
+    let slot = Flock.Registry.my_id () in
+    let sp = spans.(slot) in
+    let now = Hwclock.now () in
+    sp.sp_trace_id <- 0;
+    sp.sp_cmd <- cmd;
+    sp.sp_begin <- (if begin_ticks > 0 then begin_ticks else now);
+    sp.sp_end <- 0;
+    for i = 0 to nphases - 1 do
+      sp.sp_phase.(i) <- 0
+    done;
+    sp.sp_fanout <- 0;
+    sp.sp_stack <- push_phase 0 (phase_index Parse);
+    sp.sp_last <- now;
+    live.(slot) <- true;
+    sp
+
+  let set_cmd sp cmd = sp.sp_cmd <- cmd
+
+  let set_trace_id sp id = sp.sp_trace_id <- id
+
+  (* Book the segment since the last transition to the open phase.  The
+     comparisons are on ints: [Stdlib.max] is polymorphic and would cost a
+     C call per boundary. *)
   let account sp now =
-    let p = top_phase sp.sp_stack in
-    if p >= 0 then sp.sp_phase.(p) <- sp.sp_phase.(p) + max 0 (now - sp.sp_last);
+    let p = top_phase sp.sp_stack and d = now - sp.sp_last in
+    if p >= 0 && d > 0 then sp.sp_phase.(p) <- sp.sp_phase.(p) + d;
     sp.sp_last <- now
 
-  let enter_sp sp p =
+  let switch sp p =
+    account sp (Hwclock.now ());
+    sp.sp_stack <- push_phase (pop_phase sp.sp_stack) (phase_index p)
+
+  let enter sp p =
     account sp (Hwclock.now ());
     sp.sp_stack <- push_phase sp.sp_stack (phase_index p)
 
-  let leave_sp sp =
+  let leave sp =
     account sp (Hwclock.now ());
     sp.sp_stack <- pop_phase sp.sp_stack
 
-  let enter p = match current () with None -> () | Some sp -> enter_sp sp p
-
-  let leave () = match current () with None -> () | Some sp -> leave_sp sp
+  (* The calling domain's current span, for call sites that are not
+     handed one: the gate, one domain-local lookup and the live flag. *)
+  let current_slot () =
+    if not (Atomic.get any) then -1
+    else
+      let slot = Flock.Registry.my_id () in
+      if live.(slot) then slot else -1
 
   let in_phase p f =
-    if not (Atomic.get any) then f ()
-    else
-      match current () with
-      | None -> f ()
-      | Some sp -> (
-          enter_sp sp p;
-          (* Not [Fun.protect]: its [finally] closure would be allocated
-             on every bracket of the served path. *)
-          match f () with
-          | v ->
-              leave_sp sp;
-              v
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              leave_sp sp;
-              Printexc.raise_with_backtrace e bt)
-
-  let add p ticks =
-    match current () with
-    | None -> ()
-    | Some sp ->
-        let i = phase_index p in
-        sp.sp_phase.(i) <- sp.sp_phase.(i) + max 0 ticks
+    let slot = current_slot () in
+    if slot < 0 then f ()
+    else begin
+      let sp = spans.(slot) in
+      enter sp p;
+      (* Not [Fun.protect]: its [finally] closure would be allocated
+         on every bracket of the served path. *)
+      match f () with
+      | v ->
+          leave sp;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          leave sp;
+          Printexc.raise_with_backtrace e bt
+    end
 
   let add_to sp p ticks =
     let i = phase_index p in
-    sp.sp_phase.(i) <- sp.sp_phase.(i) + max 0 ticks
+    if ticks > 0 then sp.sp_phase.(i) <- sp.sp_phase.(i) + ticks
+
+  let add p ticks =
+    let slot = current_slot () in
+    if slot >= 0 then add_to spans.(slot) p ticks
 
   let note_fanout () =
-    if Atomic.get any then
-      match current () with
-      | None -> ()
-      | Some sp -> sp.sp_fanout <- sp.sp_fanout + 1
+    let slot = current_slot () in
+    if slot >= 0 then
+      let sp = spans.(slot) in
+      sp.sp_fanout <- sp.sp_fanout + 1
 
-  let finish ?(outcome = "ok") sp =
+  let copy_into dst src =
+    dst.sp_trace_id <- src.sp_trace_id;
+    dst.sp_cmd <- src.sp_cmd;
+    dst.sp_begin <- src.sp_begin;
+    dst.sp_end <- src.sp_end;
+    for i = 0 to nphases - 1 do
+      dst.sp_phase.(i) <- src.sp_phase.(i)
+    done;
+    dst.sp_fanout <- src.sp_fanout;
+    dst.sp_outcome <- src.sp_outcome;
+    dst.sp_stack <- src.sp_stack;
+    dst.sp_last <- src.sp_last
+
+  (* Copy a finished span into the next entry of its slot's ring; only
+     the owning domain writes a ring. *)
+  let retire sp =
+    let r = ring_of sp.sp_slot in
+    let j = r.cursor land (ring_capacity - 1) in
+    let seq = r.seqs.(j) in
+    let s = Atomic.get seq in
+    Atomic.set seq (s + 1);
+    copy_into r.entries.(j) sp;
+    Atomic.set seq (s + 2);
+    r.cursor <- r.cursor + 1
+
+  let finish sp ~outcome =
     let now = Hwclock.now () in
     account sp now;
     sp.sp_stack <- 0;
     sp.sp_end <- now;
     sp.sp_outcome <- outcome;
-    Hist.observe span_total (now - sp.sp_begin);
-    Array.iteri
-      (fun i v -> if v > 0 then Hist.observe phase_hists.(i) v)
-      sp.sp_phase;
     let slot = sp.sp_slot in
-    let cur = ring_cursors.(slot) in
-    rings.(slot).(cur mod ring_capacity) <- Some sp;
-    ring_cursors.(slot) <- cur + 1;
-    (match current_by_slot.(slot) with
-     | Some c when c == sp -> current_by_slot.(slot) <- None
-     | Some _ | None -> ())
+    Hist.observe_slot span_total slot (now - sp.sp_begin);
+    for i = 0 to nphases - 1 do
+      let v = sp.sp_phase.(i) in
+      if v > 0 then Hist.observe_slot phase_hists.(i) slot v
+    done;
+    retire sp;
+    live.(slot) <- false
 
-  let abandon sp =
-    let slot = sp.sp_slot in
-    match current_by_slot.(slot) with
-    | Some c when c == sp -> current_by_slot.(slot) <- None
-    | Some _ | None -> ()
+  let abandon sp = live.(sp.sp_slot) <- false
 
   let total_ticks sp = if sp.sp_end = 0 then 0 else sp.sp_end - sp.sp_begin
 
   let phase_ticks sp p = sp.sp_phase.(phase_index p)
 
-  (* All finished spans currently retained, oldest first per slot.
-     Approximate under concurrent writers (the flight-recorder
-     contract). *)
+  (* A reader's own copy of ring entry [j], or [None] when the entry is
+     empty or its owner was writing it. *)
+  let read_entry r j =
+    let seq = r.seqs.(j) in
+    let s = Atomic.get seq in
+    if s = 0 || s land 1 = 1 then None
+    else begin
+      let e = r.entries.(j) in
+      let c = blank e.sp_slot in
+      copy_into c e;
+      if Atomic.get seq = s then Some c else None
+    end
+
+  (* All finished spans currently retained, oldest first per slot; an
+     entry being overwritten while it is read is skipped. *)
   let recent () =
     let acc = ref [] in
     for slot = Flock.Registry.max_slots - 1 downto 0 do
-      let cur = ring_cursors.(slot) in
-      if cur > 0 then begin
-        let n = min cur ring_capacity in
-        for i = n - 1 downto 0 do
-          match rings.(slot).((cur - 1 - i) mod ring_capacity) with
-          | Some sp when sp.sp_end > 0 -> acc := sp :: !acc
-          | Some _ | None -> ()
-        done
-      end
+      let r = rings.(slot) in
+      let cur = r.cursor in
+      for i = min cur ring_capacity - 1 downto 0 do
+        match read_entry r ((cur - 1 - i) land (ring_capacity - 1)) with
+        | Some sp -> acc := sp :: !acc
+        | None -> ()
+      done
     done;
     List.rev !acc
 
   let reset () =
-    Array.iteri
-      (fun slot ring ->
-        Array.fill ring 0 (Array.length ring) None;
-        ring_cursors.(slot) <- 0)
+    Array.iter
+      (fun r ->
+        Array.iter (fun seq -> Atomic.set seq 0) r.seqs;
+        r.cursor <- 0)
       rings
 end
 
@@ -390,34 +469,26 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* GC / allocation telemetry                                           *)
 
-(* Per-domain [Gc.quick_stat] absolutes published into
-   [Flock.Telemetry.Gcstat] slots by worker loops (amortized); these
-   gauges fold the sums into every STATS / METRICS / report capture.
-   Version-chain growth is fundamentally a memory story — reclamation
-   tuning needs allocation visible next to the chain census. *)
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_minor_words" Flock.Telemetry.Gcstat.minor_words
+(* Read on demand: [Gc.quick_stat] is process-wide in OCaml 5 (other
+   live domains as of their last minor collection, exited domains in
+   full), so one call per gauge read counts every word once and nothing
+   on a serving path publishes anything.  Version-chain growth is
+   fundamentally a memory story — reclamation tuning needs allocation
+   visible next to the chain census. *)
+let gc_gauge name f =
+  ignore (Flock.Telemetry.Gauge.make name (fun () -> f (Gc.quick_stat ())))
 
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_promoted_words"
-    Flock.Telemetry.Gcstat.promoted_words
+(* Bytes of minor plus major words, 8 bytes per word on 64-bit. *)
+let alloc_bytes s = 8 * int_of_float (s.Gc.minor_words +. s.Gc.major_words)
 
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_major_words" Flock.Telemetry.Gcstat.major_words
-
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_minor_collections"
-    Flock.Telemetry.Gcstat.minor_collections
-
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_major_collections"
-    Flock.Telemetry.Gcstat.major_collections
-
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_heap_words" Flock.Telemetry.Gcstat.heap_words
-
-let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "gc_alloc_bytes" Flock.Telemetry.Gcstat.alloc_bytes
+let () =
+  gc_gauge "gc_minor_words" (fun s -> int_of_float s.Gc.minor_words);
+  gc_gauge "gc_promoted_words" (fun s -> int_of_float s.Gc.promoted_words);
+  gc_gauge "gc_major_words" (fun s -> int_of_float s.Gc.major_words);
+  gc_gauge "gc_minor_collections" (fun s -> s.Gc.minor_collections);
+  gc_gauge "gc_major_collections" (fun s -> s.Gc.major_collections);
+  gc_gauge "gc_heap_words" (fun s -> s.Gc.heap_words);
+  gc_gauge "gc_alloc_bytes" alloc_bytes
 
 (* 1 when timestamps come from the invariant TSC; reports carry the
    string form as [clock_source]. *)
@@ -471,21 +542,15 @@ module Profile = struct
      another domain's span record are racy by design (same contract as
      every cross-slot read in the stack). *)
   let stack_of_slot slot =
-    let span = Span.current_by_slot.(slot) in
+    let live = Span.live.(slot) and sp = Span.spans.(slot) in
     let op =
       match A.name_of (A.get slot A.dim_op) with
-      | "" -> (
-          match span with
-          | Some sp when sp.Span.sp_cmd <> "" -> sp.Span.sp_cmd
-          | _ -> "")
+      | "" -> if live then sp.Span.sp_cmd else ""
       | s -> s
     in
     let phase =
-      match span with
-      | Some sp -> (
-          let p = Span.top_phase sp.Span.sp_stack in
-          if p >= 0 && p < Span.nphases then Span.phase_names.(p) else "")
-      | None -> ""
+      let p = Span.top_phase sp.Span.sp_stack in
+      if live && p >= 0 && p < Span.nphases then Span.phase_names.(p) else ""
     in
     let hold = A.name_of (A.get slot A.dim_lock_hold) in
     let wait = A.name_of (A.get slot A.dim_lock_wait) in
@@ -692,18 +757,17 @@ module Profile = struct
           sm.Flock.Lock.sm_edges;
         Buffer.add_string b "]}")
       (Flock.Lock.site_summaries ());
+    let gc = Gc.quick_stat () in
     Buffer.add_string b
       (Printf.sprintf
          "],\"gc\":{\"minor_words\":%d,\"promoted_words\":%d,\
           \"major_words\":%d,\"minor_collections\":%d,\
           \"major_collections\":%d,\"heap_words\":%d,\"alloc_bytes\":%d}}"
-         (Flock.Telemetry.Gcstat.minor_words ())
-         (Flock.Telemetry.Gcstat.promoted_words ())
-         (Flock.Telemetry.Gcstat.major_words ())
-         (Flock.Telemetry.Gcstat.minor_collections ())
-         (Flock.Telemetry.Gcstat.major_collections ())
-         (Flock.Telemetry.Gcstat.heap_words ())
-         (Flock.Telemetry.Gcstat.alloc_bytes ()));
+         (int_of_float gc.Gc.minor_words)
+         (int_of_float gc.Gc.promoted_words)
+         (int_of_float gc.Gc.major_words)
+         gc.Gc.minor_collections gc.Gc.major_collections gc.Gc.heap_words
+         (alloc_bytes gc));
     Buffer.contents b
 end
 

@@ -85,6 +85,12 @@ val dwell_sample : unit -> bool
     [verlib_loadgen] reconcile server-side phase decompositions against
     client-measured RTTs.
 
+    Each registry slot owns one span record, reset by every {!start}:
+    opening, switching and finishing a span allocate nothing, and each
+    phase boundary reads the clock once.  {!finish} copies the span into
+    the slot's ring of recent spans, which other domains read without
+    ever seeing an entry half-written.
+
     The current span is registry-slot-private; instrumented call sites
     elsewhere in the tree ([Snapshot.with_snapshot], [Dstruct.Sharded]
     fan-out, the [Fault] blocking observer installed by this module)
@@ -93,13 +99,15 @@ val dwell_sample : unit -> bool
 
 module Span : sig
   type phase =
-    | Accept
+    | Accept  (** the connection's accept handler, booked to its first command *)
     | Queue
-    | Parse
+        (** from the poll round that read the chunk until its first
+            command started *)
+    | Parse  (** wire line to command, and dispatch up to its execution *)
     | Shed
     | Route
     | Snapshot
-    | Op
+    | Op  (** command execution, net of nested phases *)
     | Reply
     | Stall
     | Validate
@@ -128,42 +136,47 @@ module Span : sig
     mutable sp_stack : int;
         (** open phases, packed 4 bits per level, top in the low bits *)
     mutable sp_last : int;
-    mutable sp_slot : int;
+    sp_slot : int;
   }
 
-  val start : ?trace_id:int -> ?begin_ticks:int -> cmd:string -> unit -> t
-  (** Open a span and make it the calling domain's current span.
-      [begin_ticks] backdates the start (e.g. to the accept or
-      read-chunk mark); elapsed ticks before the first {!enter} are
-      unattributed. *)
+  val start : begin_ticks:int -> cmd:string -> t
+  (** Reset the calling domain's span record, open its [parse] phase and
+      make it the domain's current span.  The record stays valid until
+      the domain's next [start].  A positive [begin_ticks] backdates the
+      start (e.g. to the read-chunk mark; [0] starts it now); elapsed
+      ticks before the start are unattributed unless credited with
+      {!add_to}. *)
 
   val set_cmd : t -> string -> unit
 
   val set_trace_id : t -> int -> unit
 
-  val current : unit -> t option
+  val switch : t -> phase -> unit
+  (** Close the phase on top of the stack and open [phase] in its place,
+      with one clock read. *)
 
-  val enter : phase -> unit
-  (** Push [phase] on the current span's stack (no-op without one). *)
+  val enter : t -> phase -> unit
+  (** Push [phase] on the span's stack. *)
 
-  val leave : unit -> unit
+  val leave : t -> unit
+  (** Pop the top phase. *)
 
   val in_phase : phase -> (unit -> 'a) -> 'a
-  (** [enter]/[leave] bracket, exception-safe; just runs the thunk when
-      the domain has no current span. *)
+  (** [enter]/[leave] bracket on the calling domain's current span,
+      exception-safe; just runs the thunk when the domain has none. *)
 
   val add : phase -> int -> unit
-  (** Credit externally measured ticks (e.g. queue dwell stamped by the
-      producer) to the current span without opening the phase. *)
+  (** Credit externally measured ticks to the current span without
+      opening the phase (no-op without one). *)
 
   val add_to : t -> phase -> int -> unit
 
   val note_fanout : unit -> unit
   (** Count one per-shard sub-call on the current span. *)
 
-  val finish : ?outcome:string -> t -> unit
+  val finish : t -> outcome:string -> unit
   (** Close all open phases, stamp [sp_end], feed the phase and total
-      histograms, retire the span into its domain's recent-span ring and
+      histograms, copy the span into its slot's recent-span ring and
       clear the current-span slot. *)
 
   val abandon : t -> unit
@@ -181,9 +194,9 @@ module Span : sig
   val ring_capacity : int
 
   val recent : unit -> t list
-  (** Finished spans currently retained across all domain rings, oldest
-      first per slot (approximate under concurrent writers — the flight
-      recorder's contract). *)
+  (** Copies of the finished spans currently retained across all slot
+      rings, oldest first per slot.  Each is exactly as it was finished;
+      an entry its domain is overwriting during the read is skipped. *)
 
   val reset : unit -> unit
 end

@@ -56,25 +56,34 @@ module Hist = struct
 
   (* Bucket [i] holds the values with [i] significant bits: bucket 0 is
      [v <= 0], bucket i (i >= 1) is [2^(i-1) <= v < 2^i].  OCaml ints
-     have at most 63 significant bits, so 64 buckets always suffice. *)
+     have at most 63 significant bits, so 64 buckets always suffice.
+     Constant time: halve the shift until one bit is left. *)
   let bucket_of v =
     if v <= 0 then 0
     else begin
-      let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-      go 0 v
+      let n = ref 1 and v = ref v in
+      if !v lsr 32 <> 0 then begin n := !n + 32; v := !v lsr 32 end;
+      if !v lsr 16 <> 0 then begin n := !n + 16; v := !v lsr 16 end;
+      if !v lsr 8 <> 0 then begin n := !n + 8; v := !v lsr 8 end;
+      if !v lsr 4 <> 0 then begin n := !n + 4; v := !v lsr 4 end;
+      if !v lsr 2 <> 0 then begin n := !n + 2; v := !v lsr 2 end;
+      if !v lsr 1 <> 0 then n := !n + 1;
+      !n
     end
 
   (* Inclusive upper bound of bucket [i] (used for percentile reports). *)
   let bucket_bound i = if i <= 0 then 0 else if i >= 62 then max_int else (1 lsl i) - 1
 
-  let observe h v =
-    let base = Registry.my_id () * block in
+  let observe_slot h slot v =
+    let base = slot * block in
     let c = h.cells in
     let b = base + bucket_of v in
     c.(b) <- c.(b) + 1;
     c.(base + off_count) <- c.(base + off_count) + 1;
     c.(base + off_sum) <- c.(base + off_sum) + v;
     if v > c.(base + off_max) then c.(base + off_max) <- v
+
+  let observe h v = observe_slot h (Registry.my_id ()) v
 
   let reset h = Array.fill h.cells 0 (Array.length h.cells) 0
 
@@ -258,64 +267,6 @@ module Activity = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* GC telemetry                                                        *)
-
-(* Per-slot published [Gc.quick_stat] absolutes (OCaml 5 GC counters
-   are per-domain).  Workers call {!Gcstat.publish} amortized on their
-   loops; readers sum the slots — exact at quiescence, advisory while
-   running, like every other slot-sharded instrument here. *)
-
-module Gcstat = struct
-  let off_minor = 0  (** minor words allocated (absolute) *)
-
-  let off_promoted = 1
-
-  let off_major = 2  (** major words allocated directly *)
-
-  let off_minor_col = 3
-
-  let off_major_col = 4
-
-  let stride = 8
-
-  let cells = Array.make (Registry.max_slots * stride) 0
-
-  let publish () =
-    let s = Gc.quick_stat () in
-    let base = Registry.my_id () * stride in
-    cells.(base + off_minor) <- int_of_float s.Gc.minor_words;
-    cells.(base + off_promoted) <- int_of_float s.Gc.promoted_words;
-    cells.(base + off_major) <- int_of_float s.Gc.major_words;
-    cells.(base + off_minor_col) <- s.Gc.minor_collections;
-    cells.(base + off_major_col) <- s.Gc.major_collections
-
-  let total off =
-    let acc = ref 0 in
-    for slot = 0 to Registry.max_slots - 1 do
-      acc := !acc + cells.((slot * stride) + off)
-    done;
-    !acc
-
-  let minor_words () = total off_minor
-
-  let promoted_words () = total off_promoted
-
-  let major_words () = total off_major
-
-  let minor_collections () = total off_minor_col
-
-  let major_collections () = total off_major_col
-
-  (* Words a mutator allocated = minor + direct-major (promotions move
-     words already counted as minor); 8 bytes per word on 64-bit. *)
-  let alloc_bytes () = 8 * (minor_words () + major_words ())
-
-  let heap_words () = (Gc.quick_stat ()).Gc.heap_words
-
-  let reset () = Array.fill cells 0 (Array.length cells) 0
-end
-
-(* ------------------------------------------------------------------ *)
 (* Event tracing                                                       *)
 
 (* Event codes are small ints; the catalogue (names, Chrome phases)
@@ -404,9 +355,8 @@ let dropped_of_slot i =
 let reset_traces () =
   Array.iter (function Some r -> r.r_n <- 0 | None -> ()) rings
 
-(* Reset histograms, trace rings and GC shards.  Same quiescence
-   contract as [Stats.reset_all]. *)
+(* Reset histograms and trace rings.  Same quiescence contract as
+   [Stats.reset_all]. *)
 let reset_all () =
   List.iter Hist.reset (Hist.all ());
-  Gcstat.reset ();
   reset_traces ()

@@ -27,6 +27,11 @@ module Hist : sig
   (** Record one value into the calling domain's shard.  Plain stores;
       never racy because each domain owns its shard. *)
 
+  val observe_slot : t -> int -> int -> unit
+  (** [observe_slot h slot v]: {!observe} into shard [slot], which must
+      be the calling domain's {!Registry.my_id} — for callers that
+      already hold it, to skip the domain-local lookup. *)
+
   val reset : t -> unit
 
   val all : unit -> t list
@@ -122,35 +127,6 @@ module Activity : sig
   (** [get slot dim]: the sampler's read side (racy by design). *)
 
   val clear_my_slot : unit -> unit
-end
-
-(** {1 GC telemetry}
-
-    Per-slot published [Gc.quick_stat] absolutes; workers call
-    {!Gcstat.publish} amortized, readers sum the slots (exact at
-    quiescence). *)
-
-module Gcstat : sig
-  val publish : unit -> unit
-  (** Publish the calling domain's current GC counters into its slot. *)
-
-  val minor_words : unit -> int
-
-  val promoted_words : unit -> int
-
-  val major_words : unit -> int
-
-  val minor_collections : unit -> int
-
-  val major_collections : unit -> int
-
-  val alloc_bytes : unit -> int
-  (** [8 * (minor + major direct) words] summed over published slots. *)
-
-  val heap_words : unit -> int
-  (** Live read of the shared major heap size (not slot-summed). *)
-
-  val reset : unit -> unit
 end
 
 (** {1 Event tracing}

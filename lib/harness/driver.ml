@@ -114,10 +114,11 @@ let run_once spec =
     while not (Atomic.get go) do
       Domain.cpu_relax ()
     done;
-    (* Per-worker allocation accounting: [Gc.allocated_bytes] is
-       domain-local, so the delta over the measured loop is exactly this
-       worker's allocation — summed and divided by ops for the
-       alloc-bytes-per-op figure. *)
+    (* Per-worker allocation accounting: [Gc.allocated_bytes] reads the
+       calling domain's own counters (unlike [Gc.quick_stat], which is
+       process-wide and backs the [gc_*] gauges), so the delta over the
+       measured loop is exactly this worker's allocation — summed and
+       divided by ops for the alloc-bytes-per-op figure. *)
     let a0 = Gc.allocated_bytes () in
     let ops = ref 0 in
     if spec.lat_sample > 0 then begin
@@ -136,8 +137,7 @@ let run_once spec =
         end
         else exec op;
         incr ops;
-        if !ops land 15 = 0 then Atomic.set cnt !ops;
-        if !ops land 1023 = 0 then Flock.Telemetry.Gcstat.publish ()
+        if !ops land 15 = 0 then Atomic.set cnt !ops
       done
     end
     else
@@ -145,14 +145,10 @@ let run_once spec =
         exec (Workload.Opgen.next gen rng);
         incr ops;
         (* amortise the flag check *)
-        if !ops land 15 = 0 then Atomic.set cnt !ops;
-        (* amortised GC telemetry into this worker's slot (gauges,
-           PROFILE snapshots) *)
-        if !ops land 1023 = 0 then Flock.Telemetry.Gcstat.publish ()
+        if !ops land 15 = 0 then Atomic.set cnt !ops
       done;
     Atomic.set cnt !ops;
-    Atomic.set alloc (Gc.allocated_bytes () -. a0);
-    Flock.Telemetry.Gcstat.publish ()
+    Atomic.set alloc (Gc.allocated_bytes () -. a0)
   in
   let iter_targets emit = M.iter_vptrs t emit in
   (* Register the structure as a census root for the run, so in-process

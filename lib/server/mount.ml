@@ -46,19 +46,7 @@ let unsupported_range name =
 let pairs_reply pairs =
   Protocol.Arr (List.concat_map (fun (k, v) -> Protocol.[ Int k; Int v ]) pairs)
 
-(* The whole structure execution books to the request span's [op]
-   phase; snapshot dwell and per-shard fan-out nested inside subtract
-   from it (exclusive accounting), so [op] ends up meaning "structure
-   work that is neither snapshot overhead nor shard dispatch".  [body]
-   is total (it turns every exception into an [Err] reply), so a plain
-   enter/leave pair brackets it without allocating a thunk. *)
-let in_op body mount x =
-  Verlib.Obs.Span.enter Verlib.Obs.Span.Op;
-  let r = body mount x in
-  Verlib.Obs.Span.leave ();
-  r
-
-let exec_body (Mount { m = (module M); h; store }) (c : Protocol.command) :
+let exec (Mount { m = (module M); h; store }) (c : Protocol.command) :
     Protocol.reply =
   try
     match c with
@@ -107,8 +95,6 @@ let exec_body (Mount { m = (module M); h; store }) (c : Protocol.command) :
         Protocol.Err "connection-level command reached the executor"
   with e -> Protocol.Err ("internal: " ^ Printexc.to_string e)
 
-let exec mount c = in_op exec_body mount c
-
 (* --- transactions -------------------------------------------------------- *)
 
 let op_of_command : Protocol.command -> Txn.op option = function
@@ -136,7 +122,7 @@ let reply_of_step : Txn.step -> Protocol.reply = function
            vs)
   | Txn.S_pairs ps -> pairs_reply ps
 
-let exec_txn_body (Mount { m = (module M); store; _ }) (token, cs) :
+let exec_txn (Mount { m = (module M); store; _ }) ~token cs :
     Protocol.reply =
   try
     let wants_order =
@@ -159,5 +145,3 @@ let exec_txn_body (Mount { m = (module M); store; _ }) (token, cs) :
               Protocol.Arr (Protocol.Int vs :: List.map reply_of_step steps)
           | Txn.Aborted { attempts } -> Protocol.Aborted attempts)
   with e -> Protocol.Err ("internal: " ^ Printexc.to_string e)
-
-let exec_txn mount ~token cs = in_op exec_txn_body mount (token, cs)

@@ -35,8 +35,7 @@ val store : t -> Txn.Store.t
     through it). *)
 
 val exec : t -> Protocol.command -> Protocol.reply
-(** Execute one data command, booked to the current request span's [op]
-    phase.  [Ping] answers [Pong]; [Stats], [Metrics] and [Quit] are
+(** Execute one data command.  [Ping] answers [Pong]; [Stats], [Metrics] and [Quit] are
     connection-level and answered with [-ERR] here (the server
     intercepts them first).  [Put]/[Del] route through the mount's
     {!Txn.Store} so they serialize with transactional commits.
@@ -49,8 +48,8 @@ val exec_txn : t -> token:int -> Protocol.command list -> Protocol.reply
     validate-and-install commit).  Success is
     [Arr (Int versionstamp :: per-command replies)]; validation
     exhaustion is [Aborted n].  [token > 0] engages the exactly-once
-    replay cache.  Booked to the request span's [op] phase, with
-    [validate]/[install] nested inside. *)
+    replay cache.  [validate]/[install] book to the current request
+    span, nested inside whatever phase its caller has open. *)
 
 val dump : t -> (int * int) list
 (** Uncapped snapshot of every binding — the [SYNC] bootstrap payload.

@@ -509,11 +509,16 @@ let count_shed t =
    stays measurable.  Entering the
    hard level files a flight report (rising edge only, so steady-state
    refusals stay cheap).  With shedding off, nothing is read. *)
-let shed t loop c =
+let shed t loop sp c =
   let thr = t.cfg.shed_queue in
   thr > 0
   &&
-  let waiting = Span.in_phase Span.Shed (fun () -> loop.Evloop.waiting) in
+  let waiting =
+    Span.enter sp Span.Shed;
+    let w = loop.Evloop.waiting in
+    Span.leave sp;
+    w
+  in
   let hard = waiting >= 2 * thr in
   if hard then begin
     if not (Atomic.exchange t.hard_shed_on true) then
@@ -647,10 +652,9 @@ let park sess (sp : Span.t) tid wait ~ms =
    any span. *)
 let emit ~out ~scratch sp trace_id outcome r =
   Buffer.clear scratch;
-  Span.enter Span.Reply;
+  Span.switch sp Span.Reply;
   Protocol.render_reply scratch r;
-  Span.leave ();
-  Span.finish ~outcome sp;
+  Span.finish sp ~outcome;
   (match trace_id with
    | Some id -> Protocol.render_trace out (trace_info_of sp id outcome)
    | None -> ());
@@ -658,15 +662,13 @@ let emit ~out ~scratch sp trace_id outcome r =
 
 (* Execute one wire line against the connection's session under span
    [sp], appending the rendered reply (and any @-trace frame) to its
-   outbuf, or parking the command ([sess.s_park]). *)
+   outbuf, or parking the command ([sess.s_park]).  The span opened in
+   [parse]; a command that executes something switches to [op] just
+   before it, so [parse] covers the parse and the dispatch. *)
 let exec_line t loop (conn : session Evloop.conn) sp line =
   let sess = conn.Evloop.data in
   Atomic.incr t.commands_total;
-  (* Parsing and rendering are total, so a plain [enter]/[leave] pair
-     brackets them without the closure an [in_phase] thunk costs. *)
-  Span.enter Span.Parse;
   let parsed = Protocol.parse_command_traced line in
-  Span.leave ();
   let trace_id, outcome, r =
     match parsed with
     | Error msg ->
@@ -725,7 +727,7 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
               Atomic.incr t.errors_total;
               (tid, "error", Protocol.Err replica_readonly_msg)
             end
-            else if shed t loop c then
+            else if shed t loop sp c then
               (* EXEC is snapshot-heavy, so it sheds at soft level —
                  but WITHOUT dropping the queued transaction: a
                  backed-off retry of just EXEC still commits it. *)
@@ -733,6 +735,7 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
             else begin
               let cs = List.rev sess.s_queued in
               multi_reset sess;
+              Span.switch sp Span.Op;
               match Mount.exec_txn t.mount ~token cs with
               | Protocol.Err _ as r ->
                   Atomic.incr t.errors_total;
@@ -781,8 +784,12 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
               Protocol.Err
                 (Printf.sprintf "%s not allowed in MULTI" (command_verb c))
             )
-        | Protocol.Stats -> (tid, "ok", Protocol.Bulk (stats_json t))
-        | Protocol.Metrics -> (tid, "ok", Protocol.Bulk (metrics_text t))
+        | Protocol.Stats ->
+            Span.switch sp Span.Op;
+            (tid, "ok", Protocol.Bulk (stats_json t))
+        | Protocol.Metrics ->
+            Span.switch sp Span.Op;
+            (tid, "ok", Protocol.Bulk (metrics_text t))
         | Protocol.Profile ms ->
             (* Like [Stats]/[Metrics]: answered unconditionally, never
                shed — an overloaded server must stay profileable (the
@@ -793,11 +800,15 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
               park sess sp tid
                 (Window (Verlib.Obs.Profile.open_window ()))
                 ~ms:(min ms 5000)
-            else (tid, "ok", Protocol.Bulk (Verlib.Obs.Profile.json ()))
+            else begin
+              Span.switch sp Span.Op;
+              (tid, "ok", Protocol.Bulk (Verlib.Obs.Profile.json ()))
+            end
         | Protocol.Ping -> (tid, "ok", Protocol.Pong)
         | Protocol.Replstats ->
             (* Like STATS: never shed — the replication plane stays
                observable under overload and partitions. *)
+            Span.switch sp Span.Op;
             (tid, "ok", Protocol.Bulk (replstats_json t))
         | Protocol.Promote ->
             (* Idempotent failover: accept writes from now on; the
@@ -807,18 +818,20 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
         | Protocol.Sync -> (
             (* Snapshot-heavy (an uncapped fold) — shed before
                dumping, and a latched partition severs it. *)
-            if shed t loop c then (tid, "shed", busy t)
-            else
+            if shed t loop sp c then (tid, "shed", busy t)
+            else begin
+              Span.switch sp Span.Op;
               match sync_reply t with
               | r -> (tid, "ok", r)
               | exception Fault.Injected _ ->
                   sess.s_quit <- true;
-                  (tid, "error", Protocol.Err "partitioned"))
+                  (tid, "error", Protocol.Err "partitioned")
+            end)
         | Protocol.Ack _ ->
             Atomic.incr t.errors_total;
             (tid, "error", Protocol.Err "ACK outside a SUBSCRIBE stream")
         | Protocol.Watch (lo, hi, ms) ->
-            if shed t loop c then (tid, "shed", busy t)
+            if shed t loop sp c then (tid, "shed", busy t)
             else
               park sess sp tid
                 (Watch { lo; hi; cursor = Repl.Log.tail_seq t.feed })
@@ -831,9 +844,9 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
             Atomic.incr t.errors_total;
             (tid, "error", Protocol.Err replica_readonly_msg)
         | c ->
-            if shed t loop c then (tid, "shed", busy t)
+            if shed t loop sp c then (tid, "shed", busy t)
             else begin
-
+              Span.switch sp Span.Op;
               let r = Mount.exec t.mount c in
               match r with
               | Protocol.Err _ ->
@@ -865,7 +878,7 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
 let step t loop (conn : session Evloop.conn) ~first line =
   let sess = conn.Evloop.data in
   let sp =
-    Span.start ~begin_ticks:(if first then sess.s_mark else 0) ~cmd:"?" ()
+    Span.start ~begin_ticks:(if first then sess.s_mark else 0) ~cmd:"?"
   in
   if
     (first || sp.Span.sp_last - sess.s_mark > t.probe_ticks)
@@ -920,10 +933,6 @@ let exec_batch t loop conn lines ~mark =
          render buffer at its size for good. *)
       if Buffer.length loop.Evloop.scratch > 65536 then
         Buffer.reset loop.Evloop.scratch;
-      (* Amortized GC telemetry: one [quick_stat] per batch (dozens of
-         commands), published into this domain's slot for the gauges
-         and PROFILE to sum. *)
-      Flock.Telemetry.Gcstat.publish ();
       v
 
 (* The parked command's answer, once it has one. *)
@@ -959,7 +968,7 @@ let resume t loop conn ~now =
       | None -> `Park
       | Some r ->
           sess.s_park <- None;
-          let sp = Span.start ~begin_ticks:pk.pk_begin ~cmd:pk.pk_cmd () in
+          let sp = Span.start ~begin_ticks:pk.pk_begin ~cmd:pk.pk_cmd in
           Option.iter (Span.set_trace_id sp) pk.pk_tid;
           emit ~out:conn.Evloop.out ~scratch:loop.Evloop.scratch sp
             pk.pk_tid "ok" r;

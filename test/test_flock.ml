@@ -503,12 +503,46 @@ let test_epoch_flush_covers_foreign_buckets () =
   Alcotest.(check int) "foreign bucket drained by global flush" 1
     (Atomic.get ran)
 
+(* The constant-time [Hist.bucket_of] against the bit-by-bit loop it
+   replaced: the same bucket for every int, random and on the edges
+   (non-positive, 1, 2^k - 1, 2^k, max_int). *)
+let bucket_of_loop v =
+  if v <= 0 then 0
+  else begin
+    let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
+    go 0 v
+  end
+
+let bucket_edges =
+  [ min_int; -1; 0; 1; max_int ]
+  @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k ]) (List.init 62 (fun k -> k + 1))
+
+let test_bucket_of_equivalence =
+  QCheck.Test.make ~count:2000 ~name:"bucket_of equals the bit loop"
+    (* a random int shifted right a random amount: every magnitude *)
+    QCheck.(map (fun (v, k) -> v asr k) (pair int (int_bound 62)))
+    (fun v -> Flock.Telemetry.Hist.bucket_of v = bucket_of_loop v)
+
+let test_bucket_of_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Printf.sprintf "bucket_of %d" v)
+        (bucket_of_loop v)
+        (Flock.Telemetry.Hist.bucket_of v))
+    bucket_edges
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
   Alcotest.run "flock"
     [
       ("backoff", [ case "spin and yield" test_backoff ]);
+      ( "hist",
+        [
+          case "bucket_of edges" test_bucket_of_edges;
+          QCheck_alcotest.to_alcotest test_bucket_of_equivalence;
+        ] );
       ( "registry",
         [
           case "id stable" test_registry_id_stable;

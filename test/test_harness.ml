@@ -311,9 +311,9 @@ let test_prometheus_roundtrip () =
   Verlib.reset ();
   (* put something in a histogram and a counter so the exposition has
      non-trivial bucket series to validate *)
-  let sp = Verlib.Obs.Span.start ~cmd:"X" () in
+  let sp = Verlib.Obs.Span.start ~begin_ticks:0 ~cmd:"X" in
   Verlib.Obs.Span.in_phase Verlib.Obs.Span.Op (fun () -> ());
-  Verlib.Obs.Span.finish sp;
+  Verlib.Obs.Span.finish sp ~outcome:"ok";
   let text = OR.prometheus ~extra:[ ("test_extra_gauge", 42) ] () in
   match OR.parse_prometheus text with
   | Error e -> Alcotest.fail ("own exposition rejected: " ^ e)
@@ -404,11 +404,11 @@ let read_file path =
 let test_flight_deadline_dump () =
   Verlib.reset ();
   (* retire one span so the dump carries it *)
-  let sp = Verlib.Obs.Span.start ~cmd:"GET" () in
+  let sp = Verlib.Obs.Span.start ~begin_ticks:0 ~cmd:"GET" in
   Verlib.Obs.Span.in_phase Verlib.Obs.Span.Op (fun () ->
       let t0 = Verlib.Hwclock.now () in
       while Verlib.Hwclock.to_us (Verlib.Hwclock.now () - t0) < 100. do () done);
-  Verlib.Obs.Span.finish sp;
+  Verlib.Obs.Span.finish sp ~outcome:"ok";
   let t = F.create ~min_interval:0. ~dir:(tmpdir ()) () in
   match
     F.record t ~trigger:F.Deadline_kill

@@ -409,6 +409,63 @@ let test_jsonlite () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "nul"; "{} x"; "\"unterminated" ]
 
+(* --- GC gauges ------------------------------------------------------------ *)
+
+(* Two live domains allocate a known amount concurrently.  [Gc.quick_stat]
+   is process-wide, so each word must be counted once: the gauge deltas
+   equal the [quick_stat] delta read alongside them (while the domains
+   are alive), and after the join they equal what the domains
+   allocated. *)
+let test_gc_gauges_count_once () =
+  let per_domain = 3_000_000 in
+  let gauges () =
+    let g = T.Gauge.capture () in
+    (List.assoc "gc_minor_words" g, List.assoc "gc_alloc_bytes" g)
+  in
+  let stat () =
+    let s = Gc.quick_stat () in
+    (s.Gc.minor_words, 8. *. (s.Gc.minor_words +. s.Gc.major_words))
+  in
+  let m0, a0 = gauges () and qm0, qa0 = stat () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let read = Atomic.make false in
+  let domains =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr started;
+            while Atomic.get started < 2 do
+              Domain.cpu_relax ()
+            done;
+            (* a one-element list is 3 words *)
+            for i = 1 to per_domain / 3 do
+              ignore (Sys.opaque_identity [ i ])
+            done;
+            Atomic.incr finished;
+            while not (Atomic.get read) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while Atomic.get finished < 2 do
+    Domain.cpu_relax ()
+  done;
+  let m1, a1 = gauges () and qm1, qa1 = stat () in
+  Atomic.set read true;
+  List.iter Domain.join domains;
+  let m2, _ = gauges () in
+  let within what expect got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f within 2%% of %.0f" what got expect)
+      true
+      (Float.abs (got -. expect) <= 0.02 *. expect)
+  in
+  within "gc_minor_words vs quick_stat (live)" (qm1 -. qm0)
+    (float_of_int (m1 - m0));
+  within "gc_alloc_bytes vs quick_stat (live)" (qa1 -. qa0)
+    (float_of_int (a1 - a0));
+  within "gc_minor_words vs allocated (joined)"
+    (float_of_int (2 * per_domain))
+    (float_of_int (m2 - m0))
+
 (* --- request spans: exclusive phase accounting -------------------------- *)
 
 module Span = V.Obs.Span
@@ -422,14 +479,14 @@ let spin_us us =
 
 let test_span_exclusive () =
   V.reset ();
-  let sp = Span.start ~cmd:"TEST" () in
+  let sp = Span.start ~begin_ticks:0 ~cmd:"TEST" in
   Span.in_phase Span.Parse (fun () -> spin_us 200.);
   (* nested: snapshot inside op must pause op — exclusive accounting *)
   Span.in_phase Span.Op (fun () ->
       spin_us 200.;
       Span.in_phase Span.Snapshot (fun () -> spin_us 400.);
       spin_us 200.);
-  Span.finish sp;
+  Span.finish sp ~outcome:"ok";
   let t = Span.total_ticks sp in
   let sum =
     List.fold_left (fun acc p -> acc + Span.phase_ticks sp p) 0 Span.phases
@@ -449,9 +506,11 @@ let test_span_backdate_and_add () =
   V.reset ();
   let t0 = V.Hwclock.now () in
   spin_us 100.;
-  let sp = Span.start ~begin_ticks:t0 ~cmd:"BD" () in
-  Span.add Span.Queue (V.Hwclock.now () - t0);
-  Span.finish sp;
+  let sp = Span.start ~begin_ticks:t0 ~cmd:"BD" in
+  (* [start] opened [parse] at [sp_last]: the wait before it is the
+     credit, as the server books its queue phase. *)
+  Span.add Span.Queue (sp.Span.sp_last - t0);
+  Span.finish sp ~outcome:"ok";
   Alcotest.(check bool) "backdated begin" true (sp.Span.sp_begin = t0);
   Alcotest.(check bool) "queue credited" true
     (V.Hwclock.to_us (Span.phase_ticks sp Span.Queue) >= 80.);
@@ -472,11 +531,11 @@ let test_span_stall_attribution () =
                             r_trigger = Fault.Always;
                             r_action = Fault.Pause 0.03 } ]);
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let sp = Span.start ~cmd:"STALL" () in
+  let sp = Span.start ~begin_ticks:0 ~cmd:"STALL" in
   Span.in_phase Span.Op (fun () ->
       spin_us 100.;
       Fault.hit fp_test_stall);
-  Span.finish sp;
+  Span.finish sp ~outcome:"ok";
   let stall = Span.phase_ticks sp Span.Stall in
   Alcotest.(check bool) "stall booked" true (V.Hwclock.to_us stall >= 10_000.);
   let dominant =
@@ -492,11 +551,68 @@ let test_span_stall_attribution () =
   Alcotest.(check bool) "op excludes the stall" true
     (V.Hwclock.to_us (Span.phase_ticks sp Span.Op) < 10_000.)
 
+(* A writer domain finishes spans whose credited phases and trace id
+   are a function of their command while this domain reads the rings:
+   every span [recent] returns must be one the writer finished, whole —
+   never a ring entry caught while the next span was copied over it. *)
+let test_span_ring_never_torn () =
+  V.reset ();
+  let cmds = [| "EVEN"; "ODD" |] in
+  let credited =
+    [ Span.Queue; Span.Route; Span.Snapshot; Span.Op; Span.Validate;
+      Span.Install ]
+  in
+  let credit k p = (k + 1) * (Span.phase_index p + 1) in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          let k = !n land 1 in
+          let sp =
+            Span.start ~begin_ticks:(max 1 (V.Hwclock.now () - 10_000))
+              ~cmd:cmds.(k)
+          in
+          Span.set_trace_id sp (k + 1);
+          List.iter (fun p -> Span.add_to sp p (credit k p)) credited;
+          Span.finish sp ~outcome:"ok";
+          incr n
+        done;
+        !n)
+  in
+  let seen = ref 0 and torn = ref [] in
+  let deadline = Unix.gettimeofday () +. 0.3 in
+  while Unix.gettimeofday () < deadline do
+    List.iter
+      (fun sp ->
+        incr seen;
+        let sum =
+          List.fold_left (fun acc p -> acc + Span.phase_ticks sp p) 0 Span.phases
+        in
+        let whole =
+          match sp.Span.sp_cmd with
+          | ("EVEN" | "ODD") as cmd ->
+              let k = if cmd = "EVEN" then 0 else 1 in
+              sp.Span.sp_trace_id = k + 1
+              && List.for_all (fun p -> Span.phase_ticks sp p = credit k p) credited
+              && sum <= Span.total_ticks sp
+          | _ -> false
+        in
+        if not whole then torn := sp.Span.sp_cmd :: !torn)
+      (Span.recent ())
+  done;
+  Atomic.set stop true;
+  let finished = Domain.join writer in
+  Alcotest.(check bool) "writer finished spans" true (finished > 0);
+  Alcotest.(check bool) "reader saw spans" true (!seen > 0);
+  Alcotest.(check (list string)) "no torn span" [] !torn
+
 let test_span_export_trace () =
   V.reset ();
-  let sp = Span.start ~trace_id:77 ~cmd:"GET" () in
+  let sp = Span.start ~begin_ticks:0 ~cmd:"GET" in
+  Span.set_trace_id sp 77;
   Span.in_phase Span.Op (fun () -> spin_us 100.);
-  Span.finish sp;
+  Span.finish sp ~outcome:"ok";
   let path = Filename.temp_file "span_trace" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
   @@ fun () ->
@@ -665,6 +781,8 @@ let () =
         [
           Alcotest.test_case "multi-domain exact" `Quick test_counter_multi_domain;
           Alcotest.test_case "reset_all clears telemetry" `Quick test_reset_all;
+          Alcotest.test_case "gc gauges count each word once" `Quick
+            test_gc_gauges_count_once;
         ] );
       ( "trace",
         [
@@ -682,6 +800,8 @@ let () =
             test_span_stall_attribution;
           Alcotest.test_case "span in chrome export" `Quick
             test_span_export_trace;
+          Alcotest.test_case "recent ring never torn" `Quick
+            test_span_ring_never_torn;
         ] );
       ( "smoke",
         [

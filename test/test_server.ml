@@ -1726,6 +1726,34 @@ let test_render_alloc_budget () =
       Alcotest.(check string) "digits" (":" ^ string_of_int n ^ "\r\n") (Buffer.contents b))
     [ 0; 7; -7; 10; -10; 1234567890; max_int; min_int ]
 
+(* The request span of a served GET, driven the way [Server.step],
+   [exec_line] and [emit] drive it: start (backdated, [parse] open), the
+   [queue] credit, the verb, [op] before the mount call, [reply] before
+   rendering, finish with an outcome.  The slot's span record and ring
+   entry are reused, so a command allocates nothing. *)
+let test_span_alloc_budget () =
+  let module Span = Verlib.Obs.Span in
+  let calls = 10_000 in
+  let mark = ref (Verlib.Hwclock.now ()) in
+  let outcome = ref "ok" in
+  check_budget "span of a served GET" ~calls ~per_call:0
+    (minor_words_of calls (fun () ->
+         let sp = Span.start ~begin_ticks:!mark ~cmd:"?" in
+         Span.add_to sp Span.Queue (sp.Span.sp_last - sp.Span.sp_begin);
+         Span.set_cmd sp "GET";
+         Span.switch sp Span.Op;
+         Span.switch sp Span.Reply;
+         Span.finish sp ~outcome:!outcome;
+         mark := sp.Span.sp_end));
+  let sp = Span.start ~begin_ticks:0 ~cmd:"GET" in
+  Span.switch sp Span.Op;
+  Span.switch sp Span.Reply;
+  Span.finish sp ~outcome:"ok";
+  let sum =
+    List.fold_left (fun acc p -> acc + Span.phase_ticks sp p) 0 Span.phases
+  in
+  Alcotest.(check bool) "phases within total" true (sum <= Span.total_ticks sp)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1754,6 +1782,8 @@ let () =
         [
           Alcotest.test_case "parse GET 42" `Quick test_parse_alloc_budget;
           Alcotest.test_case "render Int" `Quick test_render_alloc_budget;
+          Alcotest.test_case "span of a served GET" `Quick
+            test_span_alloc_budget;
         ] );
       ( "protocol-framing",
         [
