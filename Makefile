@@ -249,6 +249,9 @@ c10k-smoke:
 #      (shed = 0, 0 errors): shedding engages and releases.
 #   3. The loadgen's own --faults path: the bank invariant holds over a
 #      flaky wire masked by the client retry layer.
+#   4. --duration alone ends a server: a primary and a one-loop replica
+#      following it each exit 0 by themselves within the timeout, and
+#      print their final report with the quiescent census.
 chaos-smoke:
 	dune build bin/verlib_soak.exe bin/verlib_serve.exe bin/verlib_loadgen.exe
 	@set -e; \
@@ -287,6 +290,30 @@ chaos-smoke:
 	kill -INT $$srv; \
 	wait $$srv; \
 	trap - EXIT; \
+	echo "chaos-smoke: --duration ends a primary and its replica"; \
+	timeout 30 ./_build/default/bin/verlib_serve.exe -s btree -p 0 -t 2 \
+	  --prefill 1000 --census-interval 0.2 --duration 1.5 --stats json \
+	  > /tmp/verlib_dur_primary.json 2>/tmp/verlib_dur_primary.log & \
+	srv=$$!; \
+	trap 'kill $$srv 2>/dev/null || true' EXIT; \
+	sleep 0.3; \
+	port=$$(awk 'NR==1 && $$1=="PORT" {print $$2}' /tmp/verlib_dur_primary.json); \
+	test -n "$$port" || { echo "FAIL: server did not report a port"; exit 1; }; \
+	timeout 30 ./_build/default/bin/verlib_serve.exe -s btree -p 0 -t 1 \
+	  --replica-of 127.0.0.1:$$port --census-interval 0.2 --duration 1 \
+	  --stats json > /tmp/verlib_dur_replica.json 2>/tmp/verlib_dur_replica.log \
+	  || { echo "FAIL: the replica did not exit 0 by itself at --duration"; exit 1; }; \
+	wait $$srv \
+	  || { echo "FAIL: the primary did not exit 0 by itself at --duration"; exit 1; }; \
+	trap - EXIT; \
+	for f in /tmp/verlib_dur_primary.json /tmp/verlib_dur_replica.json; do \
+	  grep -q '"census":{' $$f \
+	    || { echo "FAIL: no final census in $$f"; exit 1; }; \
+	  grep -q '"violations":0' $$f \
+	    || { echo "FAIL: census violations in $$f"; exit 1; }; \
+	done; \
+	grep -q '"size":1000' /tmp/verlib_dur_replica.json \
+	  || { echo "FAIL: the replica did not bootstrap from its primary"; exit 1; }; \
 	echo "chaos-smoke: OK"
 
 # Observability gate (docs/OBSERVABILITY.md).  One server under a

@@ -1,9 +1,10 @@
 (* verlib-serve CLI: mount one versioned structure behind the wire
    protocol (docs/PROTOCOL.md) and serve it until SIGINT/SIGTERM (or
-   for --duration seconds).  Shutdown is a graceful drain: accepting
-   stops, in-flight connections are answered, every domain (including
-   the background census domain) is joined, and the final stats report
-   — with a quiescent, exact-audit chain census — is flushed before
+   for --duration seconds).  The main domain runs event loop 0
+   ([Server.run]).  Shutdown is a graceful drain: accepting stops,
+   in-flight connections are answered, every domain (including the
+   background census domain) is joined, and the final stats report —
+   with a quiescent, exact-audit chain census — is flushed before
    exit. *)
 
 open Cmdliner
@@ -181,16 +182,15 @@ let trace_file =
        ~doc:"Record typed events and export Chrome trace-event JSON to $(docv) \
              on shutdown.")
 
-let stop_requested = Atomic.make false
-
-(* First signal: graceful drain (the main loop calls [Server.stop],
-   which flushes the final stats/census instead of dying mid-write).
-   Second signal: force-quit. *)
-let install_signal_handlers () =
+(* First signal: graceful drain ([Server.run] returns once the loops
+   have drained, so the final stats/census are flushed instead of dying
+   mid-write).  Second signal: force-quit. *)
+let install_signal_handlers srv =
+  let signalled = Atomic.make false in
   let handle _ =
-    if Atomic.get stop_requested then exit 130
+    if Atomic.exchange signalled true then exit 130
     else begin
-      Atomic.set stop_requested true;
+      Server.request_stop srv;
       prerr_endline "verlib-serve: draining (signal again to force-quit)..."
     end
   in
@@ -255,8 +255,8 @@ let run structure mode port domains n_hint prefill census_interval max_conns
     }
   in
   let srv = Server.create ~config mount in
-  install_signal_handlers ();
-  Server.start srv;
+  install_signal_handlers srv;
+  Server.listen srv;
   (match plan with
    | None -> ()
    | Some p ->
@@ -279,22 +279,12 @@ let run structure mode port domains n_hint prefill census_interval max_conns
                        writes refused until PROMOTE)\n%!" h p
    | None -> ());
   let deadline =
-    if duration > 0. then Some (Unix.gettimeofday () +. duration) else None
+    if duration > 0. then Unix.gettimeofday () +. duration else infinity
   in
-  let expired () =
-    match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
-  in
-  while not (Atomic.get stop_requested || expired ()) do
-    (try Unix.sleepf 0.05 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  done;
-  (* Disarm before the drain: crash-stopped domains resume, so the join
-     inside [Server.stop] terminates and the final census is quiescent
-     and fault-free. *)
-  if plan <> None then begin
-    Fault.disarm ();
-    Unix.sleepf 0.05
-  end;
-  Server.stop srv;
+  (* Disarm before the drain: crash-stopped loops resume, so the drain
+     terminates and the final census is quiescent and fault-free. *)
+  let on_stop () = if plan <> None then Fault.disarm () in
+  Server.run srv ~deadline ~on_stop;
   (match stats_fmt with
    | `None -> ()
    | `Json -> print_endline (Server.stats_json srv));

@@ -37,6 +37,8 @@ let records_ctr = Atomic.make 0
 
 let resyncs_ctr = Atomic.make 0
 
+let acks_ctr = Atomic.make 0
+
 let applied_ctr = Atomic.make 0
 
 let dup_dropped_ctr = Atomic.make 0
@@ -46,6 +48,8 @@ let watermark_g = Atomic.make 0
 let records_total () = Atomic.get records_ctr
 
 let resyncs_total () = Atomic.get resyncs_ctr
+
+let acks_total () = Atomic.get acks_ctr
 
 let applied_total () = Atomic.get applied_ctr
 
@@ -222,6 +226,7 @@ module Log = struct
     Mutex.unlock t.mu
 
   let ack t ~id ~seq ~stamp =
+    Atomic.incr acks_ctr;
     Mutex.lock t.mu;
     (match Hashtbl.find_opt t.subs id with
      | Some s ->
@@ -280,6 +285,7 @@ let () =
       ("repl_lag_stamps", lag_stamps);
       ("repl_lag_bytes", lag_bytes);
       ("repl_resyncs", resyncs_total);
+      ("repl_acks_total", acks_total);
       ("repl_applied_total", applied_total);
       ("repl_dup_dropped", dup_dropped_total);
       ("repl_watermark", watermark_now);

@@ -25,8 +25,8 @@
 
     Process-wide [repl_*] gauges (Obs reports, STATS, METRICS):
     [repl_records_total], [repl_lag_stamps], [repl_lag_bytes],
-    [repl_resyncs], [repl_applied_total], [repl_dup_dropped],
-    [repl_watermark]. *)
+    [repl_resyncs], [repl_acks_total], [repl_applied_total],
+    [repl_dup_dropped], [repl_watermark]. *)
 
 type record = {
   r_seq : int;  (** dense log sequence (1-based; 0 = before the first) *)
@@ -96,6 +96,8 @@ module Log : sig
       when they must rise. *)
 
   val ack : t -> id:int -> seq:int -> stamp:int -> unit
+  (** Advance a cursor to a subscriber's cumulative ACK; every call
+      counts in [repl_acks_total]. *)
 
   val lag : t -> int * int
   (** Worst [(stamps, bytes)] lag across subscribers; [(0, 0)] with
@@ -143,6 +145,9 @@ end
 val records_total : unit -> int
 
 val resyncs_total : unit -> int
+
+val acks_total : unit -> int
+(** ACK lines processed by every log in the process ({!Log.ack}). *)
 
 val applied_total : unit -> int
 

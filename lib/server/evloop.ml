@@ -13,6 +13,7 @@
 
    A connection is a state machine:
 
+     connecting --connected--> reading      (a [dial]ed connection)
      reading --exec--> reading
          |       `Park -> parked --resume--> reading (or again parked)
          |       `Stream -> streaming --resume--> streaming
@@ -23,11 +24,18 @@
    pipelining peer queues in the kernel.  A streaming connection (a
    SUBSCRIBE) is read on the loop's tick, not on readiness: each
    re-check reads its peer's ACK lines, then pumps the feed into its
-   outbuf.  (Read on readiness, a replica that ACKs every record would
-   wake the loop once per record.)  The loop re-checks both every
+   outbuf.  (Read on readiness, every ACK a replica sends would wake
+   the loop.)  The loop re-checks both every
    iteration, polling with a 1 ms timeout while any exists.  A peer
    that stops reading accumulates outbuf until [out_hwm] pauses reads
-   (and a stream's pump) and [write_timeout] kills the connection. *)
+   (and a stream's pump) and [write_timeout] kills the connection.
+
+   A loop can also [dial] out: the connection starts [connecting] with
+   only write interest, its preloaded bytes go out once the connect
+   completes, and from then on it is read on readiness like an accepted
+   one; a failed connect closes it.  The replica's follow connection is
+   one (docs/REPLICATION.md).  Each iteration ends with [h_tick], which
+   may cap the next poll's timeout. *)
 
 type action = [ `Continue | `Close | `Park | `Stream ]
 
@@ -41,6 +49,8 @@ type 'a conn = {
   mutable streaming : bool;
       (** [h_resume] pumps a push stream; read on the tick, not on
           readiness *)
+  mutable connecting : bool;
+      (** a [dial] in progress: write interest only, nothing flushed *)
   mutable closing : bool;  (** flush what we owe, then close *)
   mutable dead : bool;  (** closed *)
   mutable last_act : float;  (** last byte read (idle deadline) *)
@@ -63,6 +73,9 @@ type 'a handlers = {
           while a stream's outbuf is at [out_hwm] *)
   h_overflow : 'a -> string;  (** reply bytes for an over-long line *)
   h_kill : [ `Idle | `Write ] -> unit;  (** deadline-kill accounting *)
+  h_tick : 'a t -> now:float -> int;
+      (** once per iteration, after the sweep; returns the longest the
+          next poll may sleep, in ms ([max_int]: no cap) *)
   h_close : 'a -> graceful:bool -> unit;
       (** fired once when the connection's fd closes; [graceful] when it
           was closing (EOF, a [`Close] verdict, the drain), not cut by
@@ -97,6 +110,7 @@ and 'a t = {
   mutable waiting : int;
       (** connections this poll round reported readable that the loop
           has not executed yet — the admission-control signal *)
+  mutable tick_cap : int;  (** the last [h_tick]'s poll-timeout cap *)
   load : int Atomic.t;  (** connections owned *)
   wake_rd : Unix.file_descr;
   wake_wr : Unix.file_descr;
@@ -158,6 +172,7 @@ let create ~n ~lsock ~handlers ~stop_flag ~idle_timeout ~write_timeout ~max_line
       rotor = 0;
       rechecks = 0;
       waiting = 0;
+      tick_cap = max_int;
       load = Atomic.make 0;
       wake_rd;
       wake_wr;
@@ -324,14 +339,15 @@ let rec flush_conn t conn =
   end
 
 (* A closing connection that owes nothing and waits on nothing is
-   done. *)
+   done; one still connecting owes nothing it could send. *)
 let try_finish t conn =
-  if conn.closing && not (conn.dead || conn.parked) then
+  if conn.closing && conn.connecting then close_conn t conn
+  else if conn.closing && not (conn.dead || conn.parked) then
     match flush_conn t conn with
     | `Empty -> close_conn t conn
     | `More | `Closed -> ()
 
-let register t fd data ~accept_ticks ~closing ~preload =
+let register ?(connecting = false) t fd data ~accept_ticks ~closing ~preload =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   Unix.set_nonblock fd;
   let conn =
@@ -343,6 +359,7 @@ let register t fd data ~accept_ticks ~closing ~preload =
       out_off = 0;
       parked = false;
       streaming = false;
+      connecting;
       closing;
       dead = false;
       last_act = Unix.gettimeofday ();
@@ -355,14 +372,34 @@ let register t fd data ~accept_ticks ~closing ~preload =
   (* rdhup stays armed while read interest is off (a parked
      connection), so a departing peer is still noticed. *)
   let interest =
-    if closing then Evpoll.ev_out else Evpoll.ev_in lor Evpoll.ev_rdhup
+    if closing || connecting then Evpoll.ev_out
+    else Evpoll.ev_in lor Evpoll.ev_rdhup
   in
   let slot = Evpoll.Set.add t.set fd ~interest in
   conn.slot <- slot;
   store_conn t slot (Some conn);
   (* A rejected connection only owes its refusal bytes; push them now
      and close if the write completes immediately. *)
-  if closing then try_finish t conn
+  if closing then try_finish t conn;
+  conn
+
+(* Open an outbound connection owned by this loop, without blocking it:
+   the connect completes (or fails) in a later poll round, and
+   [preload] is written once it has.  Raises [Unix.Unix_error] when the
+   connect fails at once. *)
+let dial t addr data ~preload =
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  in
+  Unix.set_nonblock fd;
+  match Unix.connect fd addr with
+  | () | (exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR), _, _)) ->
+      Atomic.incr t.load;
+      register ~connecting:true t fd data ~accept_ticks:0 ~closing:false
+        ~preload
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
 
 (* Register what the acceptor handed over.  A closed inbox (the loop is
    draining) refuses further handoffs. *)
@@ -373,7 +410,7 @@ let adopt_inbox t =
   Mutex.unlock t.im;
   Queue.iter
     (fun (fd, data, accept_ticks) ->
-      register t fd data ~accept_ticks ~closing:false ~preload:"")
+      ignore (register t fd data ~accept_ticks ~closing:false ~preload:""))
     q
 
 (* Balance by construction: the least-loaded loop, ties broken
@@ -401,7 +438,7 @@ let pick g =
 let hand_over t fd data ~accept_ticks =
   let target = pick t.group in
   if target == t then
-    register t fd data ~accept_ticks ~closing:false ~preload:""
+    ignore (register t fd data ~accept_ticks ~closing:false ~preload:"")
   else begin
     Mutex.lock target.im;
     let accepted = target.inbox_open in
@@ -428,7 +465,9 @@ let rec accept_pass t budget =
                ~accept_ticks:(max 0 (Verlib.Hwclock.now () - a_ticks))
          | `Reject (data, bytes) ->
              Atomic.incr t.load;
-             register t fd data ~accept_ticks:0 ~closing:true ~preload:bytes);
+             ignore
+               (register t fd data ~accept_ticks:0 ~closing:true
+                  ~preload:bytes));
         accept_pass t (budget - 1)
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
         (* A connection that died in the backlog is not an accept-loop
@@ -535,10 +574,22 @@ let sweep t now conn =
       t.rechecks <- t.rechecks + 1
   end
 
+(* A dialed connection's connect finished: read from now on and send
+   what was preloaded, or close on failure. *)
+let connected t conn =
+  match Unix.getsockopt_error conn.fd with
+  | None ->
+      conn.connecting <- false;
+      conn.last_act <- Unix.gettimeofday ();
+      set_interest t conn (Evpoll.ev_in lor Evpoll.ev_rdhup) true;
+      ignore (flush_conn t conn)
+  | Some _ -> close_conn t conn
+
 (* One ready connection's share of a poll round. *)
 let serve_ready t conn ~mark =
   let r = Evpoll.Set.revents t.set conn.slot in
   if Evpoll.has r Evpoll.ev_nval then close_conn t conn
+  else if conn.connecting then connected t conn
   else begin
     if
       conn.parked
@@ -618,9 +669,11 @@ let iterate t ~timeout_ms =
   t.rechecks <- 0;
   for i = Evpoll.Set.length t.set - 1 downto 2 do
     Option.iter (sweep t now) t.conns.(i)
-  done
+  done;
+  t.tick_cap <- t.handlers.h_tick t ~now
 
-let timeout_ms t ~idle = if t.rechecks > 0 then 1 else idle
+let timeout_ms t ~idle =
+  if t.rechecks > 0 then 1 else max 0 (min idle t.tick_cap)
 
 (* Graceful drain: stop accepting and refuse handoffs; let every parked
    command finish (it answers promptly once [stop_flag] is set); close

@@ -606,6 +606,40 @@ end
 
 (* --- incremental reply reader -------------------------------------------- *)
 
+(* A reply that is one whole line: [+simple], [-ERR msg], [-BUSY n],
+   [-ABORT n] or [:int]. *)
+let line_reply l =
+  let body = String.sub l 1 (String.length l - 1) in
+  match l.[0] with
+  | '+' -> (
+      match body with
+      | "OK" -> Ok Ok_
+      | "PONG" -> Ok Pong
+      | "EXISTS" -> Ok Exists
+      | "QUEUED" -> Ok Queued
+      | other -> Error (Printf.sprintf "unknown simple reply %S" other))
+  | '-' ->
+      if String.length body >= 5 && String.sub body 0 5 = "BUSY " then
+        match int_of_string_opt (String.sub body 5 (String.length body - 5)) with
+        | Some ms when ms >= 0 -> Ok (Busy ms)
+        | Some _ | None -> Error (Printf.sprintf "bad BUSY reply %S" body)
+      else if String.length body >= 6 && String.sub body 0 6 = "ABORT " then
+        match int_of_string_opt (String.sub body 6 (String.length body - 6)) with
+        | Some n when n >= 0 -> Ok (Aborted n)
+        | Some _ | None -> Error (Printf.sprintf "bad ABORT reply %S" body)
+      else
+        let msg =
+          if String.length body >= 4 && String.sub body 0 4 = "ERR " then
+            String.sub body 4 (String.length body - 4)
+          else body
+        in
+        Ok (Err msg)
+  | ':' -> (
+      match int_of_string_opt body with
+      | Some n -> Ok (Int n)
+      | None -> Error (Printf.sprintf "bad integer reply %S" body))
+  | c -> Error (Printf.sprintf "unknown reply type %C" c)
+
 module Reader = struct
   type t = {
     read : bytes -> int -> int -> int;
@@ -664,51 +698,25 @@ module Reader = struct
     let* l = line t in
     if String.length l = 0 then Error "empty reply line"
     else
-      let body = String.sub l 1 (String.length l - 1) in
+      let body () = String.sub l 1 (String.length l - 1) in
       match l.[0] with
       | '@' ->
           (* Trace frame: precedes the data reply it describes.  Record
              it and keep parsing — the reply that follows carries it
              (readable via {!last_trace} until the next reply). *)
-          let* info = parse_trace body in
+          let* info = parse_trace (body ()) in
           t.last_trace <- Some info;
           reply_frame t
-      | '+' -> (
-          match body with
-          | "OK" -> Ok Ok_
-          | "PONG" -> Ok Pong
-          | "EXISTS" -> Ok Exists
-          | "QUEUED" -> Ok Queued
-          | other -> Error (Printf.sprintf "unknown simple reply %S" other))
-      | '-' ->
-          if String.length body >= 5 && String.sub body 0 5 = "BUSY " then
-            match int_of_string_opt (String.sub body 5 (String.length body - 5)) with
-            | Some ms when ms >= 0 -> Ok (Busy ms)
-            | Some _ | None -> Error (Printf.sprintf "bad BUSY reply %S" body)
-          else if String.length body >= 6 && String.sub body 0 6 = "ABORT " then
-            match int_of_string_opt (String.sub body 6 (String.length body - 6)) with
-            | Some n when n >= 0 -> Ok (Aborted n)
-            | Some _ | None -> Error (Printf.sprintf "bad ABORT reply %S" body)
-          else
-            let msg =
-              if String.length body >= 4 && String.sub body 0 4 = "ERR " then
-                String.sub body 4 (String.length body - 4)
-              else body
-            in
-            Ok (Err msg)
-      | ':' -> (
-          match int_of_string_opt body with
-          | Some n -> Ok (Int n)
-          | None -> Error (Printf.sprintf "bad integer reply %S" body))
+      | '+' | '-' | ':' -> line_reply l
       | '$' -> (
-          match int_of_string_opt body with
+          match int_of_string_opt (body ()) with
           | Some -1 -> Ok Nil
           | Some n when n >= 0 && n <= max_line ->
               let* s = payload t n in
               Ok (Bulk s)
-          | Some _ | None -> Error (Printf.sprintf "bad bulk length %S" body))
+          | Some _ | None -> Error (Printf.sprintf "bad bulk length %S" (body ())))
       | '*' -> (
-          match int_of_string_opt body with
+          match int_of_string_opt (body ()) with
           | Some n when n >= 0 && n <= 16_777_216 ->
               let rec go acc i =
                 if i = 0 then Ok (Arr (List.rev acc))
@@ -717,7 +725,8 @@ module Reader = struct
                   go (r :: acc) (i - 1)
               in
               go [] n
-          | Some _ | None -> Error (Printf.sprintf "bad array length %S" body))
+          | Some _ | None ->
+              Error (Printf.sprintf "bad array length %S" (body ())))
       | c -> Error (Printf.sprintf "unknown reply type %C" c)
 
   (* Each top-level reply starts with a clean trace slot, so a frame
@@ -725,4 +734,48 @@ module Reader = struct
   let reply t =
     t.last_trace <- None;
     reply_frame t
+end
+
+module Frames = struct
+  type t = { mutable left : int; mutable items : reply list }
+
+  let create () = { left = 0; items = [] }
+
+  let reset t =
+    t.left <- 0;
+    t.items <- []
+
+  let scalar l =
+    let n = String.length l in
+    if n >= 2 && l.[0] = ':' then
+      try Some (Int (decimal l 1 n)) with Not_decimal -> None
+    else if l = "$-1" then Some Nil
+    else None
+
+  let push t l =
+    if t.left > 0 then
+      match scalar l with
+      | None -> Error (Printf.sprintf "bad frame element %S" l)
+      | Some r ->
+          t.items <- r :: t.items;
+          t.left <- t.left - 1;
+          if t.left > 0 then Ok None
+          else begin
+            let items = List.rev t.items in
+            t.items <- [];
+            Ok (Some (Arr items))
+          end
+    else if String.length l > 1 && l.[0] = '*' then
+      match decimal l 1 (String.length l) with
+      | n when n > 0 && n <= 16_777_216 ->
+          t.left <- n;
+          Ok None
+      | 0 -> Ok (Some (Arr []))
+      | _ | (exception Not_decimal) ->
+          Error (Printf.sprintf "bad array length %S" l)
+    else
+      match l.[0] with
+      | '+' | '-' -> Result.map Option.some (line_reply l)
+      | _ -> Error (Printf.sprintf "not a flat frame %S" l)
+      | exception Invalid_argument _ -> Error "empty reply line"
 end

@@ -226,3 +226,26 @@ module Reader : sig
   (** The trace frame that preceded the most recently parsed reply, or
       [None] if that reply was untraced.  Cleared at each {!reply}. *)
 end
+
+(** Line-fed reassembly of the replication frames, for a reader that
+    gets whole lines from an event loop ({!Linebuf}) instead of pulling
+    bytes like {!Reader}.  A [SYNC] reply and a change record are both
+    flat arrays: [*N] then N scalar lines ([:int] or [$-1]); anything
+    else arrives as one single-line reply ([+OK], [-ERR ...],
+    [-BUSY n]). *)
+module Frames : sig
+  type t
+
+  val create : unit -> t
+
+  val reset : t -> unit
+  (** Drop a partly assembled frame (the connection it came from is
+      gone). *)
+
+  val push : t -> string -> (reply option, string) result
+  (** Feed one line (terminator stripped).  [Ok (Some r)] completes a
+      reply — a whole flat array or a single-line reply; [Ok None]
+      means a frame is still open.  [Error] on anything else (a bulk or
+      nested array, a malformed line); the caller drops the
+      connection. *)
+end

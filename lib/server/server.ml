@@ -100,7 +100,9 @@ type stream = {
 type session = {
   s_admitted : bool;
       (** false for door-shed connections that only exist to carry the
-          [-BUSY] refusal out; they never counted as active *)
+          [-BUSY] refusal out, and for the follow connection; they never
+          counted as active *)
+  s_follow : bool;  (** the replica's connection to its primary *)
   mutable s_multi : bool;  (** inside MULTI...EXEC *)
   mutable s_queued : Protocol.command list;  (** reversed *)
   mutable s_dirty : bool;  (** transaction poisoned *)
@@ -112,9 +114,10 @@ type session = {
   mutable s_mark : int;  (** the batch's poll-round tick stamp *)
 }
 
-let new_session ~admitted () =
+let new_session ?(follow = false) ~admitted () =
   {
     s_admitted = admitted;
+    s_follow = follow;
     s_multi = false;
     s_queued = [];
     s_dirty = false;
@@ -126,16 +129,31 @@ let new_session ~admitted () =
     s_mark = 0;
   }
 
+(* The replica's side of replication: one connection to the primary,
+   owned by loop 0 (see [follow_lines]). *)
+type follower = {
+  fw_addr : Unix.sockaddr;
+  fw_apply : Repl.Apply.t;
+  fw_frames : Protocol.Frames.t;  (** the reply being reassembled *)
+  mutable fw_conn : session Evloop.conn option;
+  mutable fw_phase : [ `Sync | `Subscribe | `Follow ];
+      (** what the primary answers next: the SYNC snapshot, SUBSCRIBE's
+          +OK, then the stream *)
+  mutable fw_redial : float;  (** dial again no sooner than this *)
+}
+
 type t = {
   mount : Mount.t;
   cfg : config;
   stop_flag : bool Atomic.t;
+  stop_asked : bool Atomic.t;  (** [request_stop] ran its hook *)
+  mutable on_stop : unit -> unit;
+  mutable deadline : float;  (** [run]'s deadline; [infinity]: none *)
   role : role Atomic.t;
   feed : Repl.Log.t;
       (** change-feed tap over the mount's store — what SUBSCRIBE /
           WATCH / SYNC serve from *)
-  apply : Repl.Apply.t option;  (** replica servers only *)
-  mutable replica_d : unit Domain.t option;
+  follower : follower option;  (** replica servers only *)
   mutable loops : session Evloop.t array;
   mutable probe_ticks : int;
       (** batch age after which each command first probes for a
@@ -171,14 +189,24 @@ let create ?(config = default_config) mount =
     mount;
     cfg = config;
     stop_flag = Atomic.make false;
+    stop_asked = Atomic.make false;
+    on_stop = ignore;
+    deadline = infinity;
     role =
       Atomic.make (match config.replica_of with Some _ -> Replica | None -> Primary);
     feed;
-    apply =
-      (match config.replica_of with
-       | Some _ -> Some (Repl.Apply.create (Mount.store mount))
-       | None -> None);
-    replica_d = None;
+    follower =
+      Option.map
+        (fun (host, port) ->
+          {
+            fw_addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port);
+            fw_apply = Repl.Apply.create (Mount.store mount);
+            fw_frames = Protocol.Frames.create ();
+            fw_conn = None;
+            fw_phase = `Sync;
+            fw_redial = 0.;
+          })
+        config.replica_of;
     loops = [||];
     probe_ticks = 0;
     flight =
@@ -342,20 +370,21 @@ let replstats_json t =
   let role = if is_replica t then "replica" else "primary" in
   let lag_s, lag_b = Repl.Log.lag t.feed in
   let apply_fields =
-    match t.apply with
+    match t.follower with
     | None -> ""
-    | Some a ->
+    | Some { fw_apply = a; _ } ->
         Printf.sprintf
           ",\"apply_last_seq\":%d,\"apply_watermark\":%d,\"apply_pending\":%d"
           (Repl.Apply.last_seq a) (Repl.Apply.watermark a)
           (Repl.Apply.pending_count a)
   in
   Printf.sprintf
-    "{\"role\":%S,\"tail_seq\":%d,\"tail_stamp\":%d,\"subscribers\":%d,\"lag_stamps\":%d,\"lag_bytes\":%d,\"records_total\":%d,\"resyncs\":%d,\"applied_total\":%d,\"dup_dropped\":%d,\"watermark\":%d%s}"
+    "{\"role\":%S,\"tail_seq\":%d,\"tail_stamp\":%d,\"subscribers\":%d,\"lag_stamps\":%d,\"lag_bytes\":%d,\"records_total\":%d,\"acks_total\":%d,\"resyncs\":%d,\"applied_total\":%d,\"dup_dropped\":%d,\"watermark\":%d%s}"
     role (Repl.Log.tail_seq t.feed)
     (Repl.Log.tail_stamp t.feed)
     (Repl.Log.subscriber_count t.feed)
-    lag_s lag_b (Repl.records_total ()) (Repl.resyncs_total ())
+    lag_s lag_b (Repl.records_total ()) (Repl.acks_total ())
+    (Repl.resyncs_total ())
     (Repl.applied_total ()) (Repl.dup_dropped_total ())
     (Repl.watermark_now ()) apply_fields
 
@@ -812,7 +841,8 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
             (tid, "ok", Protocol.Bulk (replstats_json t))
         | Protocol.Promote ->
             (* Idempotent failover: accept writes from now on; the
-               apply loop (if any) notices the role flip and exits. *)
+               follow connection (if any) applies nothing more, and
+               loop 0's tick closes it for good. *)
             Atomic.set t.role Primary;
             (tid, "ok", Protocol.Ok_)
         | Protocol.Sync -> (
@@ -975,7 +1005,7 @@ let resume t loop conn ~now =
           run_rest t loop conn ~first:false)
 
 
-(* --- the replica (follower) loop ------------------------------------------ *)
+(* --- the follow connection (replica side) --------------------------------- *)
 
 (* Make the local store equal to the SYNC snapshot.  Writes go through
    [Txn] like everything else, so local readers serialize against the
@@ -1005,61 +1035,98 @@ let parse_sync_pairs rest =
   in
   go [] rest
 
-(* Follow the primary: bootstrap from SYNC, stream the suffix, apply in
-   seq order, ack the cursor.  Any failure — partition, resync demand,
-   reorder-buffer overflow, dead primary — tears the connection down and
-   starts over from SYNC; records already applied dedup as [`Dup].  The
-   loop exits when the server stops or the replica is PROMOTEd. *)
-let replica_loop t host port () =
-  let apply = match t.apply with Some a -> a | None -> assert false in
-  let running () = (not (Atomic.get t.stop_flag)) && is_replica t in
-  while running () do
-    (try
-       let c = Client.connect ~host ~read_timeout:2.0 ~port () in
-       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-       (match Client.request c Protocol.Sync with
-        | Ok (Protocol.Arr (Protocol.Int seq :: Protocol.Int stamp :: rest)) ->
-            replica_reconcile t (parse_sync_pairs rest);
-            Repl.Apply.reset apply ~seq ~stamp
-        | Ok (Protocol.Err e) -> failwith e
-        | Ok _ -> failwith "bad SYNC reply"
-        | Error e -> failwith e);
-       (match
-          Client.request c
-            (Protocol.Subscribe (min_int, max_int, Repl.Apply.last_seq apply))
-        with
-        | Ok Protocol.Ok_ -> ()
-        | Ok (Protocol.Err e) -> failwith e
-        | Ok _ | Error _ -> failwith "SUBSCRIBE refused");
-       let ack () =
-         (* Best-effort: a lost ack only delays the primary's lag
-            gauges until the next one. *)
-         try
-           Client.send_raw c
-             (Printf.sprintf "ACK %d %d\r\n" (Repl.Apply.last_seq apply)
-                (Repl.Apply.last_stamp apply))
-         with _ -> ()
-       in
-       let rec pump () =
-         if running () then
-           match Client.read_reply c with
-           | Ok Protocol.Ok_ -> pump () (* heartbeat *)
-           | Ok (Protocol.Err _) -> failwith "stream demands resync"
-           | Ok r -> (
-               match Protocol.record_of_reply r with
-               | Error _ -> pump () (* not a record frame; ignore *)
-               | Ok rc -> (
-                   match Repl.Apply.offer apply rc with
-                   | `Applied _ ->
-                       ack ();
-                       pump ()
-                   | `Dup | `Buffered -> pump ()
-                   | `Overflow -> failwith "reorder buffer overflow"))
-           | Error e -> failwith e
-       in
-       pump ()
-     with _ -> if running () then Unix.sleepf 0.05)
-  done
+(* A replica follows its primary over one connection that loop 0 dials
+   and reads on readiness like any other, sharing the loop with the
+   replica's readers: SYNC, reconcile, SUBSCRIBE, then each streamed
+   record through [Repl.Apply.offer] (in seq order, each one
+   transaction, so readers' snapshots never see half a record).  One
+   cumulative ACK per read chunk reports the cursor reached.  Any
+   failure — a close, a [-ERR] (resync demand, partition), a reorder
+   overflow, [follow_silence] without a byte (the primary heartbeats
+   every [heartbeat] seconds) — drops the connection, and loop 0's tick
+   dials again [redial_delay] later, from SYNC; records already applied
+   dedup as [`Dup].  PROMOTE ends it for good. *)
+let follow_silence = 2.0
+
+let redial_delay = 0.05
+
+(* A poll-timeout cap, in ms, that wakes the loop by [deadline]. *)
+let ms_until deadline ~now = 1 + int_of_float ((deadline -. now) *. 1000.)
+
+(* One reassembled reply; true when it installed records. *)
+let follow_reply t fw (conn : session Evloop.conn) (r : Protocol.reply) =
+  match (fw.fw_phase, r) with
+  | `Sync, Protocol.Arr (Protocol.Int seq :: Protocol.Int stamp :: rest) ->
+      replica_reconcile t (parse_sync_pairs rest);
+      (* The silence clock restarts after the reconcile, which holds
+         the loop for as long as the store is large. *)
+      conn.Evloop.last_act <- Unix.gettimeofday ();
+      Repl.Apply.reset fw.fw_apply ~seq ~stamp;
+      Protocol.render_command conn.Evloop.out
+        (Protocol.Subscribe (min_int, max_int, Repl.Apply.last_seq fw.fw_apply));
+      fw.fw_phase <- `Subscribe;
+      false
+  | `Subscribe, Protocol.Ok_ ->
+      fw.fw_phase <- `Follow;
+      false
+  | `Follow, Protocol.Ok_ -> false (* heartbeat *)
+  | `Follow, Protocol.Arr _ -> (
+      match Protocol.record_of_reply r with
+      | Error _ -> false (* not a record frame; ignore *)
+      | Ok rc -> (
+          match Repl.Apply.offer fw.fw_apply rc with
+          | `Applied _ -> true
+          | `Dup | `Buffered -> false
+          | `Overflow -> failwith "reorder buffer overflow"))
+  | _, Protocol.Err e -> failwith e
+  | _ -> failwith ("unexpected reply " ^ Protocol.pp_reply r)
+
+(* One read chunk of the follow connection. *)
+let follow_lines t loop (conn : session Evloop.conn) fw lines : Evloop.action
+    =
+  let step applied line =
+    if not (is_replica t) then failwith "promoted";
+    match Protocol.Frames.push fw.fw_frames line with
+    | Ok None -> applied
+    | Ok (Some r) -> follow_reply t fw conn r || applied
+    | Error e -> failwith e
+  in
+  match List.fold_left step false lines with
+  | applied ->
+      if applied then
+        Protocol.render_command conn.Evloop.out
+          (Protocol.Ack
+             (Repl.Apply.last_seq fw.fw_apply, Repl.Apply.last_stamp fw.fw_apply));
+      `Continue
+  | exception (Failure _ | Fault.Injected _) ->
+      Evloop.close_conn loop conn;
+      `Close
+
+(* Loop 0's share of following: end the connection once promoted or
+   silent, dial when due.  Returns the poll-timeout cap in ms. *)
+let follow_tick t loop fw ~now =
+  match fw.fw_conn with
+  | Some c ->
+      if (not (is_replica t)) || now -. c.Evloop.last_act > follow_silence then
+        Evloop.close_conn loop c;
+      max_int
+  | None when (not (is_replica t)) || Atomic.get t.stop_flag -> max_int
+  | None when now < fw.fw_redial -> ms_until fw.fw_redial ~now
+  | None -> (
+      let sess = new_session ~follow:true ~admitted:false () in
+      match Evloop.dial loop fw.fw_addr sess ~preload:"SYNC\r\n" with
+      | c ->
+          fw.fw_conn <- Some c;
+          fw.fw_phase <- `Sync;
+          max_int
+      | exception Unix.Unix_error _ ->
+          fw.fw_redial <- now +. redial_delay;
+          ms_until fw.fw_redial ~now)
+
+let follow_closed fw =
+  fw.fw_conn <- None;
+  Protocol.Frames.reset fw.fw_frames;
+  fw.fw_redial <- Unix.gettimeofday () +. redial_delay
 
 (* --- domains ------------------------------------------------------------- *)
 
@@ -1120,6 +1187,30 @@ let metrics_loop t () =
 
 (* --- event-loop handlers -------------------------------------------------- *)
 
+(* Ask every loop to drain: [on_stop] first (once), then the flag the
+   loops poll.  Only atomics and the hook, so a signal handler may call
+   it. *)
+let request_stop t =
+  if not (Atomic.exchange t.stop_asked true) then begin
+    t.on_stop ();
+    Atomic.set t.stop_flag true
+  end
+
+(* Every loop's end of iteration: the [run] deadline (any loop that is
+   not stalled notices it), and on loop 0 the follow connection. *)
+let tick t loop ~now =
+  let cap =
+    if t.deadline = infinity then max_int
+    else if now >= t.deadline then begin
+      request_stop t;
+      max_int
+    end
+    else ms_until t.deadline ~now
+  in
+  match t.follower with
+  | Some fw when loop == t.loops.(0) -> min cap (follow_tick t loop fw ~now)
+  | Some _ | None -> cap
+
 let busy_bytes t =
   let b = Buffer.create 32 in
   Protocol.render_reply b (busy t);
@@ -1142,8 +1233,14 @@ let handlers t : session Evloop.handlers =
           Atomic.incr t.conns_active;
           `Admit (new_session ~admitted:true ())
         end);
-    h_exec = exec_batch t;
+    h_exec =
+      (fun loop conn lines ~mark ->
+        match t.follower with
+        | Some fw when conn.Evloop.data.s_follow ->
+            follow_lines t loop conn fw lines
+        | Some _ | None -> exec_batch t loop conn lines ~mark);
     h_resume = resume t;
+    h_tick = tick t;
     h_overflow =
       (fun _sess ->
         Atomic.incr t.errors_total;
@@ -1158,6 +1255,7 @@ let handlers t : session Evloop.handlers =
     h_close =
       (fun sess ~graceful ->
         if sess.s_admitted then Atomic.decr t.conns_active;
+        if sess.s_follow then Option.iter follow_closed t.follower;
         (* A stream that ended by QUIT, EOF, resync or the drain drops
            its cursor; one cut by an error, a deadline or a partition
            orphans it. *)
@@ -1168,19 +1266,27 @@ let handlers t : session Evloop.handlers =
           sess.s_stream);
   }
 
-let start t =
+let listen t =
+  if t.lsock = None then begin
+    (* A peer that resets mid-reply must cost an EPIPE exception on the
+       writing domain, never a process-killing SIGPIPE. *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
+    let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+    Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, t.cfg.port));
+    Unix.listen lsock t.cfg.backlog;
+    (match Unix.getsockname lsock with
+     | Unix.ADDR_INET (_, p) -> t.bound_port <- p
+     | _ -> ());
+    t.lsock <- Some lsock
+  end
+
+(* Everything but running the loops: listen, build them, spawn the
+   background domains. *)
+let launch t =
   if t.started then invalid_arg "Server.start: already started";
-  (* A peer that resets mid-reply must cost an EPIPE exception on the
-     writing domain, never a process-killing SIGPIPE. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, t.cfg.port));
-  Unix.listen lsock t.cfg.backlog;
-  (match Unix.getsockname lsock with
-   | Unix.ADDR_INET (_, p) -> t.bound_port <- p
-   | _ -> ());
-  t.lsock <- Some lsock;
+  listen t;
+  let lsock = Option.get t.lsock in
   t.started <- true;
   t.started_at <- Unix.gettimeofday ();
   t.probe_ticks <- int_of_float (1000. *. Verlib.Hwclock.cycles_per_us ());
@@ -1199,14 +1305,17 @@ let start t =
   if t.cfg.metrics_interval > 0. then
     t.metrics_d <- Some (Domain.spawn (metrics_loop t));
   if t.cfg.profile_hz > 0 then
-    Verlib.Obs.Profile.start ~hz:t.cfg.profile_hz ();
-  (match t.cfg.replica_of with
-   | Some (host, port) ->
-       t.replica_d <- Some (Domain.spawn (replica_loop t host port))
-   | None -> ());
+    Verlib.Obs.Profile.start ~hz:t.cfg.profile_hz ()
+
+let spawn_loops t ~from =
   t.loop_ds <-
     Array.to_list
-      (Array.map (fun l -> Domain.spawn (fun () -> Evloop.run l)) t.loops)
+      (Array.sub t.loops from (Array.length t.loops - from)
+      |> Array.map (fun l -> Domain.spawn (fun () -> Evloop.run l)))
+
+let start t =
+  launch t;
+  spawn_loops t ~from:0
 
 let stop t =
   if t.started && not t.stopped then begin
@@ -1223,8 +1332,6 @@ let stop t =
          (try Unix.close fd with _ -> ());
          t.lsock <- None
      | None -> ());
-    Option.iter Domain.join t.replica_d;
-    t.replica_d <- None;
     Option.iter Domain.join t.census_d;
     t.census_d <- None;
     Option.iter Domain.join t.metrics_d;
@@ -1241,6 +1348,13 @@ let stop t =
     Option.iter Verlib.Chainscan.unregister t.census_reg;
     t.census_reg <- None
   end
+
+let run ?(deadline = infinity) ?(on_stop = ignore) t =
+  t.deadline <- deadline;
+  t.on_stop <- on_stop;
+  launch t;
+  spawn_loops t ~from:1;
+  Fun.protect ~finally:(fun () -> stop t) (fun () -> Evloop.run t.loops.(0))
 
 let final_census t = Atomic.get t.final_census
 

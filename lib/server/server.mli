@@ -15,7 +15,10 @@
     bounded by [ulimit -n], not by the domain count.  A WATCH or a
     windowed PROFILE parks its connection, not the loop; a SUBSCRIBE
     stream stays on its loop, which pumps the change feed into the
-    connection's outbuf every iteration.  An optional
+    connection's outbuf every iteration.  A replica follows its primary
+    from loop 0: the follow connection is dialed, read and written by
+    that loop like any other connection, so a replica runs no domain
+    beyond its loops.  An optional
     census domain walks the mounted structure's versioned pointers
     every [census_interval] seconds ([Verlib.Chainscan]), keeping the
     latest census for [STATS] and accumulating the invariant-violation
@@ -75,12 +78,13 @@ type config = {
           the loops; 0 = profiler off (PROFILE still answers, with
           whatever was accumulated by an externally started sampler) *)
   replica_of : (string * int) option;
-      (** follow that primary: {!start} spawns an apply domain that
-          bootstraps via [SYNC], streams the change feed via a
-          full-range [SUBSCRIBE], and installs records in seq order;
-          the server answers reads at the replica's watermark and
-          refuses writes ([-ERR READONLY ...]) until [PROMOTE].
-          [None] = this server is a primary (docs/REPLICATION.md). *)
+      (** follow that primary (a numeric IPv4 address): loop 0 dials
+          it, bootstraps via [SYNC], streams the change feed via a
+          full-range [SUBSCRIBE], installs records in seq order and
+          acknowledges once per read chunk; the server answers reads at
+          the replica's watermark and refuses writes
+          ([-ERR READONLY ...]) until [PROMOTE].  [None] = this server
+          is a primary (docs/REPLICATION.md). *)
   feed_capacity : int;
       (** records the replication log ring retains; a subscriber that
           falls further behind is told to resync (the bounded-feed /
@@ -97,12 +101,34 @@ type t
 
 val create : ?config:config -> Mount.t -> t
 
+val listen : t -> unit
+(** Bind and listen, so {!port} is known before the loops run;
+    {!start} and {!run} call it when it has not been.  Raises
+    [Unix.Unix_error] if the port cannot be bound. *)
+
 val start : t -> unit
-(** Bind, listen and spawn the domains.  Raises [Unix.Unix_error] if
-    the port cannot be bound. *)
+(** Listen and spawn one domain per loop (plus the census, metrics and
+    profiler domains when configured), returning at once: the form for
+    embedding a server in a process that does other work, and for the
+    tests. *)
+
+val run : ?deadline:float -> ?on_stop:(unit -> unit) -> t -> unit
+(** Like {!start}, but loop 0 runs on the calling domain, so a server
+    with [domains = n] runs [n] loop domains in all.  Serves until
+    {!request_stop} is called or the [deadline] (a [Unix.gettimeofday]
+    time, checked by every loop at the end of each round) passes, then
+    drains as {!stop} does and returns.  [on_stop] runs once, before
+    the loops are told to drain, on the domain that asked (a signal
+    handler, or a loop that noticed the deadline).  End a [run] with
+    {!request_stop}, not {!stop}. *)
+
+val request_stop : t -> unit
+(** Ask the loops to drain and {!run} to return; runs [on_stop] the
+    first time.  Touches only atomics, so a signal handler may call
+    it. *)
 
 val port : t -> int
-(** The bound port (resolves port 0); only valid after {!start}. *)
+(** The bound port (resolves port 0); only valid after {!listen}. *)
 
 val running : t -> bool
 

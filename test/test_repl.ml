@@ -205,8 +205,9 @@ let test_watermark_monotone_under_chaos () =
 (* A primary and a replica following it.  Each server runs one event
    loop per domain; the replica's SUBSCRIBE stream and any parked WATCH
    live on a loop without holding it, so the domain counts are not
-   sized by streams. *)
-let with_pair f =
+   sized by streams.  The replica follows from its loop 0, so with
+   [replica_domains = 1] its apply, resyncs and reads share one loop. *)
+let with_pair ?(replica_domains = 2) f =
   Verlib.reset ();
   let pmount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
   let pconfig =
@@ -219,7 +220,7 @@ let with_pair f =
     {
       S.default_config with
       S.port = 0;
-      domains = 2;
+      domains = replica_domains;
       replica_of = Some ("127.0.0.1", S.port primary);
     }
   in
@@ -253,6 +254,24 @@ let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
+
+(* An integer field of a REPLSTATS/STATS JSON object. *)
+let json_int json key =
+  let key = Printf.sprintf "\"%s\":" key in
+  let rec find i =
+    if i + String.length key > String.length json then
+      Alcotest.failf "no %s in %s" key json
+    else if String.sub json i (String.length key) = key then
+      i + String.length key
+    else find (i + 1)
+  in
+  let i = find 0 in
+  Scanf.sscanf (String.sub json i (String.length json - i)) "%d" Fun.id
+
+let replstats conn =
+  match req conn P.Replstats with
+  | P.Bulk json -> json
+  | r -> Alcotest.fail ("REPLSTATS: " ^ P.pp_reply r)
 
 let test_pair_converges_readonly_promote () =
   with_pair @@ fun pport rport ->
@@ -520,6 +539,144 @@ let test_stream_cursor_semantics () =
   C.send_raw sc2 "QUIT\r\n";
   await "QUIT drops the cursor" (fun () -> subscribers () = 0)
 
+(* The replica acknowledges once per read chunk, not once per record: a
+   pipelined burst of 1,000 PUTs drains the primary's lag to 0 with
+   fewer ACK lines than records, and [repl_acks_total] shows them in
+   both REPLSTATS and METRICS. *)
+let test_cumulative_acks () =
+  with_pair @@ fun pport rport ->
+  let pc = C.connect ~retries:20 ~port:pport () in
+  let rc = C.connect ~retries:20 ~port:rport () in
+  Fun.protect
+    ~finally:(fun () ->
+      C.close pc;
+      C.close rc)
+  @@ fun () ->
+  await "replica subscribed" (fun () ->
+      json_int (replstats pc) "subscribers" = 1);
+  let n = 1000 in
+  let acks0 = json_int (replstats pc) "acks_total" in
+  (match C.pipeline pc (List.init n (fun i -> P.Put (10_000 + i, i))) with
+   | Ok rs ->
+       Alcotest.(check bool) "every PUT answered +OK" true
+         (List.for_all (( = ) P.Ok_) rs)
+   | Error e -> Alcotest.fail e);
+  await "replica applied the burst" (fun () ->
+      req rc (P.Get (10_000 + n - 1)) = P.Int (n - 1));
+  await "lag drains to 0" (fun () ->
+      let j = replstats pc in
+      json_int j "lag_stamps" = 0 && json_int j "lag_bytes" = 0);
+  let acks = json_int (replstats pc) "acks_total" - acks0 in
+  if acks < 1 || acks >= n then
+    Alcotest.failf "%d ACKs for %d records: want 1 <= ACKs < records" acks n;
+  match req pc P.Metrics with
+  | P.Bulk text ->
+      Alcotest.(check bool) "METRICS exports repl_acks_total" true
+        (contains text "repl_acks_total")
+  | r -> Alcotest.fail ("METRICS: " ^ P.pp_reply r)
+
+(* Bank transfers through MULTI/EXEC on the primary, one writer. *)
+let transfer pc rng ~accounts =
+  let a = Random.State.int rng accounts in
+  let b = (a + 1 + Random.State.int rng (accounts - 1)) mod accounts in
+  match C.pipeline pc [ P.Get a; P.Get b ] with
+  | Ok [ P.Int va; P.Int vb ] -> (
+      match
+        C.pipeline pc
+          [ P.Multi; P.Del a; P.Put (a, va - 1); P.Del b; P.Put (b, vb + 1);
+            P.Exec 0 ]
+      with
+      | Ok [ P.Ok_; P.Queued; P.Queued; P.Queued; P.Queued; P.Arr _ ] -> ()
+      | Ok rs ->
+          Alcotest.fail
+            ("transfer: " ^ String.concat "," (List.map P.pp_reply rs))
+      | Error e -> Alcotest.fail e)
+  | Ok rs -> Alcotest.fail ("balances: " ^ String.concat "," (List.map P.pp_reply rs))
+  | Error e -> Alcotest.fail e
+
+(* Every account in one snapshot read. *)
+let balances conn ~accounts =
+  match req conn (P.Mget (Array.init accounts Fun.id)) with
+  | P.Arr l ->
+      List.map (function P.Int v -> Some v | _ -> None) l
+  | r -> Alcotest.fail ("MGET: " ^ P.pp_reply r)
+
+(* A one-loop replica: the stream's apply, the audits' MGETs and the
+   resync after a partition all run on the same loop.  Conservation must
+   hold on every replica MGET while transfers stream in; then a
+   [repl.send] partition severs the stream and refuses SYNC for its
+   window, and the replica must dial again, re-SYNC and converge. *)
+let test_one_loop_replica () =
+  with_pair ~replica_domains:1 @@ fun pport rport ->
+  let accounts = 16 and total = 16 * 100 in
+  let pc = C.connect ~retries:20 ~port:pport () in
+  let rc = C.connect ~retries:20 ~port:rport () in
+  Fun.protect
+    ~finally:(fun () ->
+      F.disarm ();
+      C.close pc;
+      C.close rc)
+  @@ fun () ->
+  for k = 0 to accounts - 1 do
+    ignore (req pc (P.Put (k, 100)))
+  done;
+  let conserved () =
+    let vs = balances rc ~accounts in
+    List.for_all Option.is_some vs
+    && List.fold_left (fun s v -> s + Option.get v) 0 vs = total
+  in
+  await "replica bootstrapped" conserved;
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let c = C.connect ~retries:20 ~port:pport () in
+        let rng = Random.State.make [| 5 |] in
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          transfer c rng ~accounts;
+          incr n
+        done;
+        C.close c;
+        !n)
+  in
+  let audits = ref 0 in
+  let t_end = Unix.gettimeofday () +. 0.6 in
+  (try
+     while Unix.gettimeofday () < t_end do
+       let vs = balances rc ~accounts in
+       let sum = List.fold_left (fun s v -> s + Option.value ~default:0 v) 0 vs in
+       if List.exists Option.is_none vs || sum <> total then
+         Alcotest.failf "replica MGET %d: sum %d, want %d" !audits sum total;
+       incr audits
+     done
+   with e ->
+     Atomic.set stop true;
+     ignore (Domain.join writer);
+     raise e);
+  let conns0 =
+    match req pc P.Stats with
+    | P.Bulk j -> json_int j "connections_total"
+    | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r)
+  in
+  (match F.plan_of_string "repl.send:partition=300@once" with
+   | Ok p -> F.arm p
+   | Error e -> Alcotest.fail e);
+  Unix.sleepf 0.5;
+  Atomic.set stop true;
+  let transfers = Domain.join writer in
+  F.disarm ();
+  Alcotest.(check bool) "transfers committed" true (transfers > 0);
+  Alcotest.(check bool) "replica audited" true (!audits > 0);
+  let primary = balances pc ~accounts in
+  await "replica converges after the partition" (fun () ->
+      balances rc ~accounts = primary);
+  Alcotest.(check bool) "conserved on the replica" true (conserved ());
+  match req pc P.Stats with
+  | P.Bulk j ->
+      Alcotest.(check bool) "the replica dialed again" true
+        (json_int j "connections_total" > conns0)
+  | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r)
+
 let () =
   Alcotest.run "repl"
     [
@@ -553,5 +710,9 @@ let () =
             test_subscribe_stream;
           Alcotest.test_case "stream partition, adoption, QUIT, heartbeats"
             `Quick test_stream_cursor_semantics;
+          Alcotest.test_case "one cumulative ACK per read" `Quick
+            test_cumulative_acks;
+          Alcotest.test_case "one-loop replica: audits, partition, resync"
+            `Quick test_one_loop_replica;
         ] );
     ]

@@ -317,6 +317,73 @@ let test_linebuf_split_feeds () =
   Alcotest.(check (list string)) "drain order" [ "A"; "B"; "C" ] got;
   Alcotest.(check int) "partial survives drain" 1 (P.Linebuf.pending lb)
 
+(* Line-fed reassembly of the replication frames: the rendered SYNC
+   array, record frames (nil values included) and single-line replies
+   come back whole from their lines; anything that is not a flat frame
+   is an error. *)
+let test_frames_reassembly () =
+  let rng = Random.State.make [| 3 |] in
+  let record seq =
+    {
+      Repl.r_seq = seq;
+      r_stamp = 10 * seq;
+      r_writes =
+        List.init (1 + Random.State.int rng 4) (fun i ->
+            (i - 2, if Random.State.bool rng then Some (seq - i) else None));
+    }
+  in
+  let replies =
+    P.Arr (P.Int 7 :: P.Int 70 :: List.concat_map (fun k -> P.[ Int k; Int (-k) ]) [ 1; 2; 3 ])
+    :: P.Ok_
+    :: List.init 20 (fun i -> P.reply_of_record (record (i + 1)))
+    @ [ P.Ok_; P.Err "resync required"; P.Busy 5 ]
+  in
+  let b = Buffer.create 1024 in
+  List.iter (P.render_reply b) replies;
+  let lb = P.Linebuf.create () in
+  P.Linebuf.feed_string lb (Buffer.contents b);
+  let fr = P.Frames.create () in
+  let rec drain acc =
+    match P.Linebuf.next lb with
+    | None -> List.rev acc
+    | Some l -> (
+        match P.Frames.push fr l with
+        | Ok None -> drain acc
+        | Ok (Some r) -> drain (r :: acc)
+        | Error e -> Alcotest.fail e)
+  in
+  let got = drain [] in
+  Alcotest.(check int) "every reply reassembled" (List.length replies)
+    (List.length got);
+  List.iter2
+    (fun want r ->
+      Alcotest.(check bool) (P.pp_reply want) true (P.reply_equal want r))
+    replies got;
+  let bad lines =
+    let fr = P.Frames.create () in
+    List.fold_left
+      (fun acc l -> match acc with Error _ -> acc | Ok _ -> P.Frames.push fr l)
+      (Ok None) lines
+  in
+  List.iter
+    (fun (what, lines) ->
+      Alcotest.(check bool) what true (Result.is_error (bad lines)))
+    [
+      ("bulk element", [ "*2"; ":1"; "$3" ]);
+      ("nested array", [ "*1"; "*1" ]);
+      ("bad integer", [ "*1"; ":x" ]);
+      ("bad length", [ "*-2" ]);
+      ("top-level bulk", [ "$5" ]);
+      ("empty line", [ "" ]);
+    ];
+  (* a reset drops the open frame *)
+  let fr = P.Frames.create () in
+  ignore (P.Frames.push fr "*3");
+  ignore (P.Frames.push fr ":1");
+  P.Frames.reset fr;
+  Alcotest.(check bool) "fresh after reset" true
+    (P.Frames.push fr "+OK" = Ok (Some P.Ok_))
+
 (* --- Evpoll: poll(2) readiness ------------------------------------------- *)
 
 let test_evpoll_pipe () =
@@ -1790,6 +1857,8 @@ let () =
           Alcotest.test_case "split delivery" `Quick test_reader_split_delivery;
           Alcotest.test_case "record split delivery" `Quick
             test_record_split_delivery;
+          Alcotest.test_case "line-fed replication frames" `Quick
+            test_frames_reassembly;
         ] );
       ( "evloop",
         [
