@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-full bench-json bench-check examples obs-smoke serve-smoke serve-baseline c10k-smoke chaos-smoke trace-smoke profile-smoke txn-smoke repl-smoke repl-baseline perfbench-smoke ci doc clean
+.PHONY: all build test bench bench-full bench-json bench-check examples obs-smoke serve-smoke serve-baseline c10k-smoke chaos-smoke trace-smoke profile-smoke txn-smoke repl-smoke repl-baseline perfbench-smoke perf-pairs ci doc clean
 
 # Sections that produce BENCH json rows (see bench/main.ml --json).
 BENCH_JSON_SECTIONS = fig8a fig9 fig12 extra_skiplist shard_sweep txn
@@ -565,6 +565,18 @@ perfbench-smoke:
 	    || { echo "FAIL: $$w replies failed the model check"; exit 1; }; \
 	done; \
 	echo "perfbench-smoke: OK"
+
+# Interleaved A/B pairs of one perfbench workload: BASE's committed
+# files (exported under $$TMPDIR) against the working tree, alternating
+# which side runs first.  Prints per-metric medians, the base's IQR,
+# wins out of N and the spread-rule verdict (bench/pairs.py).
+W ?= txn-feed
+SEED ?= 1
+N ?= 10
+BASE ?= HEAD
+perf-pairs:
+	python3 bench/pairs.py --workload $(W) --seed $(SEED) --pairs $(N) \
+	  --base $(BASE)
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, callable
 # locally: full build, the test suites, the perf-trajectory gate at

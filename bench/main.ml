@@ -634,6 +634,38 @@ let cold_find_ns mode =
   if !found <> batch * batches then failwith "micro: cold find lost a key";
   V.Hwclock.to_us !ticks *. 1e3 /. float_of_int (batch * batches)
 
+(* Btree writes on a 100k-key tree, ns per op (best of 3 passes over
+   100k keys in scrambled order): [insert] and [upsert] of absent keys
+   (shed again untimed after each pass), and an overwrite of present
+   keys as [delete] then [insert] or as one [upsert].  An upsert of an
+   absent key makes one descent, so it should cost what an insert does. *)
+let btree_writes_ns () =
+  let module M = Dstruct.Btree in
+  V.reset ();
+  let n = 100_000 in
+  let h = M.create ~n_hint:(2 * n) () in
+  for k = 1 to n do
+    ignore (M.insert h (2 * k) k)
+  done;
+  let keys = Array.init n (fun i -> 1 + (2 * (i * 7919 mod n))) in
+  let best f ~shed =
+    let b = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = V.Hwclock.now () in
+      Array.iter f keys;
+      b := Float.min !b (V.Hwclock.to_us (V.Hwclock.now () - t0) *. 1e3 /. float_of_int n);
+      if shed then Array.iter (fun k -> ignore (M.delete h k)) keys
+    done;
+    !b
+  in
+  [
+    ("insert, absent key", best (fun k -> ignore (M.insert h k k)) ~shed:true);
+    ("upsert, absent key", best (fun k -> ignore (M.upsert h k k)) ~shed:true);
+    ( "delete+insert, present key",
+      best (fun k -> ignore (M.delete h (k + 1)); ignore (M.insert h (k + 1) k)) ~shed:false );
+    ("upsert, present key", best (fun k -> ignore (M.upsert h (k + 1) k)) ~shed:false);
+  ]
+
 (* One served GET's request span, driven the way the server drives it
    ([Server.step], [exec_line], [emit]): start backdated to the batch
    mark with [parse] open, the [queue] credit, the verb, [op] before the
@@ -747,6 +779,9 @@ let micro () =
     (List.map
        (fun m -> [ V.Vptr.mode_name m; Printf.sprintf "%.0f" (cold_find_ns m) ])
        V.Vptr.[ Ind_on_need; Indirect; Plain ]);
+  T.print ~title:"Microbenchmark: btree writes, 100k keys"
+    ~header:[ "operation"; "ns/op" ]
+    (List.map (fun (op, ns) -> [ op; Printf.sprintf "%.0f" ns ]) (btree_writes_ns ()));
   let ns, words = span_lifecycle () in
   T.print ~title:"Microbenchmark: request telemetry per served command"
     ~header:[ "path"; "ns/cmd"; "words/cmd" ]

@@ -209,7 +209,9 @@ let find t k =
 
 let not_removed iremoved () = not (Fatomic.load iremoved)
 
-let insert t k v =
+(* Bind [k]; a present key is overwritten by one leaf store under its
+   node's lock when [replace].  Returns whether [k] was already bound. *)
+let bind t k v ~replace =
   check_key k;
   Flock.with_epoch (fun () ->
       (* [pslot] is where the current inner node is stored, for grows. *)
@@ -231,7 +233,7 @@ let insert t k v =
                             grown_copy t ~depth:n.depth ~kind:n.kind b (mk_leaf k v)
                           in
                           Vptr.store_locked t.desc pcell n';
-                          true)
+                          false)
                       |> function
                       | Some r -> Some r
                       | None -> None)
@@ -246,19 +248,22 @@ let insert t k v =
                           match load t cell with
                           | Empty ->
                               Vptr.store_locked t.desc cell (mk_leaf k v);
-                              Some true
+                              Some false
                           | Leaf _ | Inner _ | Link _ -> None (* someone filled it; retry *))
                     |> Option.join
                 | Leaf l as leaf ->
-                    if l.akey = k then Some false
+                    let present = l.akey = k in
+                    if present && not replace then Some true
                     else
-                      (* split the leaf into a branch under [n]'s lock *)
+                      (* overwrite the leaf, or split it into a branch,
+                         under [n]'s lock *)
                       Lock.try_lock n.ilock (fun () ->
                           if Fatomic.load n.iremoved then None
                           else if load t cell == leaf then begin
-                            let sub = branch t (n.depth + 1) leaf l.akey k v in
-                            Vptr.store_locked t.desc cell sub;
-                            Some true
+                            Vptr.store_locked t.desc cell
+                              (if present then mk_leaf k v
+                               else branch t (n.depth + 1) leaf l.akey k v);
+                            Some present
                           end
                           else None)
                       |> Option.join
@@ -277,6 +282,10 @@ let insert t k v =
             attempt ()
       in
       attempt ())
+
+let insert t k v = not (bind t k v ~replace:false)
+
+let upsert t k v = bind t k v ~replace:true
 
 let delete t k =
   check_key k;

@@ -165,6 +165,12 @@ let leaf_with lkeys lvals k v =
   let i = lower_bound lkeys k in
   mk_leaf (array_insert lkeys i k) (array_insert lvals i v)
 
+(* An overwrite shares the key array: only the value slot changes. *)
+let leaf_replacing lkeys lvals k v =
+  let lvals = Array.copy lvals in
+  lvals.(lower_bound lkeys k) <- v;
+  mk_leaf lkeys lvals
+
 let leaf_without lkeys lvals k =
   let i = lower_bound lkeys k in
   mk_leaf (array_remove lkeys i) (array_remove lvals i)
@@ -388,11 +394,15 @@ let find t k = find_in t (load_cell t t.root) k
    update under the leaf's slot lock.  Any validation failure restarts
    from the root (the repair that caused it made progress). *)
 
-type op = Insert of int | Delete
+type op = Insert of int | Delete | Upsert of int
+
+(* An [Upsert] of a key absent from a full leaf: the leaf must split
+   before it can take the key. *)
+exception Leaf_full
 
 (* Perform [op] on the leaf [lnode] stored in [lslot]; [None] means the
    situation changed (or the lock was contended) and the caller must
-   restart from the root. *)
+   restart from the root.  An [Upsert] reports whether [k] was bound. *)
 let leaf_op t (lslot : slot) (lnode : node) lkeys lvals k op =
   Lock.try_lock lslot.s_lock (fun () ->
       if not (slot_holds t lslot lnode) then None
@@ -400,11 +410,14 @@ let leaf_op t (lslot : slot) (lnode : node) lkeys lvals k op =
         match (op, leaf_find lkeys lvals k) with
         | Insert _, Some _ -> Some false (* already present *)
         | Delete, None -> Some false
-        | Insert v, None ->
+        | Upsert v, Some _ ->
+            Vptr.store_locked t.desc lslot.s_cell (leaf_replacing lkeys lvals k v);
+            Some true
+        | (Insert v | Upsert v), None ->
             if Array.length lkeys >= leaf_max then None (* split first *)
             else begin
               Vptr.store_locked t.desc lslot.s_cell (leaf_with lkeys lvals k v);
-              Some true
+              match op with Insert _ -> Some true | _ -> Some false
             end
         | Delete, Some _ ->
             Vptr.store_locked t.desc lslot.s_cell (leaf_without lkeys lvals k);
@@ -414,17 +427,26 @@ let leaf_op t (lslot : slot) (lnode : node) lkeys lvals k op =
 let update t k op =
   (* [descend] returns [Some result] or [None] to restart from the root;
      each restart follows a repair (progress) or lock contention
-     (backoff). *)
-  let rec descend pslot node : bool option =
+     (backoff).  [grow] splits full nodes on the way down: always for an
+     insert, and for an upsert only once its key turned out absent from
+     a full leaf; an overwrite changes no occupancy. *)
+  let rec descend grow pslot node : bool option =
     match node with
-    | Leaf l -> leaf_op t pslot node l.lkeys l.lvals k op
+    | Leaf l -> (
+        match op with
+        | Upsert _
+          when (not grow)
+               && Array.length l.lkeys >= leaf_max
+               && leaf_find l.lkeys l.lvals k = None ->
+            raise_notrace Leaf_full
+        | _ -> leaf_op t pslot node l.lkeys l.lvals k op)
     | Inner p ->
         if Fatomic.load p.iremoved then None
         else begin
           let i = child_index p.ikeys k in
           let child = load_cell t p.children.(i) in
           match op with
-          | Insert _ when node_full child ->
+          | (Insert _ | Upsert _) when grow && node_full child ->
               ignore
                 (split_child t pslot node ~ikeys:p.ikeys ~children:p.children
                    ~ilock:p.ilock ~iremoved:p.iremoved i);
@@ -434,17 +456,17 @@ let update t k op =
                 (rebalance_child t pslot node ~ikeys:p.ikeys ~children:p.children
                    ~ilock:p.ilock ~iremoved:p.iremoved i);
               None
-          | Insert _ | Delete ->
-              descend (child_slot p.ilock p.children p.iremoved i) child
+          | Insert _ | Delete | Upsert _ ->
+              descend grow (child_slot p.ilock p.children p.iremoved i) child
         end
     | Link _ | Null -> corrupt ()
   in
   let backoff = Flock.Backoff.create () in
-  let rec attempt () =
+  let rec attempt grow =
     let r = load_cell t t.root in
     let repair_needed =
       match (r, op) with
-      | (Leaf _ | Inner _), Insert _ -> node_full r
+      | (Leaf _ | Inner _), (Insert _ | Upsert _) -> grow && node_full r
       | Inner n, Delete -> Array.length n.children = 1
       | Leaf _, Delete -> false
       | (Link _ | Null), _ -> corrupt ()
@@ -452,20 +474,26 @@ let update t k op =
     if repair_needed then begin
       repair_root t;
       Flock.Backoff.once backoff;
-      attempt ()
+      attempt grow
     end
     else
-      match descend (root_slot t) r with
+      match descend grow (root_slot t) r with
       | Some result -> result
       | None ->
           Flock.Backoff.once backoff;
-          attempt ()
+          attempt grow
+      | exception Leaf_full -> attempt true
   in
-  attempt ()
+  attempt (match op with Insert _ -> true | Delete | Upsert _ -> false)
 
 let insert t k v = Flock.with_epoch (fun () -> update t k (Insert v))
 
 let delete t k = Flock.with_epoch (fun () -> update t k Delete)
+
+(* One descent: a present key is overwritten by one leaf copy, an
+   absent one is inserted into its leaf.  Only a key absent from a full
+   leaf descends again, splitting on the way down as an insert does. *)
+let upsert t k v = Flock.with_epoch (fun () -> update t k (Upsert v))
 
 (* --- queries ----------------------------------------------------------- *)
 
@@ -569,6 +597,17 @@ let check t =
     | Link _ | Null -> fail "Btree.check: link or null in the tree"
   in
   ignore (go (load_cell t t.root) min_int max_int true)
+
+let shape t =
+  let rec go (inner, leaves) node =
+    match node with
+    | Leaf _ -> (inner, leaves + 1)
+    | Inner p ->
+        Array.fold_left (fun acc c -> go acc (load_cell t c)) (inner + 1, leaves)
+          p.children
+    | Link _ | Null -> corrupt ()
+  in
+  go (0, 0) (load_cell t t.root)
 
 (* Debug aid: print the tree shape with occupancy and removal marks. *)
 let debug_dump t =

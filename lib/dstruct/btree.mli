@@ -17,7 +17,10 @@
       (metadata-sharing initialisation, so no indirection is added), and
       one cell swing publishes the new subtree;
     - full or under-occupied children are repaired eagerly during descent,
-      so structural repairs never cascade more than one level at a time.
+      so structural repairs never cascade more than one level at a time;
+      an [upsert] descends without repairs (an overwrite changes no
+      occupancy) and restarts with an insert's splits only when its key
+      is absent from a full leaf.
 
     The tree is relaxed: occupancy minimums are restored opportunistically,
     so transient under-full nodes are legal (checked invariants reflect
@@ -27,6 +30,9 @@
     exercised there (see [supports_mode]). *)
 
 include Map_intf.MAP
+
+val shape : t -> int * int
+(** [(inner nodes, leaves)] currently reachable; call at quiescence. *)
 
 val debug_dump : t -> unit
 (** Print the tree shape (occupancy, marks) to stdout; debugging aid. *)

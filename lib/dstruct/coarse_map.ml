@@ -26,6 +26,12 @@ let delete t k =
       end
       else false)
 
+let upsert t k v =
+  Rwlock.with_write t.rw (fun () ->
+      let present = IntMap.mem k t.map in
+      t.map <- IntMap.add k v t.map;
+      present)
+
 let find t k = Rwlock.with_read t.rw (fun () -> IntMap.find_opt k t.map)
 
 let range t lo hi =

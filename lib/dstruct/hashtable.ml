@@ -54,32 +54,42 @@ let mk_bucket entries = Bucket { entries; meta = Verlib.Vtypes.fresh_meta Empty 
 (* Entries of a loaded bucket ([Vptr.load] never returns a link). *)
 let entries_of = function Bucket b -> b.entries | Link _ | Empty -> [||]
 
+let rec bucket_index entries k i =
+  if i >= Array.length entries then -1
+  else if fst entries.(i) = k then i
+  else bucket_index entries k (i + 1)
+
 let bucket_find entries k =
-  let rec scan i =
-    if i >= Array.length entries then None
-    else
-      let k', v = entries.(i) in
-      if k' = k then Some v else scan (i + 1)
-  in
-  scan 0
+  let i = bucket_index entries k 0 in
+  if i < 0 then None else Some (snd entries.(i))
 
 let find t k = bucket_find (entries_of (Vptr.load t.desc (cell t k))) k
 
-let insert t k v =
+(* Bind [k] with one bucket copy and one CAS; a present key is left
+   alone unless [replace].  Returns whether [k] was already bound. *)
+let bind t k v ~replace =
   Flock.with_epoch (fun () ->
       let c = cell t k in
       let rec loop () =
         let cur = Vptr.load t.desc c in
         let entries = entries_of cur in
-        if bucket_find entries k <> None then false
+        let i = bucket_index entries k 0 in
+        if i >= 0 && not replace then true
         else begin
           let n = Array.length entries in
-          let entries' = Array.make (n + 1) (k, v) in
-          Array.blit entries 0 entries' 0 n;
-          if Vptr.cas t.desc c cur (mk_bucket entries') then true else loop ()
+          let entries' =
+            if i >= 0 then Array.copy entries else Array.make (n + 1) (k, v)
+          in
+          if i >= 0 then entries'.(i) <- (k, v)
+          else Array.blit entries 0 entries' 0 n;
+          if Vptr.cas t.desc c cur (mk_bucket entries') then i >= 0 else loop ()
         end
       in
       loop ())
+
+let insert t k v = not (bind t k v ~replace:false)
+
+let upsert t k v = bind t k v ~replace:true
 
 let delete t k =
   Flock.with_epoch (fun () ->
@@ -87,7 +97,7 @@ let delete t k =
       let rec loop () =
         let cur = Vptr.load t.desc c in
         let entries = entries_of cur in
-        if bucket_find entries k = None then false
+        if bucket_index entries k 0 < 0 then false
         else begin
           let entries' =
             Array.of_list (List.filter (fun (k', _) -> k' <> k) (Array.to_list entries))

@@ -38,6 +38,17 @@ module type MAP = sig
 
   val delete : t -> int -> bool
 
+  val upsert : t -> int -> int -> bool
+  (** [upsert t k v] binds [k] to [v] and returns whether [k] was
+      already bound.  On btree, hashtable, arttree and vbst an
+      overwrite is one swing of the cell that holds [k] (the same
+      linearization point as an insert), coarse applies it under its
+      write lock, and sharded routes it to its base's [upsert], so no
+      snapshot ever sees [k] absent mid-upsert.
+      dlist and skiplist compose [delete] then [insert] inside one
+      epoch: that is {e not} atomic to snapshots, which may observe
+      [k] unbound between the two swings. *)
+
   val find : t -> int -> int option
 
   val range : t -> int -> int -> (int * int) list
@@ -89,6 +100,17 @@ end
     way §8 implements multi-finds for all four structures. *)
 let multifind_via_snapshot find t keys =
   Verlib.with_snapshot (fun () -> Array.map (fun k -> find t k) keys)
+
+(** Shared helper: [upsert] as [delete] then [insert] inside one epoch,
+    for structures whose nodes carry one key each and have no in-place
+    value swing.  Two swings, so not atomic to snapshots; a racing
+    insert between them is deleted and retried. *)
+let upsert_via_delete_insert insert delete t k v =
+  Flock.with_epoch (fun () ->
+      let rec go present =
+        if insert t k v then present else go (delete t k || present)
+      in
+      go (delete t k))
 
 (** Shared helper: range via collecting fold. *)
 let range_as_list fold_range t lo hi =

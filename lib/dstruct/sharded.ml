@@ -89,6 +89,8 @@ module Make (S : SPEC) = struct
 
   let delete t k = routed (fun () -> Base.delete (sub t k) k)
 
+  let upsert t k v = routed (fun () -> Base.upsert (sub t k) k v)
+
   let find t k = routed (fun () -> Base.find (sub t k) k)
 
   (* Multi-point operations: ONE snapshot around the per-shard work.

@@ -371,6 +371,8 @@ let delete t k =
       in
       loop ())
 
+let upsert t k v = Map_intf.upsert_via_delete_insert insert delete t k v
+
 let fold_range t lo hi ~init ~f =
   Verlib.with_snapshot (fun () ->
       let start = find_preds t lo in

@@ -83,7 +83,10 @@ let mk_inner a b =
       removed = false;
     }
 
-let insert t k v =
+(* Bind [k] under its leaf slot's lock; a present key is overwritten by
+   one leaf swap when [replace].  Returns whether [k] was already
+   bound. *)
+let bind t k v ~replace =
   Rwlock.with_read t.rw (fun () ->
       let rec attempt () =
         (* descend to the leaf slot *)
@@ -100,16 +103,22 @@ let insert t k v =
                 match seen with
                 | Empty ->
                     publish t slot (Leaf { k; v });
+                    Some false
+                | Leaf l when l.k = k ->
+                    if replace then publish t slot (Leaf { k; v });
                     Some true
-                | Leaf l when l.k = k -> Some false
                 | Leaf _ ->
                     publish t slot (mk_inner seen (Leaf { k; v }));
-                    Some true
+                    Some false
                 | Inner _ -> None)
         in
         match r with Some b -> b | None -> attempt ()
       in
       attempt ())
+
+let insert t k v = not (bind t k v ~replace:false)
+
+let upsert t k v = bind t k v ~replace:true
 
 let delete t k =
   Rwlock.with_read t.rw (fun () ->

@@ -327,63 +327,50 @@ module Apply = struct
     if stamp > Atomic.get watermark_g then Atomic.set watermark_g stamp;
     Mutex.unlock t.mu
 
-  let ops_of_writes writes =
-    List.concat_map
-      (function
-        | k, Some v -> [ Txn.Del k; Txn.Put (k, v) ]
-        | k, None -> [ Txn.Del k ])
-      writes
-
-  (* Install one record as a single transaction, so serialized readers
-     on the replica never observe a half-applied batch.  Replica-local
-     contention is read-only, so commits land in a few attempts; the
-     loop is a liveness backstop, not a hot path. *)
-  let rec install t r =
+  (* Install one record as one commit, so serialized readers on the
+     replica never observe a half-applied batch.  A record is committed
+     state: nothing to read or validate. *)
+  let install t r =
     Fault.hit fp_apply;
-    match Txn.exec ~max_attempts:64 t.store (ops_of_writes r.r_writes) with
-    | Txn.Committed _ ->
-        t.last_seq <- r.r_seq;
-        t.watermark <- max t.watermark r.r_stamp;
-        t.last_stamp <- r.r_stamp;
-        Atomic.incr applied_ctr;
-        if t.watermark > Atomic.get watermark_g then
-          Atomic.set watermark_g t.watermark
-    | Txn.Aborted _ -> install t r
+    Txn.apply t.store r.r_writes;
+    t.last_seq <- r.r_seq;
+    t.watermark <- max t.watermark r.r_stamp;
+    t.last_stamp <- r.r_stamp;
+    Atomic.incr applied_ctr;
+    if t.watermark > Atomic.get watermark_g then
+      Atomic.set watermark_g t.watermark
 
   (* Offer one received record: dedup on seq, resequence gaps, apply
      every in-order record (including buffered successors a gap fill
-     releases). *)
+     releases).  A [repl.apply] fault escapes with the lock released and
+     the record unapplied; the redial delivers it again. *)
   let offer t r =
-    Mutex.lock t.mu;
-    let out =
-      if r.r_seq <= t.last_seq then begin
-        Atomic.incr dup_dropped_ctr;
-        `Dup
-      end
-      else if r.r_seq > t.last_seq + 1 then
-        if Hashtbl.length t.pending >= max_pending then `Overflow
-        else begin
-          Hashtbl.replace t.pending r.r_seq r;
-          `Buffered
-        end
+    Mutex.protect t.mu @@ fun () ->
+    if r.r_seq <= t.last_seq then begin
+      Atomic.incr dup_dropped_ctr;
+      `Dup
+    end
+    else if r.r_seq > t.last_seq + 1 then
+      if Hashtbl.length t.pending >= max_pending then `Overflow
       else begin
-        install t r;
-        let n = ref 1 in
-        let rec drain () =
-          match Hashtbl.find_opt t.pending (t.last_seq + 1) with
-          | Some nxt ->
-              Hashtbl.remove t.pending nxt.r_seq;
-              install t nxt;
-              incr n;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        `Applied !n
+        Hashtbl.replace t.pending r.r_seq r;
+        `Buffered
       end
-    in
-    Mutex.unlock t.mu;
-    out
+    else begin
+      install t r;
+      let n = ref 1 in
+      let rec drain () =
+        match Hashtbl.find_opt t.pending (t.last_seq + 1) with
+        | Some nxt ->
+            Hashtbl.remove t.pending nxt.r_seq;
+            install t nxt;
+            incr n;
+            drain ()
+        | None -> ()
+      in
+      drain ();
+      `Applied !n
+    end
 
   let last_seq t =
     Mutex.lock t.mu;

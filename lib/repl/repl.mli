@@ -120,13 +120,13 @@ module Apply : sig
   val offer :
     t -> record -> [ `Applied of int | `Dup | `Buffered | `Overflow ]
   (** Offer one received record.  In-order records install immediately
-      (each as one transaction, so replica readers never observe a
-      half-applied batch) together with any buffered successors the
-      gap fill releases — [`Applied n] counts them.  A record at or
-      below the cursor is [`Dup] (dropped, [repl_dup_dropped]); a
-      record past the next expected seq is [`Buffered] into a bounded
-      reorder buffer, or [`Overflow] when that buffer is full — the
-      caller must resync. *)
+      (each as one {!Txn.apply} commit, with no read phase, so replica
+      readers never observe a half-applied batch) together with any
+      buffered successors the gap fill releases — [`Applied n] counts
+      them.  A record at or below the cursor is [`Dup] (dropped,
+      [repl_dup_dropped]); a record past the next expected seq is
+      [`Buffered] into a bounded reorder buffer, or [`Overflow] when
+      that buffer is full — the caller must resync. *)
 
   val last_seq : t -> int
 

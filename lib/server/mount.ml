@@ -52,9 +52,9 @@ let exec (Mount { m = (module M); h; store }) (c : Protocol.command) :
     match c with
     | Protocol.Ping -> Protocol.Pong
     (* Data reads go through [Txn]'s serialized wrappers, not the bare
-       structure: a transactional install is a sequence of map calls,
-       and an unbracketed snapshot could observe its intermediate
-       state.  SCAN and SIZE below stay structure-level diagnostics. *)
+       structure: a multi-key install is a sequence of map calls, and
+       an unbracketed snapshot could observe its intermediate state.
+       SCAN and SIZE below stay structure-level diagnostics. *)
     | Protocol.Get k -> (
         match Txn.get store k with
         | Some v -> Protocol.Int v

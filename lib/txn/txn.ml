@@ -230,6 +230,71 @@ let unclaim (Store.Store st) token =
   Mutex.unlock st.mu
 
 (* ------------------------------------------------------------------ *)
+(* The install step, shared by a commit and a replica apply: latch the
+   written stripes in ascending order, enter the install window, draw
+   the versionstamp, [validate] against the held words, install each
+   write with one map call, tap the feed, and release every stripe to
+   the stamp.  A latch still busy past the spin bound, a failed
+   validation or a fault releases every latch untouched and raises
+   [Conflict]: nothing is installed before [fp_commit].                *)
+
+let install store ~spin ~validate writes =
+  match store with
+  | Store.Store st ->
+      let module M = (val st.m) in
+      (* (stripe, even word it was acquired from) *)
+      let held = ref [] in
+      let release_held () =
+        List.iter (fun (s, v) -> Atomic.set st.stripes.(s) v) !held
+      in
+      let acquire s =
+        let rec go n =
+          let v = Atomic.get st.stripes.(s) in
+          if v land 1 = 0 && Atomic.compare_and_set st.stripes.(s) v (v lor 1)
+          then held := (s, v) :: !held
+          else if n >= max_spin then begin
+            release_held ();
+            raise Conflict
+          end
+          else begin
+            Flock.Backoff.once spin;
+            go (n + 1)
+          end
+        in
+        go 0
+      in
+      List.iter acquire
+        (List.sort_uniq compare (List.map (fun (k, _) -> mix k land st.mask) writes));
+      Atomic.incr st.starts;
+      let vs = 1 + Atomic.fetch_and_add st.clock 1 in
+      (try
+         validate (fun s -> List.assoc_opt s !held);
+         Span.in_phase Span.Install (fun () ->
+             Fault.hit fp_commit;
+             List.iter
+               (function
+                 | k, Some v -> ignore (M.upsert st.h k v)
+                 | k, None -> ignore (M.delete st.h k))
+               writes;
+             (* Feed tap BEFORE the release: a conflicting later commit
+                cannot install (or emit) until these latches drop, so
+                per-key feed order equals stamp order. *)
+             emit_feed store vs writes;
+             List.iter (fun (s, _) -> Atomic.set st.stripes.(s) (vs lsl 1)) !held)
+       with e ->
+         release_held ();
+         Atomic.incr st.dones;
+         (match e with
+         | Conflict | Fault.Injected _ -> raise Conflict
+         | e -> raise e));
+      Atomic.incr st.dones;
+      vs
+
+let rec apply store writes =
+  try ignore (install store ~spin:(Flock.Backoff.create ()) ~validate:ignore writes)
+  with Conflict -> apply store writes
+
+(* ------------------------------------------------------------------ *)
 (* One attempt: read phase (building steps + read set + write buffer)
    then validate-and-install.  Raises [Conflict] to request a retry.   *)
 
@@ -392,119 +457,46 @@ let run_once store ops =
           ops
       in
       (* ---- commit ------------------------------------------------ *)
-      let validate_ranges () =
-        List.iter
-          (fun (lo, hi, fp) ->
-            if fp_pairs (M.range st.h lo hi) <> fp then raise Conflict)
-          !ranges
+      (* Re-check every recorded read against [held_at] (the words of
+         the stripes this commit latched) or the live stripe word, and
+         re-fingerprint ranges while no installer but the [self] this
+         attempt counts is in flight. *)
+      let validate ~self held_at =
+        Span.in_phase Span.Validate (fun () ->
+            Fault.hit fp_validate;
+            Hashtbl.iter
+              (fun s r ->
+                match held_at s with
+                | Some v0 -> if v0 <> r then raise Conflict
+                | None -> check s r)
+              reads;
+            if !ranges <> [] then begin
+              let s0 = Atomic.get st.starts in
+              if s0 <> Atomic.get st.dones + self then raise Conflict;
+              List.iter
+                (fun (lo, hi, fp) ->
+                  if fp_pairs (M.range st.h lo hi) <> fp then raise Conflict)
+                !ranges;
+              if Atomic.get st.starts <> s0 then raise Conflict
+            end)
       in
       if Hashtbl.length buf = 0 then begin
         (* Read-only: no stripe acquisition, no clock bump.  The
            versionstamp read sits between the read phase and the
            probes — see the serialization argument at the top. *)
         let vs = Atomic.get st.clock in
-        (try
-           Span.in_phase Span.Validate (fun () ->
-               Fault.hit fp_validate;
-               Hashtbl.iter (fun s r -> check s r) reads;
-               if !ranges <> [] then begin
-                 let s0 = Atomic.get st.starts in
-                 if s0 <> Atomic.get st.dones then raise Conflict;
-                 validate_ranges ();
-                 if Atomic.get st.starts <> s0 then raise Conflict
-               end)
+        (try validate ~self:0 (fun _ -> None)
          with Fault.Injected _ -> raise Conflict);
         (vs, steps)
       end
-      else begin
-        let wstripes =
-          List.sort_uniq compare
-            (Hashtbl.fold (fun k _ acc -> stripe_of k :: acc) buf [])
+      else
+        let writes =
+          Hashtbl.fold
+            (fun k e acc ->
+              (k, match e with W_put (v, _) -> Some v | W_del -> None) :: acc)
+            buf []
         in
-        (* stripe -> even word it was acquired from *)
-        let held : (int, int) Hashtbl.t = Hashtbl.create 8 in
-        let release_held () =
-          Hashtbl.iter (fun s v -> Atomic.set st.stripes.(s) v) held
-        in
-        let acquire s =
-          let rec go n =
-            let v = Atomic.get st.stripes.(s) in
-            if
-              v land 1 = 0
-              && Atomic.compare_and_set st.stripes.(s) v (v lor 1)
-            then Hashtbl.replace held s v
-            else if n >= max_spin then begin
-              release_held ();
-              raise Conflict
-            end
-            else begin
-              Flock.Backoff.once spin;
-              go (n + 1)
-            end
-          in
-          go 0
-        in
-        List.iter acquire wstripes;
-        Atomic.incr st.starts;
-        let vs = 1 + Atomic.fetch_and_add st.clock 1 in
-        (try
-           Span.in_phase Span.Validate (fun () ->
-               Fault.hit fp_validate;
-               Hashtbl.iter
-                 (fun s r ->
-                   match Hashtbl.find_opt held s with
-                   | Some v0 -> if v0 <> r then raise Conflict
-                   | None -> check s r)
-                 reads;
-               if !ranges <> [] then begin
-                 if Atomic.get st.starts <> Atomic.get st.dones + 1 then
-                   raise Conflict;
-                 let s0 = Atomic.get st.starts in
-                 validate_ranges ();
-                 if Atomic.get st.starts <> s0 then raise Conflict
-               end);
-           Span.in_phase Span.Install (fun () ->
-               (* The fault point precedes the first mutation, so a
-                  [Fail] rule aborts cleanly (nothing installed) and a
-                  pause/stall merely delays a commit that then
-                  completes — the leak-free contract. *)
-               Fault.hit fp_commit;
-               Hashtbl.iter
-                 (fun k e ->
-                   match e with
-                   | W_del -> ignore (M.delete st.h k)
-                   | W_put (v, true) ->
-                       ignore (M.delete st.h k);
-                       ignore (M.insert st.h k v)
-                   | W_put (v, false) -> ignore (M.insert st.h k v))
-                 buf;
-               (* Feed tap: emit the whole batch at its versionstamp
-                  BEFORE releasing the stripes — a conflicting later
-                  commit cannot install (or emit) until these latches
-                  drop, so per-key feed order equals stamp order. *)
-               (match Atomic.get st.feed with
-                | None -> ()
-                | Some _ ->
-                    emit_feed store vs
-                      (Hashtbl.fold
-                         (fun k e acc ->
-                           (match e with
-                            | W_put (v, _) -> (k, Some v)
-                            | W_del -> (k, None))
-                           :: acc)
-                         buf []));
-               Hashtbl.iter
-                 (fun s _ -> Atomic.set st.stripes.(s) (vs lsl 1))
-                 held)
-         with e ->
-           release_held ();
-           Atomic.incr st.dones;
-           (match e with
-           | Conflict | Fault.Injected _ -> raise Conflict
-           | e -> raise e));
-        Atomic.incr st.dones;
-        (vs, steps)
-      end
+        (install store ~spin ~validate:(validate ~self:1) writes, steps)
 
 let run store ops max_attempts =
   let b = Flock.Backoff.create () in
@@ -601,84 +593,93 @@ let grace_clock () =
    delete on absent) releases the stripe to its ORIGINAL version to
    avoid aborting readers over a state that did not change.            *)
 
-let single_write store k w apply =
+(* The word a contended stripe latch was taken from, or [-1] once the
+   grace ran out. *)
+let latch_slow cell =
+  let b = Flock.Backoff.create () in
+  let expired = grace_clock () in
+  let rec acq () =
+    if expired () then -1
+    else
+      let v = Atomic.get cell in
+      if v land 1 = 0 && Atomic.compare_and_set cell v (v lor 1) then v
+      else begin
+        Flock.Backoff.once b;
+        acq ()
+      end
+  in
+  acq ()
+
+(* [w] is [Some v] for an insert of [v], [None] for a delete. *)
+let write_one (type h) (m : (module Dstruct.Map_intf.MAP with type t = h)) (h : h) k w =
+  let module M = (val m) in
+  match w with Some v -> M.insert h k v | None -> M.delete h k
+
+let single_write store k w =
   match store with
   | Store.Store st ->
-      let s = mix k land st.mask in
-      let b = Flock.Backoff.create () in
-      let expired = grace_clock () in
-      let rec acq () =
-        if expired () then None
-        else
-          let v = Atomic.get st.stripes.(s) in
-          if v land 1 = 0 && Atomic.compare_and_set st.stripes.(s) v (v lor 1)
-          then Some v
-          else begin
-            Flock.Backoff.once b;
-            acq ()
-          end
+      let cell = st.stripes.(mix k land st.mask) in
+      (* One uncontended latch attempt first, before any retry state
+         exists: a write that meets no other writer allocates only what
+         the map and the feed do. *)
+      let v = Atomic.get cell in
+      let v0 =
+        if v land 1 = 0 && Atomic.compare_and_set cell v (v lor 1) then v
+        else latch_slow cell
       in
-      (match acq () with
-       | Some v0 ->
-           let changed =
-             try apply ()
-             with e ->
-               Atomic.set st.stripes.(s) v0;
-               raise e
-           in
-           if changed then begin
-             let vs = 1 + Atomic.fetch_and_add st.clock 1 in
-             (* Same discipline as the commit path: tap before the
-                stripe release so per-key feed order is stamp order. *)
-             emit_feed store vs [ (k, w) ];
-             Atomic.set st.stripes.(s) (vs lsl 1)
-           end
-           else Atomic.set st.stripes.(s) v0;
-           changed
-       | None ->
-           (* Grace exceeded: a latch holder is parked (crash-stop
-              chaos).  Apply latch-free — the structure itself is
-              lock-free via helping — and bump the version only if the
-              stripe is free; when it is still held, the parked
-              holder's eventual release changes the word, which
-              invalidates any reader that recorded it.               *)
-           let changed = apply () in
-           if changed then begin
-             let rec bump () =
-               let v = Atomic.get st.stripes.(s) in
-               if v land 1 = 0 then
-                 let nv = (1 + Atomic.fetch_and_add st.clock 1) lsl 1 in
-                 if not (Atomic.compare_and_set st.stripes.(s) v nv) then
-                   bump ()
-             in
-             bump ();
-             (* Degraded (crash-stop) window: best-effort tap at the
-                clock's current value; per-key ordering is already
-                conceded here, exactly-once is not (one emit per
-                applied write). *)
-             emit_feed store (Atomic.get st.clock) [ (k, w) ]
-           end;
-           changed)
+      if v0 >= 0 then begin
+        let changed =
+          try write_one st.m st.h k w
+          with e ->
+            Atomic.set cell v0;
+            raise e
+        in
+        if changed then begin
+          let vs = 1 + Atomic.fetch_and_add st.clock 1 in
+          (* Same discipline as the commit path: tap before the
+             stripe release so per-key feed order is stamp order. *)
+          emit_feed store vs [ (k, w) ];
+          Atomic.set cell (vs lsl 1)
+        end
+        else Atomic.set cell v0;
+        changed
+      end
+      else begin
+        (* Grace exceeded: a latch holder is parked (crash-stop
+           chaos).  Apply latch-free — the structure itself is
+           lock-free via helping — and bump the version only if the
+           stripe is free; when it is still held, the parked
+           holder's eventual release changes the word, which
+           invalidates any reader that recorded it.               *)
+        let changed = write_one st.m st.h k w in
+        if changed then begin
+          let rec bump () =
+            let v = Atomic.get cell in
+            if v land 1 = 0 then
+              let nv = (1 + Atomic.fetch_and_add st.clock 1) lsl 1 in
+              if not (Atomic.compare_and_set cell v nv) then bump ()
+          in
+          bump ();
+          (* Degraded (crash-stop) window: best-effort tap at the
+             clock's current value; per-key ordering is already
+             conceded here, exactly-once is not (one emit per
+             applied write). *)
+          emit_feed store (Atomic.get st.clock) [ (k, w) ]
+        end;
+        changed
+      end
 
-let put store k v =
-  match store with
-  | Store.Store st ->
-      let module M = (val st.m) in
-      single_write store k (Some v) (fun () -> M.insert st.h k v)
+let put store k v = single_write store k (Some v)
 
-let del store k =
-  match store with
-  | Store.Store st ->
-      let module M = (val st.m) in
-      single_write store k None (fun () -> M.delete st.h k)
+let del store k = single_write store k None
 
 (* ------------------------------------------------------------------ *)
 (* Serialized plain reads.  A structure-level snapshot (find /
    multifind / range) is atomic with respect to individual map calls
-   but NOT with respect to a transactional install, which is a
-   {e sequence} of map calls: a raw read can land between a commit's
-   [DEL k] and its [PUT k v] and observe a state no serial execution
-   produces.  These readers close that window seqlock-style: a result
+   but NOT with respect to a multi-key install, which is a {e sequence}
+   of map calls (one per key): a raw read can land between a transfer's
+   install of [a] and its install of [b] and observe a state no serial
+   execution produces.  These readers close that window seqlock-style: a result
    counts only if its bracket — the covering stripe words for point
    reads, the installer counters for ranges — held one even/quiet value
    across the whole structure read.  A failed bracket retries with

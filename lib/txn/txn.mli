@@ -136,6 +136,15 @@ val exec : ?token:int -> ?max_attempts:int -> Store.t -> op list -> outcome
     validate without acquiring any stripe and return the commit clock's
     current value as their versionstamp. *)
 
+val apply : Store.t -> (int * int option) list -> unit
+(** [apply store writes] installs committed state ([(k, Some v)] binds
+    [k] to [v], [(k, None)] unbinds it) with no read phase, through the
+    same install step as an {!exec} commit: latch the written stripes,
+    install each write with one map call ([MAP.upsert] or
+    [MAP.delete]), tap the feed, release.  A [txn.commit] fault or a
+    latch that stays busy releases the latches with nothing installed,
+    and the write set is installed again.  The replica's apply path. *)
+
 val put : Store.t -> int -> int -> bool
 (** Single-key insert through the stripe table: acquires the key's
     stripe, performs the insert, and releases to a fresh versionstamp
@@ -149,9 +158,9 @@ val del : Store.t -> int -> bool
 (** {1 Serialized plain reads}
 
     A structure-level snapshot is atomic against individual map calls
-    but not against a transactional install (a {e sequence} of map
-    calls): a raw read can observe the state between a commit's [DEL k]
-    and its [PUT k v] — a state no serial execution produces.  These
+    but not against a multi-key install (a {e sequence} of map calls,
+    one per key): a raw read can observe a transfer's [a] installed and
+    its [b] not yet — a state no serial execution produces.  These
     wrappers close that window seqlock-style and retry with backoff
     until a read overlapped no install, so every plain read returns a
     committed state.  The server routes GET/MGET/RANGE/RANGECOUNT

@@ -140,19 +140,21 @@ let test_multifind (module M : MAP) () =
 
 module IntMap = Map.Make (Int)
 
-type cmd = Cins of int * int | Cdel of int | Cfind of int
+type cmd = Cins of int * int | Cups of int * int | Cdel of int | Cfind of int
 
 let cmd_gen =
   QCheck.Gen.(
     frequency
       [
         (4, map2 (fun k v -> Cins (k, v)) (int_bound 400) (int_bound 10000));
+        (3, map2 (fun k v -> Cups (k, v)) (int_bound 400) (int_bound 10000));
         (3, map (fun k -> Cdel k) (int_bound 400));
         (2, map (fun k -> Cfind k) (int_bound 400));
       ])
 
 let cmd_print = function
   | Cins (k, v) -> Printf.sprintf "insert %d %d" k v
+  | Cups (k, v) -> Printf.sprintf "upsert %d %d" k v
   | Cdel k -> Printf.sprintf "delete %d" k
   | Cfind k -> Printf.sprintf "find %d" k
 
@@ -169,6 +171,10 @@ let model_agrees (module M : MAP) mode cmds =
           let expect = not (IntMap.mem k !model) in
           if expect then model := IntMap.add k v !model;
           M.insert t k v = expect
+      | Cups (k, v) ->
+          let expect = IntMap.mem k !model in
+          model := IntMap.add k v !model;
+          M.upsert t k v = expect
       | Cdel k ->
           let expect = IntMap.mem k !model in
           model := IntMap.remove k !model;
@@ -317,6 +323,81 @@ let test_multifind_atomic (module M : MAP) mode () =
   Domain.join r;
   Domain.join w;
   Alcotest.(check int) "multifind sees consistent cuts" 0 !violations
+
+(* Upsert atomicity: one domain overwrites a present key between two
+   values while others read it in snapshots.  On the structures whose
+   upsert is one cell swing the key is never absent; dlist and skiplist
+   compose delete then insert and are exempt. *)
+let single_step_upsert (module M : MAP) =
+  not (List.mem M.name [ "dlist"; "skiplist" ])
+
+let test_upsert_never_absent (module M : MAP) () =
+  let mode = if M.supports_mode V.Vptr.Ind_on_need then V.Vptr.Ind_on_need else V.Vptr.Plain in
+  V.reset ();
+  let t = M.create ~mode ~n_hint:64 () in
+  for k = 1 to 32 do
+    ignore (M.insert t k 0)
+  done;
+  let stop = Atomic.make false in
+  let writer () =
+    let i = ref 0 and misses = ref 0 in
+    while not (Atomic.get stop) do
+      incr i;
+      if not (M.upsert t 7 (1 + (!i land 1))) then incr misses
+    done;
+    !misses
+  in
+  let absent = Atomic.make 0 in
+  let reader () =
+    for _ = 1 to 4000 do
+      match M.multifind t [| 6; 7; 8 |] with
+      | [| Some _; Some _; Some _ |] -> ()
+      | _ -> Atomic.incr absent
+    done
+  in
+  let w = Domain.spawn writer in
+  let r = Domain.spawn reader in
+  reader ();
+  Domain.join r;
+  Atomic.set stop true;
+  Alcotest.(check int) "upsert always finds the key" 0 (Domain.join w);
+  Alcotest.(check int) "snapshots never see the key absent" 0 (Atomic.get absent);
+  Alcotest.(check bool) "value is one the writer wrote" true
+    (List.mem (M.find t 7) [ Some 0; Some 1; Some 2 ]);
+  M.check t
+
+(* Overwriting present keys replaces leaves one for one: no split, no
+   merge, no new node anywhere in the tree.  Keys go in scrambled, so
+   leaves sit at every occupancy, full ones (which an insert descent
+   would split) included. *)
+let test_btree_upsert_shape () =
+  V.reset ();
+  let module B = Dstruct.Btree in
+  let t = B.create ~n_hint:2048 () in
+  let key i = (i * 7919 mod 10007) * 3 in
+  for i = 1 to 2000 do
+    ignore (B.insert t (key i) i)
+  done;
+  let before = B.shape t in
+  for i = 1 to 2000 do
+    if not (B.upsert t (key i) (-i)) then Alcotest.fail "present key reported absent"
+  done;
+  Alcotest.(check (pair int int)) "(inner, leaves) unchanged" before (B.shape t);
+  B.check t;
+  Alcotest.(check (option int)) "value replaced" (Some (-500)) (B.find t (key 500));
+  Alcotest.(check bool) "absent key inserts" false (B.upsert t 1 1);
+  Alcotest.(check int) "size" 2001 (B.size t);
+  B.check t;
+  (* Absent keys fill leaves past full: those upserts split on the way
+     down as an insert would. *)
+  for i = 1 to 2000 do
+    if B.upsert t (key i + 1) i then Alcotest.fail "absent key reported present"
+  done;
+  Alcotest.(check int) "size after absent upserts" 4001 (B.size t);
+  B.check t;
+  for i = 1 to 2000 do
+    if B.find t (key i + 1) <> Some i then Alcotest.fail "upserted key missing"
+  done
 
 (* --- cross-shard bank atomicity (qcheck-randomized) -------------------- *)
 
@@ -487,6 +568,9 @@ let per_map_cases (module M : MAP) =
         case (M.name ^ " multifind atomic (Indirect)")
           (test_multifind_atomic (module M) V.Vptr.Indirect);
       ];
+      (if single_step_upsert (module M) then
+         [ case (M.name ^ " upsert never absent") (test_upsert_never_absent (module M)) ]
+       else []);
     ]
 
 let () =
@@ -496,4 +580,5 @@ let () =
       ("qcheck-model", qcheck_model_tests);
       ("sharded-bank", bank_qcheck_tests);
       ("alloc-budget", [ case "btree find on 100k keys" test_btree_find_alloc_budget ]);
+      ("upsert", [ case "btree overwrite keeps the shape" test_btree_upsert_shape ]);
     ]

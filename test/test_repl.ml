@@ -113,6 +113,44 @@ let test_apply_overflow () =
   | `Overflow -> ()
   | _ -> Alcotest.fail "reorder buffer never overflowed"
 
+(* A [txn.commit] fault on the apply path releases the latches with
+   nothing installed and the record installs again; a [repl.apply]
+   fault escapes with the apply lock released and the record
+   unapplied, so the redelivered record installs. *)
+let test_apply_under_faults () =
+  Verlib.reset ();
+  let store = mk_store () in
+  let a = Repl.Apply.create store in
+  let arm spec =
+    match F.plan_of_string spec with
+    | Ok p -> F.arm p
+    | Error e -> Alcotest.fail e
+  in
+  arm "seed=5;txn.commit:fail@p=0.5";
+  for i = 1 to 200 do
+    match Repl.Apply.offer a (record i i [ (i, Some i); (i + 1000, Some (-i)) ]) with
+    | `Applied 1 -> ()
+    | _ -> Alcotest.fail "in-order record not applied"
+  done;
+  let fired = F.fired_at "txn.commit" in
+  F.disarm ();
+  Alcotest.(check bool) "commit faults fired" true (fired > 0);
+  Alcotest.(check bool) "no latch leaked" true (Txn.Store.quiescent store);
+  for i = 1 to 200 do
+    if Txn.mget store [| i; i + 1000 |] <> [| Some i; Some (-i) |] then
+      Alcotest.failf "record %d not installed whole" i
+  done;
+  arm "repl.apply:fail@once";
+  let r = record 201 201 [ (5000, Some 1) ] in
+  (match Repl.Apply.offer a r with
+   | exception F.Injected _ -> ()
+   | _ -> Alcotest.fail "repl.apply fault did not fire");
+  F.disarm ();
+  (match Repl.Apply.offer a r with
+   | `Applied 1 -> ()
+   | _ -> Alcotest.fail "redelivered record not applied");
+  Alcotest.(check (option int)) "installed" (Some 1) (Txn.get store 5000)
+
 (* --- satellite: watermark monotonicity under dup/reorder chaos ------------ *)
 
 (* A fault plan drives the same dup/reorder interpretation the server's
@@ -693,6 +731,8 @@ let () =
             test_apply_dedup_and_gap;
           Alcotest.test_case "reorder buffer overflow" `Quick
             test_apply_overflow;
+          Alcotest.test_case "commit and apply faults" `Quick
+            test_apply_under_faults;
         ] );
       ( "chaos",
         [

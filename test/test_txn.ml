@@ -322,6 +322,52 @@ let test_abort_storm () =
   Alcotest.(check int) "money conserved exactly" (2 * writers * base) total;
   Dstruct.Btree.check h
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget of a plain write. *)
+
+(* Minor-heap words allocated by [n] calls of [f]. *)
+let minor_words_of n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* A plain PUT then DEL through [Txn] allocates what the same two map
+   calls allocate on an identical tree, plus the two feed records,
+   nothing more: the uncontended stripe latch builds no retry state.
+   Per record: the written [Some v] (PUT only, 2 words), the one-write
+   list and its pair (6), the log's record (4) and ring slot (2). *)
+let test_single_write_alloc_budget () =
+  Verlib.reset ();
+  let module B = Dstruct.Btree in
+  let n = 4096 in
+  let tree () =
+    let h = B.create ~n_hint:n () in
+    for k = 1 to n do
+      ignore (B.insert h (2 * k) k)
+    done;
+    h
+  in
+  let bare = tree () in
+  let store = T.Store.create (module B) (tree ()) in
+  Repl.Log.tap (Repl.Log.create ~capacity:64 ()) store;
+  let calls = 4096 in
+  let pair put del =
+    let i = ref 0 in
+    minor_words_of calls (fun () ->
+        i := (!i + 1) mod n;
+        let k = (2 * !i) + 1 in
+        if not (put k !i && del k) then Alcotest.fail "write refused")
+  in
+  let map = pair (B.insert bare) (B.delete bare) in
+  let txn = pair (T.put store) (T.del store) in
+  let per_pair = (txn -. map) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per PUT+DEL beyond the map's <= 26" per_pair)
+    true (per_pair <= 26.)
+
 let () =
   Alcotest.run "txn"
     [
@@ -330,4 +376,7 @@ let () =
         [ case "replay is exactly-once" test_token_replay;
           case "concurrent same-token race" test_token_race ] );
       ("chaos", [ case "abort-storm: exact sums, no leaks" test_abort_storm ]);
+      ( "alloc-budget",
+        [ case "plain PUT/DEL: the feed record, nothing more"
+            test_single_write_alloc_budget ] );
     ]
