@@ -86,8 +86,6 @@ let row_of_result ~figure ~label (r : D.result) =
     r_retries = 0;
     r_shed = 0;
     r_giveups = 0;
-    r_walk_saturation = 0;
-    r_phases = [];
     r_alloc_bytes_per_op = r.D.alloc_bytes_per_op;
     r_gc_minor = r.D.gc_minor;
     r_gc_major = r.D.gc_major;
@@ -385,8 +383,6 @@ let fig12 () =
             r_retries = 0;
             r_shed = 0;
             r_giveups = 0;
-            r_walk_saturation = 0;
-            r_phases = [];
             r_alloc_bytes_per_op = 0.;
             r_gc_minor = 0;
             r_gc_major = 0;
@@ -460,8 +456,8 @@ let extra_skiplist () =
    ([Dstruct.Sharded]), same mixed workload as Figure 8 (20% updates +
    multifinds).  Every multifind crosses shards under ONE snapshot, so
    the sweep measures what partitioning costs when atomicity is an O(1)
-   timestamp read — the row set `make bench-check` gates, and the
-   embedded counterpart of the served sweep in `make serve-baseline`.
+   timestamp read — the row set `make bench-check` gates, and the gate
+   for sharded maps (a served mount routes through the same maps).
    Shard count 1 is the bare base structure (the combinator absent, not
    merely degenerate), making the x1 column a direct overhead
    reference. *)
@@ -568,8 +564,6 @@ let txn_fig () =
           r_retries = retries;
           r_shed = 0;
           r_giveups = aborts;
-          r_walk_saturation = 0;
-          r_phases = [];
           r_alloc_bytes_per_op = 0.;
           r_gc_minor = 0;
           r_gc_major = 0;

@@ -6,8 +6,9 @@
                      [--lat-threshold PCT] [--figures f1,f2,...]
 
    --figures restricts the comparison to the listed figure ids on both
-   sides — how the serve-smoke target gates only the served-throughput
-   rows against the full committed baseline.
+   sides — how repl-smoke gates only the replication rows, and
+   bench-check only the in-process figures, against the full committed
+   baseline.
 
    Exit codes: 0 = within threshold, 1 = regression or missing rows,
    2 = unreadable input / usage error.  The threshold defaults to 50%

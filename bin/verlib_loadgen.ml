@@ -7,10 +7,11 @@
      updates, uniform or Zipfian keys), sends batches of [--pipeline]
      commands and reads the replies back-to-back.  Batch round-trip
      latency is recorded into the existing [Verlib.Obs] histograms
-     (attributed to the batch's first command kind), so the report and
-     JSON plumbing is shared with the in-process harness.  With [--json]
-     the run emits [Harness.Bench_json] schema-v1 rows (figure "serve"
-     by default) that gate through bench_diff like any other benchmark.
+     (attributed to the batch's first command kind), so the report
+     plumbing is shared with the in-process harness.  The run checks
+     replies, the served census and (optionally) traces, metrics and
+     profiles; it writes no benchmark rows — served throughput is
+     perfbench's (perfbench/run.py).
 
    - [--mix bank]: the serializability workload.  Writer domains own
      disjoint account pairs (a = 2i+1, b = 2i+2, both seeded with BASE)
@@ -115,20 +116,6 @@ let no_fill =
 let ci =
   Arg.(value & flag & info [ "ci" ]
        ~doc:"Smoke scale: clamps size to 1000 and duration to 0.5s.")
-
-let json_out =
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-       ~doc:"Write Bench_json schema-v1 rows (figure $(b,--figure)) to $(docv).")
-
-let merge_into =
-  Arg.(value & opt (some string) None & info [ "merge-into" ] ~docv:"BASE"
-       ~doc:"With $(b,--json), merge the rows into the doc read from \
-             $(docv) (replacing same figure+label rows) instead of \
-             writing a fresh doc.")
-
-let figure =
-  Arg.(value & opt string "serve" & info [ "figure" ]
-       ~doc:"Figure id for emitted Bench_json rows.")
 
 let stats_out =
   Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE"
@@ -662,17 +649,6 @@ let gauge_of_stats raw name =
       | Some f -> int_of_float f
       | None -> 0)
 
-(* A top-level numeric field of the STATS JSON; 0. when absent. *)
-let top_of_stats raw name =
-  match Harness.Jsonlite.parse_result raw with
-  | Error _ -> 0.
-  | Ok j -> (
-      match
-        Option.bind (Harness.Jsonlite.member name j) Harness.Jsonlite.to_number
-      with
-      | Some f -> f
-      | None -> 0.)
-
 let census_of_stats raw =
   match Harness.Jsonlite.parse_result raw with
   | Error e -> Error ("STATS json: " ^ e)
@@ -709,63 +685,12 @@ let us_percentiles kind =
     ( Verlib.Hwclock.to_us s.Verlib.Obs.Hist.s_p50,
       Verlib.Hwclock.to_us s.Verlib.Obs.Hist.s_p99 )
 
-let row ~figure ~label ~mops ~p50 ~p99 ?(retries = 0) ?(shed = 0)
-    ?(giveups = 0) ?(walk_saturation = 0) ?(phases = [])
-    ?(alloc_bytes_per_op = 0.) ?(gc_minor = 0) ?(gc_major = 0) census =
-  {
-    Harness.Bench_json.r_figure = figure;
-    r_label = label;
-    r_mops = mops;
-    r_p50_us = p50;
-    r_p99_us = p99;
-    r_chain_max = (match census with Some c -> c.sc_chain_max | None -> 0);
-    r_chain_p99 = (match census with Some c -> c.sc_chain_p99 | None -> 0);
-    r_indirect_links = (match census with Some c -> c.sc_indirect | None -> 0);
-    r_reclaimable = (match census with Some c -> c.sc_reclaimable | None -> 0);
-    r_violations = (match census with Some c -> c.sc_violations | None -> 0);
-    r_space_bytes = 0.;
-    r_retries = retries;
-    r_shed = shed;
-    r_giveups = giveups;
-    r_walk_saturation = walk_saturation;
-    r_phases = phases;
-    r_alloc_bytes_per_op = alloc_bytes_per_op;
-    r_gc_minor = gc_minor;
-    r_gc_major = gc_major;
-  }
-
-let write_rows ~json_out ~merge_into ~ci rows =
-  match json_out with
-  | None -> ()
-  | Some path ->
-      let doc =
-        match merge_into with
-        | Some base -> (
-            match Harness.Bench_json.read_file base with
-            | Ok d -> Harness.Bench_json.merge_rows d rows
-            | Error e ->
-                Printf.eprintf
-                  "verlib_loadgen: cannot merge into %s (%s); writing fresh doc\n"
-                  base e;
-                Harness.Bench_json.make_doc ~label:"serve"
-                  ~scale:(if ci then "ci" else "quick")
-                  rows)
-        | None ->
-            Harness.Bench_json.make_doc ~label:"serve"
-              ~scale:(if ci then "ci" else "quick")
-              rows
-      in
-      Harness.Bench_json.write_file path doc;
-      Printf.eprintf "verlib_loadgen: %d row(s) -> %s\n%!" (List.length rows)
-        path
-
 (* --- trace-sample join ---------------------------------------------------- *)
 
 let phase_sum (t : P.trace_info) =
   List.fold_left (fun acc (_, v) -> acc +. v) 0. t.P.t_phase_us
 
-(* Mean µs per phase across the samples, in canonical phase order —
-   these become the row's ["phases"] object in the Bench_json output. *)
+(* Mean µs per phase across the samples, in canonical phase order. *)
 let mean_phases samples =
   let n = List.length samples in
   if n = 0 then []
@@ -818,7 +743,7 @@ let json_of_samples samples =
    un-attributed wire + syscall time on either side of the span. *)
 let report_trace_join ~trace_out ~exit_bad samples =
   match samples with
-  | [] -> []
+  | [] -> ()
   | _ ->
       let n = List.length samples in
       let covs =
@@ -854,8 +779,7 @@ let report_trace_join ~trace_out ~exit_bad samples =
            output_string oc (json_of_samples samples);
            output_char oc '\n';
            close_out oc;
-           Printf.eprintf "verlib_loadgen: %d trace sample(s) -> %s\n%!" n path);
-      phases
+           Printf.eprintf "verlib_loadgen: %d trace sample(s) -> %s\n%!" n path)
 
 (* Fetch + strictly validate the METRICS exposition; a server whose
    metrics plane emits unparsable text fails the run. *)
@@ -975,8 +899,8 @@ let check_idle_pool ~exit_bad fds =
 (* --- driver --------------------------------------------------------------- *)
 
 let run host port failover threads depth size updates query theta duration seed
-    mix pairs no_fill ci json_out merge_into figure stats_out trace_sample
-    trace_out metrics_out profile_out rt_attempts faults idle_conns =
+    mix pairs no_fill ci stats_out trace_sample trace_out metrics_out
+    profile_out rt_attempts faults idle_conns =
   install_signal_handlers ();
   failover_eps := failover;
   let rt_attempts = if rt_attempts > 0 then Some rt_attempts else None in
@@ -1110,24 +1034,6 @@ let run host port failover threads depth size updates query theta duration seed
            exit_bad := true);
       check_metrics ~host ~port ~exit_bad metrics_out;
       check_profile ~host ~port ~exit_bad profile_out;
-      (* One row per bank run so the liveness figures ([giveups] —
-         asserted zero below — and wire retries) gate through
-         bench_diff like the throughput rows do. *)
-      if json_out <> None then begin
-        let census, walk_saturation =
-          match stats_raw with
-          | None -> (None, 0)
-          | Some raw ->
-              ( (match census_of_stats raw with Ok c -> c | Error _ -> None),
-                gauge_of_stats raw "diag_walk_saturated" )
-        in
-        let mops = float_of_int transfers /. elapsed /. 1e6 in
-        write_rows ~json_out ~merge_into ~ci
-          [
-            row ~figure ~label:"bank" ~mops ~p50:0. ~p99:0. ~retries ~shed
-              ~giveups ~walk_saturation census;
-          ]
-      end;
       if checks = 0 then begin
         print_endline "bank: FAIL — no atomic checks completed";
         exit_bad := true
@@ -1173,9 +1079,6 @@ let run host port failover threads depth size updates query theta duration seed
             Array.fold_left
               (fun acc s -> acc + Array.fold_left ( + ) 0 s.ops)
               0 stats
-          in
-          let kind_ops k =
-            Array.fold_left (fun acc s -> acc + s.ops.(kind_index k)) 0 stats
           in
           let errors = Array.fold_left (fun acc s -> acc + s.errors) 0 stats in
           let retries =
@@ -1231,15 +1134,6 @@ let run host port failover threads depth size updates query theta duration seed
                     exit_bad := true;
                     None)
           in
-          (* The bounded-walk saturation gauge of the server's census
-             walker (docs/OBSERVABILITY.md) — surfaced into the row so a
-             saturated (hence under-counting) census is visible in the
-             benchmark trail. *)
-          let walk_saturation =
-            match stats_raw with
-            | Some raw -> gauge_of_stats raw "diag_walk_saturated"
-            | None -> 0
-          in
           (match census with
            | Some c ->
                Printf.printf
@@ -1252,34 +1146,9 @@ let run host port failover threads depth size updates query theta duration seed
           let samples =
             Array.fold_left (fun acc s -> s.samples @ acc) [] stats
           in
-          let phases = report_trace_join ~trace_out ~exit_bad samples in
+          report_trace_join ~trace_out ~exit_bad samples;
           check_metrics ~host ~port ~exit_bad metrics_out;
           check_profile ~host ~port ~exit_bad profile_out;
-          let qmops = float_of_int (kind_ops qkind) /. elapsed /. 1e6 in
-          (* Server-side allocation rate, from the cumulative
-             [gc_alloc_bytes] gauge over the server's command total —
-             includes the fill phase, so it is an upper bound on the
-             steady-state per-op allocation. *)
-          let alloc_bytes_per_op, gc_minor, gc_major =
-            match stats_raw with
-            | None -> (0., 0, 0)
-            | Some raw ->
-                let alloc = float_of_int (gauge_of_stats raw "gc_alloc_bytes") in
-                let cmds = top_of_stats raw "commands_total" in
-                ( (if cmds > 0. && alloc > 0. then alloc /. cmds else 0.),
-                  gauge_of_stats raw "gc_minor_collections",
-                  gauge_of_stats raw "gc_major_collections" )
-          in
-          let rows =
-            [
-              row ~figure ~label:"total" ~mops ~p50:qp50 ~p99:qp99 ~retries
-                ~shed ~walk_saturation ~phases ~alloc_bytes_per_op ~gc_minor
-                ~gc_major census;
-              row ~figure ~label:(kind_name qkind) ~mops:qmops ~p50:qp50
-                ~p99:qp99 census;
-            ]
-          in
-          write_rows ~json_out ~merge_into ~ci rows;
           if errors > 0 then exit_bad := true;
           if total_ops = 0 then begin
             print_endline "served: FAIL — no operations completed";
@@ -1294,9 +1163,8 @@ let cmd =
     (Cmd.info "verlib_loadgen" ~doc)
     Term.(
       const run $ host $ port $ failover_to $ threads $ depth $ size $ updates
-      $ query $ theta
-      $ duration $ seed $ mix $ pairs $ no_fill $ ci $ json_out $ merge_into
-      $ figure $ stats_out $ trace_sample $ trace_out $ metrics_out
-      $ profile_out $ rt_attempts $ faults $ idle_conns)
+      $ query $ theta $ duration $ seed $ mix $ pairs $ no_fill $ ci
+      $ stats_out $ trace_sample $ trace_out $ metrics_out $ profile_out
+      $ rt_attempts $ faults $ idle_conns)
 
 let () = exit (Cmd.eval cmd)

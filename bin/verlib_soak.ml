@@ -427,8 +427,6 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
            r_retries = retries;
            r_shed = Server.shed_count primary;
            r_giveups = 0;
-           r_walk_saturation = 0;
-           r_phases = [];
            r_alloc_bytes_per_op = 0.;
            r_gc_minor = 0;
            r_gc_major = 0;

@@ -185,9 +185,6 @@ module Span = struct
     [ Accept; Queue; Parse; Shed; Route; Snapshot; Op; Reply; Stall;
       Validate; Install ]
 
-  let phase_of_name n =
-    List.find_opt (fun p -> phase_name p = n) phases
-
   type t = {
     mutable sp_trace_id : int;  (** 0 = untraced *)
     mutable sp_cmd : string;

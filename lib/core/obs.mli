@@ -123,8 +123,6 @@ module Span : sig
   val phase_name : phase -> string
   (** Lower-case wire/report name ([accept], [queue], ...). *)
 
-  val phase_of_name : string -> phase option
-
   type t = {
     mutable sp_trace_id : int;  (** 0 = untraced *)
     mutable sp_cmd : string;

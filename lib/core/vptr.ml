@@ -9,8 +9,6 @@ let mode_name = function
   | Rec_once -> "RecOnce"
   | Plain -> "Non-versioned"
 
-let all_modes = [ Indirect; No_shortcut; Ind_on_need; Rec_once; Plain ]
-
 type 'a desc = {
   meta_of : 'a -> 'a meta;
   value_of : 'a -> 'a;
@@ -427,40 +425,17 @@ let walk_saturation_count () = Atomic.get walk_saturated
 let (_ : Flock.Telemetry.Gauge.t) =
   Flock.Telemetry.Gauge.make "diag_walk_saturated" walk_saturation_count
 
-let rec walk d v depth oldest =
+let rec walk d v depth =
   if depth >= diag_walk_cap then begin
     Atomic.incr walk_saturated;
-    (depth, oldest)
+    depth
   end
-  else if v == d.null then (depth, oldest)
+  else if v == d.null then depth
   else
     let m = d.meta_of v in
     let s = Atomic.get m.stamp in
-    if s = Stamp.tbd || s > Stamp.zero then walk d m.prev (depth + 1) s
-    else (depth + 1, s)
+    if s = Stamp.tbd || s > Stamp.zero then walk d m.prev (depth + 1)
+    else depth + 1
 
 let version_depth d p =
-  if d.dmode = Plain then 1 else fst (walk d (Atomic.get p) 0 Stamp.zero)
-
-let oldest_reachable_stamp d p =
-  if d.dmode = Plain then Stamp.zero else snd (walk d (Atomic.get p) 0 Stamp.zero)
-
-(* Raw diagnostic description of a pointer's version chain. *)
-let unsafe_describe d p =
-  let b = Buffer.create 64 in
-  let rec chain v depth =
-    if depth > 6 then Buffer.add_string b " ..."
-    else if v == d.null then Buffer.add_string b " null"
-    else begin
-      let m = d.meta_of v in
-      let s = Atomic.get m.stamp in
-      (if is_link d v then
-         Buffer.add_string b
-           (Printf.sprintf " link(s=%d,v=%s)" s
-              (if d.value_of v == d.null then "null" else "obj"))
-       else Buffer.add_string b (Printf.sprintf " obj(s=%d)" s));
-      chain m.prev (depth + 1)
-    end
-  in
-  chain (Atomic.get p) 0;
-  Buffer.contents b
+  if d.dmode = Plain then 1 else walk d (Atomic.get p) 0

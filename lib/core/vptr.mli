@@ -46,8 +46,6 @@ type mode =
 
 val mode_name : mode -> string
 
-val all_modes : mode list
-
 type 'a desc
 (** Per-structure description: how to reach a version's metadata, how
     links and null are represented, and which mode the structure runs
@@ -144,11 +142,6 @@ val version_depth : 'a desc -> 'a t -> int
     capped at {!diag_walk_cap}; a capped result is counted by
     {!walk_saturation_count} and the [diag_walk_saturated] gauge). *)
 
-val oldest_reachable_stamp : 'a desc -> 'a t -> int
-(** Stamp of the oldest version {!version_depth} reaches; under the same
-    cap, so on a saturated walk this is the oldest stamp {e seen}, not
-    the oldest in history. *)
-
 val diag_walk_cap : int
 (** Upper bound on the diagnostic chain walks above — a pinned snapshot
     can hold O(history) versions live, and a diagnostic must not turn
@@ -158,5 +151,3 @@ val walk_saturation_count : unit -> int
 (** How many diagnostic walks hit {!diag_walk_cap} since start
     (monotone; also exported as the [diag_walk_saturated] gauge). *)
 
-val unsafe_describe : 'a desc -> 'a t -> string
-(** Racy rendering of the version chain, for debugging. *)

@@ -177,12 +177,6 @@ module Point = struct
 
   let name p = p.pt_name
 
-  let all_names () =
-    Mutex.lock registry_mutex;
-    let l = List.rev_map (fun p -> p.pt_name) !registry in
-    Mutex.unlock registry_mutex;
-    l
-
   let find pt_name =
     Mutex.lock registry_mutex;
     let p = List.find_opt (fun p -> p.pt_name = pt_name) !registry in

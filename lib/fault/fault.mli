@@ -133,9 +133,6 @@ module Point : sig
       calling [make] twice with one name returns the same point. *)
 
   val name : t -> string
-
-  val all_names : unit -> string list
-  (** Registered points, registration order — the live catalogue. *)
 end
 
 val hit : Point.t -> unit

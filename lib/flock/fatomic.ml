@@ -23,5 +23,3 @@ let cam t ~old_v ~new_v =
     let new_box = Idem.once (fun () -> { v = new_v }) in
     ignore (Atomic.compare_and_set t old_box new_box)
   end
-
-let unsafe_plain_store t x = Atomic.set t { v = x }

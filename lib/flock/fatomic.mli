@@ -31,7 +31,3 @@ val cam : 'a t -> old_v:'a -> new_v:'a -> unit
 (** Compare-and-modify: atomically set the cell to [new_v] if its current
     value is physically equal to [old_v].  Does not report success — that
     restriction is what makes it implementable idempotently (FLOCK). *)
-
-val unsafe_plain_store : 'a t -> 'a -> unit
-(** Non-idempotent store, bypassing the log.  Only for provably benign
-    helping races (cf. Theorem 6.2 of the paper). *)

@@ -177,8 +177,6 @@ let create ?mode ?site () =
   let mode = match mode with Some m -> m | None -> default_mode () in
   { state = Atomic.make unlocked; mode; site = Option.map Site.make site }
 
-let mode_of t = t.mode
-
 (* Distribution of [with_lock] acquisition retries (failed [try_lock]
    attempts before success).  Uncontended acquisitions (0 retries) are
    not recorded so the uncontended fast path stays store-free; derive
@@ -210,8 +208,6 @@ let retire_count () = Atomic.get retires
 let new_obj f = Idem.once f
 
 let retire _x = Atomic.incr retires
-
-let holding_lock () = Idem.in_frame ()
 
 (* Run [d]'s thunk (as owner or helper), record the agreed outcome and
    release the lock.  Safe to call repeatedly and concurrently: the thunk

@@ -31,8 +31,6 @@ val create : ?mode:mode -> ?site:string -> unit -> t
     edges — see {!site_summaries}).  Unlabelled locks skip per-site
     accounting entirely. *)
 
-val mode_of : t -> mode
-
 (** {1 Lock-contention profiler}
 
     Per-site counters are slot-sharded plain stores (exact at
@@ -87,10 +85,6 @@ val retire : 'a -> unit
     count is a plain increment: call sites inside critical sections gate
     it through {!Idem.claim} so one retirement counts once per critical
     section, never once per helper (as {!Vptr} does). *)
-
-val holding_lock : unit -> bool
-(** Whether the calling domain is currently inside a lock-free critical
-    section (its own or one it is helping). *)
 
 val help_count : unit -> int
 (** Number of critical sections executed via the helping path since start

@@ -22,13 +22,9 @@ type row = {
   r_reclaimable : int;
   r_violations : int;
   r_space_bytes : float;  (* bytes per entry; 0. when not measured *)
-  r_retries : int;  (* client wire retries absorbed by the run (serve rows) *)
-  r_shed : int;  (* -BUSY sheds observed by the run (serve rows) *)
+  r_retries : int;  (* retries absorbed by the run (txn, repl rows) *)
+  r_shed : int;  (* -BUSY sheds observed by the run (repl rows) *)
   r_giveups : int;  (* operations abandoned after retry exhaustion *)
-  r_walk_saturation : int;  (* bounded chain walks that hit the cap (PR 5) *)
-  r_phases : (string * float) list;
-      (* mean per-request phase decomposition in µs (serve rows with
-         tracing on); empty = not measured *)
   r_alloc_bytes_per_op : float;
       (* GC-allocated bytes per completed operation (minor + direct
          major words, per-worker deltas); 0. = not measured *)
@@ -55,7 +51,7 @@ let make_doc ?(label = "") ?(scale = "quick") rows =
 
 (* Merge fresh rows into an existing doc: a row with the same
    (figure, label) replaces the old one in place, new rows append at the
-   end — how the served-throughput figures join the committed benchmark
+   end — how the replication figures join the committed benchmark
    baseline without rewriting it. *)
 let merge_rows d rows =
   let replaced =
@@ -84,28 +80,15 @@ let merge_rows d rows =
 (* --- rendering ---------------------------------------------------------- *)
 
 let json_of_row r =
-  (* Post-baseline fields are emitted only when non-zero / non-empty:
-     the committed baseline predates them and stays byte-comparable for
-     fault-free untraced runs. *)
+  (* Post-baseline fields are emitted only when non-zero: the committed
+     baseline predates them and stays byte-comparable for fault-free
+     runs. *)
   let resilience =
     if r.r_retries = 0 && r.r_shed = 0 then ""
     else Printf.sprintf ",\"retries\":%d,\"shed\":%d" r.r_retries r.r_shed
   in
-  let diag =
-    (if r.r_giveups = 0 then "" else Printf.sprintf ",\"giveups\":%d" r.r_giveups)
-    ^
-    if r.r_walk_saturation = 0 then ""
-    else Printf.sprintf ",\"walk_saturation\":%d" r.r_walk_saturation
-  in
-  let phases =
-    if r.r_phases = [] then ""
-    else
-      Printf.sprintf ",\"phases\":{%s}"
-        (String.concat ","
-           (List.map
-              (fun (name, us) ->
-                Printf.sprintf "\"%s\":%.3f" (Jsonlite.escape name) us)
-              r.r_phases))
+  let giveups =
+    if r.r_giveups = 0 then "" else Printf.sprintf ",\"giveups\":%d" r.r_giveups
   in
   let gc =
     (if r.r_alloc_bytes_per_op = 0. then ""
@@ -119,10 +102,10 @@ let json_of_row r =
   Printf.sprintf
     "{\"figure\":\"%s\",\"label\":\"%s\",\"mops\":%.6f,\"p50_us\":%.3f,\
      \"p99_us\":%.3f,\"chain_max\":%d,\"chain_p99\":%d,\"indirect_links\":%d,\
-     \"reclaimable\":%d,\"violations\":%d,\"space_bytes\":%.1f%s%s%s%s}"
+     \"reclaimable\":%d,\"violations\":%d,\"space_bytes\":%.1f%s%s%s}"
     (Jsonlite.escape r.r_figure) (Jsonlite.escape r.r_label) r.r_mops r.r_p50_us
     r.r_p99_us r.r_chain_max r.r_chain_p99 r.r_indirect_links r.r_reclaimable
-    r.r_violations r.r_space_bytes resilience diag phases gc
+    r.r_violations r.r_space_bytes resilience giveups gc
 
 let to_json d =
   let b = Buffer.create 4096 in
@@ -171,23 +154,11 @@ let row_of_json j =
   let retries = opt_int "retries" in
   let shed = opt_int "shed" in
   let giveups = opt_int "giveups" in
-  let walk_saturation = opt_int "walk_saturation" in
   let alloc_bytes_per_op =
     match num "alloc_bytes_per_op" j with Some v -> v | None -> 0.
   in
   let gc_minor = opt_int "gc_minor" in
   let gc_major = opt_int "gc_major" in
-  let phases =
-    match Jsonlite.member "phases" j with
-    | Some (Jsonlite.Obj members) ->
-        List.filter_map
-          (fun (k, v) ->
-            match Jsonlite.to_number v with
-            | Some f -> Some (k, f)
-            | None -> None)
-          members
-    | Some _ | None -> []
-  in
   Some
     {
       r_figure = figure;
@@ -204,8 +175,6 @@ let row_of_json j =
       r_retries = retries;
       r_shed = shed;
       r_giveups = giveups;
-      r_walk_saturation = walk_saturation;
-      r_phases = phases;
       r_alloc_bytes_per_op = alloc_bytes_per_op;
       r_gc_minor = gc_minor;
       r_gc_major = gc_major;

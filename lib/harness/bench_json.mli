@@ -23,20 +23,13 @@ type row = {
   r_violations : int;  (** census chain-invariant violations (want 0) *)
   r_space_bytes : float;  (** bytes per entry; 0. when not measured *)
   r_retries : int;
-      (** client wire retries the run absorbed (serve rows; parsed as 0
-          from pre-resilience files, serialised only when non-zero) *)
+      (** retries the run absorbed (txn validation conflicts, repl wire
+          retries; parsed as 0 from pre-resilience files, serialised only
+          when non-zero) *)
   r_shed : int;  (** [-BUSY] sheds the run observed (same conventions) *)
   r_giveups : int;
-      (** operations abandoned after retry exhaustion (loadgen bank mix;
-          same serialisation conventions as [r_retries]) *)
-  r_walk_saturation : int;
-      (** bounded chain walks that hit the per-walk version cap — the
-          PR-5 saturation diagnostic, surfaced from the
-          [diag_walk_saturated] gauge *)
-  r_phases : (string * float) list;
-      (** mean per-request phase decomposition in µs, from server-side
-          request spans (serve rows with tracing); empty = not measured,
-          omitted from the serialisation *)
+      (** operations abandoned after retry exhaustion (txn rows; same
+          serialisation conventions as [r_retries]) *)
   r_alloc_bytes_per_op : float;
       (** GC-allocated bytes per completed operation (minor + direct
           major words summed over per-worker [Gc.quick_stat] deltas);
@@ -61,14 +54,15 @@ val make_doc : ?label:string -> ?scale:string -> row list -> doc
 
 val merge_rows : doc -> row list -> doc
 (** Replace rows with matching (figure, label), append the rest — used
-    to fold served-throughput rows into the committed baseline. *)
+    to fold the replication rows into the committed baseline. *)
 
 val to_json : doc -> string
 
 val write_file : string -> doc -> unit
 
 val of_string : string -> (doc, string) result
-(** Strict parse + schema-version check. *)
+(** Strict parse + schema-version check.  Keys this schema no longer
+    carries (older docs' [phases], [walk_saturation]) are ignored. *)
 
 val read_file : string -> (doc, string) result
 

@@ -292,6 +292,31 @@ let test_stalled_reclaimer () =
   done;
   Alcotest.(check int) "epoch_lag recovered after release" 0 (Epoch.epoch_lag ())
 
+(* A [fail] rule at [epoch.enter] fires with the domain already
+   announced; [with_epoch] must withdraw the announcement before the
+   exception leaves, or the leaked pin holds [passed] false and
+   [epoch_lag] up for good. *)
+let test_enter_fail_unpins () =
+  let open Flock in
+  F.arm (mkplan [ rule "epoch.enter" F.Once (F.Fail (F.Injected "enter")) ]);
+  (match Epoch.with_epoch (fun () -> ()) with
+   | () -> Alcotest.fail "epoch.enter fail rule did not raise"
+   | exception F.Injected m -> Alcotest.(check string) "message" "enter" m);
+  F.disarm ();
+  Alcotest.(check bool) "not left inside an epoch" false (Epoch.in_epoch ());
+  (* checked before this domain enters again: its next entry would
+     overwrite a leaked announcement and hide it *)
+  Alcotest.(check bool) "no leaked pin: passed" true
+    (Epoch.passed (Epoch.current_epoch ()));
+  let churn =
+    Domain.spawn (fun () ->
+        for _ = 1 to 4 do
+          Epoch.with_epoch (fun () -> ())
+        done)
+  in
+  Domain.join churn;
+  Alcotest.(check int) "no leaked pin: lag 0" 0 (Epoch.epoch_lag ())
+
 (* --- live server helpers ------------------------------------------------ *)
 
 let start_server ?(domains = 4) ?(census_interval = 0.) ?(max_conns = 0) map =
@@ -455,6 +480,8 @@ let () =
         [
           Alcotest.test_case "stalled reclaimer: lag up then down" `Quick
             test_stalled_reclaimer;
+          Alcotest.test_case "enter fail leaves no pin" `Quick
+            test_enter_fail_unpins;
         ] );
       ( "wire",
         [

@@ -401,18 +401,12 @@ let test_epoch_nesting () =
           Alcotest.(check bool) "nested inside" true (Flock.Epoch.in_epoch ())));
   Alcotest.(check bool) "outside again" false (Flock.Epoch.in_epoch ())
 
-let test_epoch_defer_runs_after_quiescence () =
-  let ran = ref false in
-  Flock.with_epoch (fun () ->
-      Flock.Epoch.defer (fun () -> ran := true);
-      Alcotest.(check bool) "not yet (same epoch active)" false !ran);
-  (* leaving the epoch flushes; a following epoch ensures advancement *)
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  Alcotest.(check bool) "deferred ran after quiescence" true !ran
-
-let test_epoch_defer_blocked_by_active_domain () =
-  let ran = ref false in
+(* [passed e] is the wait a link shortcut makes: it must stay false
+   while a domain that announced at or before [e] is still inside its
+   epoch, however often other operations enter epochs (each entry tries
+   to advance the clock), and turn true once that domain leaves — with
+   no further epoch entry needed to notice. *)
+let test_epoch_passed_waits_for_announced () =
   let gate_in = Atomic.make false in
   let gate_out = Atomic.make false in
   let blocker =
@@ -426,82 +420,82 @@ let test_epoch_defer_blocked_by_active_domain () =
   while not (Atomic.get gate_in) do
     Thread.yield ()
   done;
-  Flock.with_epoch (fun () -> Flock.Epoch.defer (fun () -> ran := true));
-  Flock.Epoch.flush ();
-  Alcotest.(check bool) "blocked while another domain is in the epoch" false !ran;
+  let e = Flock.Epoch.current_epoch () in
+  for _ = 1 to 100 do
+    Flock.with_epoch (fun () -> ());
+    Alcotest.(check bool) "not passed while the blocker is inside" false
+      (Flock.Epoch.passed e)
+  done;
   Atomic.set gate_out true;
   Domain.join blocker;
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  Alcotest.(check bool) "runs once the blocker leaves" true !ran
+  Alcotest.(check bool) "passed once the blocker leaves" true
+    (Flock.Epoch.passed e)
 
-(* --- Epoch buckets (per-domain deferral) ------------------------------ *)
+(* With no domain inside an epoch, nothing can hold a reference from
+   [e]: [passed] holds at once, without waiting for the clock. *)
+let test_epoch_passed_when_quiescent () =
+  Alcotest.(check int) "no lag when quiescent" 0 (Flock.Epoch.epoch_lag ());
+  let e = Flock.Epoch.current_epoch () in
+  Alcotest.(check bool) "passed with nobody inside" true (Flock.Epoch.passed e)
 
-let test_epoch_pending_accounting () =
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  let base = Flock.Epoch.pending_count () in
+(* The caller's own announcement counts: an epoch read inside
+   [with_epoch] is not passed until the caller leaves. *)
+let test_epoch_passed_waits_for_self () =
+  let e =
+    Flock.with_epoch (fun () ->
+        let e = Flock.Epoch.current_epoch () in
+        Alcotest.(check bool) "not passed inside own epoch" false
+          (Flock.Epoch.passed e);
+        e)
+  in
+  Alcotest.(check bool) "passed after leaving" true (Flock.Epoch.passed e)
+
+(* The lazy advance: each outermost entry from a quiescent system moves
+   the clock by exactly one; nested entries do not touch it. *)
+let test_epoch_clock_advances_on_entry () =
+  let e0 = Flock.Epoch.current_epoch () in
+  for _ = 1 to 5 do
+    Flock.with_epoch (fun () -> ())
+  done;
+  Alcotest.(check int) "one step per outermost entry" (e0 + 5)
+    (Flock.Epoch.current_epoch ());
   Flock.with_epoch (fun () ->
-      for _ = 1 to 5 do
-        Flock.Epoch.defer (fun () -> ())
-      done;
-      Alcotest.(check int) "pending counts in-epoch defers" (base + 5)
-        (Flock.Epoch.pending_count ()));
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  Alcotest.(check int) "drained" base (Flock.Epoch.pending_count ())
+      let e = Flock.Epoch.current_epoch () in
+      Flock.with_epoch (fun () -> ());
+      Alcotest.(check int) "nested entry leaves the clock" e
+        (Flock.Epoch.current_epoch ()));
+  Alcotest.(check bool) "clock monotone" true
+    (Flock.Epoch.current_epoch () > e0 + 5)
 
-let test_epoch_flush_exactly_once () =
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  let runs = Array.make 20 0 in
-  Flock.with_epoch (fun () ->
-      Array.iteri
-        (fun i _ -> Flock.Epoch.defer (fun () -> runs.(i) <- runs.(i) + 1))
-        runs);
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  Flock.Epoch.flush ();
-  Array.iteri
-    (fun i n ->
-      Alcotest.(check int) (Printf.sprintf "callback %d exactly once" i) 1 n)
-    runs
-
-let test_epoch_flush_covers_foreign_buckets () =
-  (* Deferred work lives in per-domain buckets; a global flush must drain
-     buckets whose owning domain has since exited (its registry slot may
-     even be recycled).  A blocker pins the epoch so the deferring
-     domain's own exit flush cannot run the callback. *)
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  let ran = Atomic.make 0 in
-  let hold_in = Atomic.make false and hold_out = Atomic.make false in
+(* The bound [passed] relies on: while a domain stays inside the epoch
+   it announced, the clock runs at most one step ahead of it, however
+   many entries try to advance it — so [epoch_lag] reads exactly 1 —
+   and the lag drops to 0 once it leaves. *)
+let test_epoch_lag_bounded_by_announced () =
+  let gate_in = Atomic.make false in
+  let gate_out = Atomic.make false in
   let blocker =
     Domain.spawn (fun () ->
         Flock.with_epoch (fun () ->
-            Atomic.set hold_in true;
-            while not (Atomic.get hold_out) do
+            Atomic.set gate_in true;
+            while not (Atomic.get gate_out) do
               Thread.yield ()
             done))
   in
-  while not (Atomic.get hold_in) do
+  while not (Atomic.get gate_in) do
     Thread.yield ()
   done;
-  let d =
-    Domain.spawn (fun () ->
-        Flock.with_epoch (fun () ->
-            Flock.Epoch.defer (fun () -> Atomic.incr ran)))
-  in
-  Domain.join d;
-  Alcotest.(check int) "pinned epoch: callback held" 0 (Atomic.get ran);
-  Alcotest.(check bool) "pinned epoch: still accounted" true
-    (Flock.Epoch.pending_count () >= 1);
-  Atomic.set hold_out true;
+  let e = Flock.Epoch.current_epoch () in
+  for _ = 1 to 100 do
+    Flock.with_epoch (fun () -> ())
+  done;
+  Alcotest.(check int) "clock one step past the blocker" (e + 1)
+    (Flock.Epoch.current_epoch ());
+  Alcotest.(check int) "lag reads one" 1 (Flock.Epoch.epoch_lag ());
+  Atomic.set gate_out true;
   Domain.join blocker;
-  Flock.with_epoch (fun () -> ());
-  Flock.Epoch.flush ();
-  Alcotest.(check int) "foreign bucket drained by global flush" 1
-    (Atomic.get ran)
+  Alcotest.(check int) "lag clears once the blocker leaves" 0
+    (Flock.Epoch.epoch_lag ())
 
 (* The constant-time [Hist.bucket_of] against the bit-by-bit loop it
    replaced: the same bucket for every int, random and on the edges
@@ -590,10 +584,12 @@ let () =
       ( "epoch",
         [
           case "nesting" test_epoch_nesting;
-          case "defer after quiescence" test_epoch_defer_runs_after_quiescence;
-          case "defer blocked by active domain" test_epoch_defer_blocked_by_active_domain;
-          case "pending accounting" test_epoch_pending_accounting;
-          case "flush exactly once" test_epoch_flush_exactly_once;
-          case "flush covers foreign buckets" test_epoch_flush_covers_foreign_buckets;
+          case "passed waits for an announced domain"
+            test_epoch_passed_waits_for_announced;
+          case "passed when quiescent" test_epoch_passed_when_quiescent;
+          case "passed waits for own epoch" test_epoch_passed_waits_for_self;
+          case "clock advances on entry" test_epoch_clock_advances_on_entry;
+          case "lag bounded by an announced domain"
+            test_epoch_lag_bounded_by_announced;
         ] );
     ]

@@ -128,8 +128,6 @@ let sample_row ?(figure = "fig8a") ?(label = "update%20 IndOnNeed")
     r_retries = 0;
     r_shed = 0;
     r_giveups = 0;
-    r_walk_saturation = 0;
-    r_phases = [];
     r_alloc_bytes_per_op = alloc;
     r_gc_minor = gc_minor;
     r_gc_major = gc_major;
@@ -179,6 +177,29 @@ let test_bench_json_roundtrip () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted wrong schema version"
+
+(* Rows written before the [phases] and [walk_saturation] keys were
+   dropped from the schema still read, with every kept field intact, so
+   older documents stay loadable. *)
+let test_bench_json_reads_dropped_keys () =
+  match
+    B.of_string
+      "{\"schema\":1,\"label\":\"old\",\"created\":\"\",\"scale\":\"ci\",\
+       \"rows\":[{\"figure\":\"serve\",\"label\":\"total\",\"mops\":0.055,\
+       \"p50_us\":499.393,\"p99_us\":3995.149,\"chain_max\":2,\"chain_p99\":3,\
+       \"indirect_links\":0,\"reclaimable\":14,\"violations\":0,\
+       \"space_bytes\":0.0,\"retries\":3,\"shed\":1,\"walk_saturation\":2,\
+       \"phases\":{\"parse\":1.5,\"map\":3.25},\"gc_minor\":234}]}"
+  with
+  | Error e -> Alcotest.failf "row with dropped keys rejected: %s" e
+  | Ok d -> (
+      match B.find d ~figure:"serve" ~label:"total" with
+      | None -> Alcotest.fail "row with dropped keys lost"
+      | Some r ->
+          Alcotest.(check (float 1e-6)) "old row mops" 0.055 r.B.r_mops;
+          Alcotest.(check int) "old row retries" 3 r.B.r_retries;
+          Alcotest.(check int) "old row shed" 1 r.B.r_shed;
+          Alcotest.(check int) "old row gc_minor" 234 r.B.r_gc_minor)
 
 (* The PR7 columns (allocation per op, GC collection counts) survive a
    serialize/parse cycle and the alloc column gates like mops does. *)
@@ -520,6 +541,7 @@ let () =
       ( "bench-json",
         [
           case "round trip" test_bench_json_roundtrip;
+          case "reads rows with dropped keys" test_bench_json_reads_dropped_keys;
           case "gc columns" test_bench_json_gc_columns;
           case "regression gate" test_bench_diff_gate;
           case "committed baseline" test_committed_baseline;

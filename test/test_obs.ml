@@ -282,7 +282,7 @@ let require_stats_shape j =
     (fun name ->
       Alcotest.(check bool) (name ^ " gauge present") true
         (List.mem_assoc name gauges))
-    [ "epoch_pending"; "epoch_lag"; "stamp_lag" ]
+    [ "epoch_lag"; "stamp_lag" ]
 
 (* `make obs-smoke` runs verlib_run with --census, so the exported stats
    must carry a census block — and the run being quiescent at capture,
