@@ -1,14 +1,7 @@
-.PHONY: all build test bench bench-full bench-json bench-check examples obs-smoke serve-smoke c10k-smoke chaos-smoke trace-smoke profile-smoke txn-smoke repl-smoke repl-baseline perfbench-smoke perf-pairs ci doc clean
+.PHONY: all build test bench bench-full bench-json bench-check examples obs-smoke serve-smoke c10k-smoke chaos-smoke trace-smoke profile-smoke txn-smoke repl-smoke perfbench-smoke perf-pairs ci doc clean
 
 # Sections that produce BENCH json rows (see bench/main.ml --json).
 BENCH_JSON_SECTIONS = fig8a fig9 fig12 extra_skiplist shard_sweep txn
-# The same list as a comma-separated figure filter for bench_diff: the
-# committed baseline additionally carries the "repl" rows (gated by
-# repl-smoke), which bench-check must not report as missing.
-comma := ,
-empty :=
-space := $(empty) $(empty)
-BENCH_JSON_FIGURES = $(subst $(space),$(comma),$(strip $(BENCH_JSON_SECTIONS)))
 # Generous on purpose: CI-scale runs on a time-shared core are noisy;
 # the gate catches collapses and census violations, not drift.
 BENCH_THRESHOLD = 60
@@ -39,14 +32,14 @@ bench-json:
 	  --json BENCH_PR7.json $(BENCH_JSON_SECTIONS)
 
 # Perf trajectory gate: rerun the same sections at the same scale and
-# diff against the committed baseline; non-zero exit on regression.
+# diff every committed baseline row; non-zero exit on regression or a
+# missing row.
 bench-check:
 	dune build bench/main.exe bin/bench_diff.exe
 	dune exec bench/main.exe -- --ci --label check \
 	  --json /tmp/verlib_bench_current.json $(BENCH_JSON_SECTIONS)
 	dune exec bin/bench_diff.exe -- BENCH_PR7.json \
-	  /tmp/verlib_bench_current.json --figures $(BENCH_JSON_FIGURES) \
-	  --threshold $(BENCH_THRESHOLD)
+	  /tmp/verlib_bench_current.json --threshold $(BENCH_THRESHOLD)
 
 examples:
 	dune exec examples/quickstart.exe
@@ -483,32 +476,23 @@ txn-smoke:
 
 # Replication end-to-end gate: an in-process primary/replica pair runs
 # the bank mix while the split-brain-window plan partitions the change
-# feed.  The soak binary itself demands the full divergence arc — lag
-# gauges RISE under the partition, drain to zero after the heal, the
-# replica's ledger balances exactly at the healed watermark, and both
-# sides finish with zero census violations (docs/REPLICATION.md).  On
-# top, the emitted feed-throughput and catch-up figure rows (figure
-# "repl") are gated against the committed baseline.
+# feed and duplicates records.  The soak binary itself demands the full
+# divergence arc — lag gauges RISE under the partition, drain to zero
+# after the heal (the replica redials and re-SYNCs), the replica's
+# ledger balances exactly at the healed watermark, and both sides
+# finish with zero census violations (docs/REPLICATION.md).  It writes
+# no benchmark rows: perfbench's txn-feed, which runs a live replica,
+# is the replication benchmark (make perf-pairs).
 repl-smoke:
-	dune build bin/verlib_soak.exe bin/bench_diff.exe
+	dune build bin/verlib_soak.exe
 	@set -e; \
 	./_build/default/bin/verlib_soak.exe --repl --ci \
-	  --json /tmp/verlib_repl_rows.json \
 	  2>&1 | tee /tmp/verlib_repl_smoke.log; \
 	grep -q 'soak(repl): OK' /tmp/verlib_repl_smoke.log \
 	  || { echo "FAIL: replication soak did not pass"; exit 1; }; \
 	grep -Eq 'divergence: max_lag=[1-9]' /tmp/verlib_repl_smoke.log \
 	  || { echo "FAIL: no divergence observed under the partition"; exit 1; }; \
-	./_build/default/bin/bench_diff.exe BENCH_PR7.json \
-	  /tmp/verlib_repl_rows.json --figures repl \
-	  --threshold $(BENCH_THRESHOLD); \
 	echo "repl-smoke: OK"
-
-# Refresh the replication rows (figure "repl") in the committed
-# baseline, at the same scale repl-smoke replays them.
-repl-baseline:
-	dune build bin/verlib_soak.exe
-	./_build/default/bin/verlib_soak.exe --repl --ci --json BENCH_PR7.json
 
 # Served-path benchmark gate: one short run of each perfbench workload
 # (perfbench/run.py builds the server and its load client from source).
@@ -533,7 +517,8 @@ perfbench-smoke:
 # per-metric medians, the base's IQR, wins out of N and the spread-rule
 # verdict (bench/pairs.py), and fails when any workload fails a check,
 # fails an operation, or regresses past a BENCHMARK.json bound.  E.g.
-#   make perf-pairs W="kv-point kv-scan txn-feed" N=3 BASE=HEAD~1
+#   make perf-pairs W="kv-point kv-scan txn-feed" N=10 BASE=HEAD~1
+# N below 10 is refused: the spread rule needs at least ten pairs.
 W ?= txn-feed
 SEED ?= 1
 N ?= 10

@@ -84,7 +84,6 @@ let row_of_result ~figure ~label (r : D.result) =
     r_violations = ci_ (fun c -> c.Verlib.Chainscan.c_violation_count);
     r_space_bytes = r.D.space_bytes_per_entry;
     r_retries = 0;
-    r_shed = 0;
     r_giveups = 0;
     r_alloc_bytes_per_op = r.D.alloc_bytes_per_op;
     r_gc_minor = r.D.gc_minor;
@@ -381,7 +380,6 @@ let fig12 () =
             r_violations = 0;
             r_space_bytes = bytes;
             r_retries = 0;
-            r_shed = 0;
             r_giveups = 0;
             r_alloc_bytes_per_op = 0.;
             r_gc_minor = 0;
@@ -562,7 +560,6 @@ let txn_fig () =
           r_violations = 0;
           r_space_bytes = 0.;
           r_retries = retries;
-          r_shed = 0;
           r_giveups = aborts;
           r_alloc_bytes_per_op = 0.;
           r_gc_minor = 0;

@@ -17,7 +17,7 @@ Prints every pair's figures, then per metric: both medians, the change,
 the base's interquartile range, how many pairs the working tree won,
 and the verdict of the spread rule: a metric is `better` (or `worse`)
 when one side wins at least 9 in 10 pairs and the medians differ by more
-than the base's IQR; `REGRESSED` when the working tree's median is worse
+than the base's IQR (so `--pairs` must be at least 10); `REGRESSED` when the working tree's median is worse
 than the base's by more than the metric's bound in BENCHMARK.json.  Exits
 non-zero when a run fails a check, fails an operation, or regresses.
 """
@@ -29,6 +29,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+
+# The spread rule's 9-in-10 needs at least ten pairs.
+MIN_PAIRS = 10
 
 
 def export(rev, dest):
@@ -66,6 +70,10 @@ def main():
     ap.add_argument("--base", default="HEAD")
     ap.add_argument("--trace", type=int, default=0)
     args = ap.parse_args()
+    if args.pairs < MIN_PAIRS:
+        # Fewer pairs cannot meet the spread rule, and a small base IQR
+        # misses a bimodal metric's other mode: identical code can fail.
+        ap.error(f"--pairs must be at least {MIN_PAIRS} (got {args.pairs})")
 
     with open("BENCHMARK.json") as f:
         spec = json.load(f)

@@ -3,12 +3,10 @@
    threshold, rows that disappeared, or census invariant violations.
 
    Usage: bench_diff BASE.json CURRENT.json [--threshold PCT]
-                     [--lat-threshold PCT] [--figures f1,f2,...]
+                     [--lat-threshold PCT]
 
-   --figures restricts the comparison to the listed figure ids on both
-   sides — how repl-smoke gates only the replication rows, and
-   bench-check only the in-process figures, against the full committed
-   baseline.
+   Every baseline row is compared: a row missing from CURRENT is a
+   failure.
 
    Exit codes: 0 = within threshold, 1 = regression or missing rows,
    2 = unreadable input / usage error.  The threshold defaults to 50%
@@ -20,13 +18,12 @@
 
 let usage () =
   prerr_endline
-    "usage: bench_diff BASE.json CURRENT.json [--threshold PCT] [--lat-threshold PCT] [--figures f1,f2,...]";
+    "usage: bench_diff BASE.json CURRENT.json [--threshold PCT] [--lat-threshold PCT]";
   exit 2
 
 let () =
   let base_path = ref None and cur_path = ref None and threshold = ref 50. in
   let lat_threshold = ref None in
-  let figures = ref None in
   let parse_pct flag v =
     match float_of_string_opt v with
     | Some t when t > 0. -> t
@@ -42,10 +39,7 @@ let () =
     | "--lat-threshold" :: v :: rest ->
         lat_threshold := Some (parse_pct "lat-threshold" v);
         parse rest
-    | "--figures" :: v :: rest ->
-        figures := Some (String.split_on_char ',' v |> List.filter (( <> ) ""));
-        parse rest
-    | ("--threshold" | "--lat-threshold" | "--figures") :: [] -> usage ()
+    | ("--threshold" | "--lat-threshold") :: [] -> usage ()
     | a :: rest ->
         (if !base_path = None then base_path := Some a
          else if !cur_path = None then cur_path := Some a
@@ -66,19 +60,6 @@ let () =
         exit 2
   in
   let base = load base_path and cur = load cur_path in
-  let restrict (d : Harness.Bench_json.doc) =
-    match !figures with
-    | None -> d
-    | Some fs ->
-        {
-          d with
-          Harness.Bench_json.d_rows =
-            List.filter
-              (fun r -> List.mem r.Harness.Bench_json.r_figure fs)
-              d.Harness.Bench_json.d_rows;
-        }
-  in
-  let base = restrict base and cur = restrict cur in
   let issues =
     Harness.Bench_json.diff ~threshold:!threshold ?lat_threshold:!lat_threshold
       base cur

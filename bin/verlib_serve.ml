@@ -236,7 +236,6 @@ let run structure mode port domains n_hint prefill census_interval max_conns
   done;
   let config =
     {
-      Server.default_config with
       Server.port;
       domains;
       census_interval;

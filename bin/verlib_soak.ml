@@ -68,12 +68,6 @@ let repl =
              zero after it, and the replica's ledger must balance exactly \
              at the healed watermark (docs/REPLICATION.md).")
 
-let json_out =
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-       ~doc:"With $(b,--repl): write Bench_json schema-v1 rows (figure \
-             $(b,repl): feed throughput and catch-up rate) to $(docv), \
-             merging into an existing file.")
-
 let profile_out =
   Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE"
        ~doc:"Sample the in-process server with the continuous profiler \
@@ -262,8 +256,8 @@ let seed_ledger mount ~pairs =
    window, so the audit can demand the full arc: lag RISES while the
    wire is down, the healed replica drains it to zero, and its ledger
    then balances to the stamp. *)
-let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
-    ~ci ~json_out =
+let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers
+    ~srv_domains =
   let map = Harness.Registry.find structure in
   Verlib.reset ();
   let pmount = Server.Mount.mount ~n_hint:(4 * pairs) map in
@@ -322,7 +316,6 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
   done;
   Atomic.set stop true;
   List.iter Domain.join ds;
-  let elapsed = Unix.gettimeofday () -. t0 in
   let records_fed = Repl.records_total () - records0 in
   (* Heal: disarm releases any still-latched window; the replica loop
      redials, resubscribes (resyncing if it fell below the trim) and
@@ -350,9 +343,6 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
     sum (fun s -> s.violations) wstats + sum (fun s -> s.violations) rstats
   in
   let errors = sum (fun s -> s.errors) wstats + sum (fun s -> s.errors) rstats in
-  let retries =
-    sum (fun s -> s.retries) wstats + sum (fun s -> s.retries) rstats
-  in
   Array.iter
     (fun s -> Option.iter (Printf.eprintf "  detail: %s\n") s.detail)
     (Array.append wstats rstats);
@@ -405,53 +395,6 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
          "replica conservation audit: OK (total %d at the healed watermark)\n"
          total
    | Error e -> check false ("replica conservation audit: " ^ e));
-  (* Figure rows: "feed" is feed throughput; "catchup" folds the
-     catch-up time into the denominator, so a slower post-heal drain
-     reads as a (one-sided-gated) throughput regression. *)
-  (match json_out with
-   | None -> ()
-   | Some path ->
-       let row r_label r_mops =
-         {
-           Harness.Bench_json.r_figure = "repl";
-           r_label;
-           r_mops;
-           r_p50_us = 0.;
-           r_p99_us = 0.;
-           r_chain_max = 0;
-           r_chain_p99 = 0;
-           r_indirect_links = 0;
-           r_reclaimable = 0;
-           r_violations = violations + census_viol;
-           r_space_bytes = 0.;
-           r_retries = retries;
-           r_shed = Server.shed_count primary;
-           r_giveups = 0;
-           r_alloc_bytes_per_op = 0.;
-           r_gc_minor = 0;
-           r_gc_major = 0;
-         }
-       in
-       let rows =
-         [
-           row "feed" (float_of_int records_fed /. elapsed /. 1e6);
-           row "catchup"
-             (float_of_int records_fed /. (elapsed +. catchup_s) /. 1e6);
-         ]
-       in
-       let doc =
-         match
-           if Sys.file_exists path then Harness.Bench_json.read_file path
-           else Error "absent"
-         with
-         | Ok d -> Harness.Bench_json.merge_rows d rows
-         | Error _ ->
-             Harness.Bench_json.make_doc ~label:"repl"
-               ~scale:(if ci then "ci" else "quick")
-               rows
-       in
-       Harness.Bench_json.write_file path doc;
-       Printf.printf "bench_json: repl rows -> %s\n" path);
   if !fail then begin
     print_endline "soak(repl): FAIL";
     exit 1
@@ -461,7 +404,7 @@ let run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
 (* --- the gate -------------------------------------------------------------- *)
 
 let run plan_spec structure duration pairs writers readers srv_domains ci repl
-    json_out profile_out =
+    profile_out =
   let duration = if ci then min duration 1.0 else duration in
   let pairs = max 1 pairs in
   let writers = max 1 writers and readers = max 1 readers in
@@ -480,7 +423,6 @@ let run plan_spec structure duration pairs writers readers srv_domains ci repl
   in
   if repl then
     run_repl ~plan ~structure ~duration ~pairs ~writers ~readers ~srv_domains
-      ~ci ~json_out
   else begin
     let map = Harness.Registry.find structure in
     Verlib.reset ();
@@ -604,6 +546,6 @@ let cmd =
     (Cmd.info "verlib_soak" ~doc)
     Term.(
       const run $ plan_arg $ structure $ duration $ pairs $ writers $ readers
-      $ srv_domains $ ci $ repl $ json_out $ profile_out)
+      $ srv_domains $ ci $ repl $ profile_out)
 
 let () = exit (Cmd.eval cmd)

@@ -29,7 +29,6 @@ type action =
   | Eagain_burst of int
   | Partition of float
   | Dup
-  | Reorder
 
 type trigger = Always | Once | Nth of int | Every of int | Prob of float
 
@@ -309,10 +308,10 @@ let perform_at (p : Point.t) = function
           done)
   | Fail e -> raise e
   | Partition d -> latch_partition p d
-  | Short_write _ | Econnreset | Eagain_burst _ | Dup | Reorder ->
+  | Short_write _ | Econnreset | Eagain_burst _ | Dup ->
       (* Caller-interpreted actions (I/O trio against a file descriptor,
-         Dup/Reorder against a record stream); at an uninterpreted site
-         they are inert. *)
+         Dup against a record stream); at an uninterpreted site they are
+         inert. *)
       ()
 
 let raise_down (p : Point.t) =
@@ -343,7 +342,7 @@ let feed_check p =
     if down_now p then raise_down p;
     match evaluate p with
     | None -> None
-    | Some ((Dup | Reorder) as a) -> Some a
+    | Some Dup -> Some Dup
     | Some a ->
         perform_at p a;
         None
@@ -371,7 +370,6 @@ let action_to_string = function
   | Eagain_burst n -> Printf.sprintf "eagain=%d" n
   | Partition s -> Printf.sprintf "partition=%g" (s *. 1000.)
   | Dup -> "dup"
-  | Reorder -> "reorder"
 
 let rule_to_string r =
   Printf.sprintf "%s:%s@%s" r.r_point
@@ -431,7 +429,6 @@ let parse_action ~point s =
     | [ "stall" ] -> Ok Stall_forever
     | [ "econnreset" ] -> Ok Econnreset
     | [ "dup" ] -> Ok Dup
-    | [ "reorder" ] -> Ok Reorder
     | [ "fail" ] -> Ok (Fail (Injected "fault"))
     | [ "fail"; msg ] -> Ok (Fail (Injected msg))
     | [ "pause"; ms ] ->

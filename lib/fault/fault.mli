@@ -55,10 +55,8 @@ type action =
           reconnect attempts fail for the whole window *)
   | Dup
       (** feed: deliver the next record twice (caller-interpreted via
-          {!feed_check}; receivers must dedup) *)
-  | Reorder
-      (** feed: swap the next record with its successor
-          (caller-interpreted via {!feed_check}) *)
+          {!feed_check}; receivers must dedup).  A feed is never
+          reordered: records go out in seq order over one connection. *)
 
 (** {1 Triggers} *)
 
@@ -89,7 +87,7 @@ val plan_of_string : string -> (plan, string) result
     [\[seed=N;\] RULE (";" RULE)*] where
     [RULE := POINT ":" ACTION \["@" TRIGGER\]],
     [ACTION := pause=MS | stall | yield=N | fail\[=MSG\] | shortwrite=N
-    | econnreset | eagain=N | partition=MS | dup | reorder] and
+    | econnreset | eagain=N | partition=MS | dup] and
     [TRIGGER := always | once | nth=N | every=N | p=F] (default
     [always]).  Example:
     ["seed=7;lock.acquire:stall@once;client.write:econnreset@p=0.02"].
@@ -149,7 +147,7 @@ val io_check : Point.t -> action option
 
 val feed_check : Point.t -> action option
 (** Like {!io_check} for record-stream sites ([repl.send] and friends):
-    returns [Dup]/[Reorder] for the caller to interpret against the
+    returns [Dup] for the caller to interpret against the
     record it is about to ship; everything else behaves as in {!hit}.
     [Partition] (from any of the three entry points) raises and latches
     the point's down window. *)

@@ -22,8 +22,7 @@ type row = {
   r_reclaimable : int;
   r_violations : int;
   r_space_bytes : float;  (* bytes per entry; 0. when not measured *)
-  r_retries : int;  (* retries absorbed by the run (txn, repl rows) *)
-  r_shed : int;  (* -BUSY sheds observed by the run (repl rows) *)
+  r_retries : int;  (* retries absorbed by the run (txn rows) *)
   r_giveups : int;  (* operations abandoned after retry exhaustion *)
   r_alloc_bytes_per_op : float;
       (* GC-allocated bytes per completed operation (minor + direct
@@ -49,34 +48,6 @@ let make_doc ?(label = "") ?(scale = "quick") rows =
   { d_schema = schema_version; d_label = label; d_created = created;
     d_scale = scale; d_rows = rows }
 
-(* Merge fresh rows into an existing doc: a row with the same
-   (figure, label) replaces the old one in place, new rows append at the
-   end — how the replication figures join the committed benchmark
-   baseline without rewriting it. *)
-let merge_rows d rows =
-  let replaced =
-    List.map
-      (fun old ->
-        match
-          List.find_opt
-            (fun r -> r.r_figure = old.r_figure && r.r_label = old.r_label)
-            rows
-        with
-        | Some fresh -> fresh
-        | None -> old)
-      d.d_rows
-  in
-  let fresh_only =
-    List.filter
-      (fun r ->
-        not
-          (List.exists
-             (fun old -> old.r_figure = r.r_figure && old.r_label = r.r_label)
-             d.d_rows))
-      rows
-  in
-  { d with d_rows = replaced @ fresh_only }
-
 (* --- rendering ---------------------------------------------------------- *)
 
 let json_of_row r =
@@ -84,8 +55,8 @@ let json_of_row r =
      baseline predates them and stays byte-comparable for fault-free
      runs. *)
   let resilience =
-    if r.r_retries = 0 && r.r_shed = 0 then ""
-    else Printf.sprintf ",\"retries\":%d,\"shed\":%d" r.r_retries r.r_shed
+    if r.r_retries = 0 then ""
+    else Printf.sprintf ",\"retries\":%d" r.r_retries
   in
   let giveups =
     if r.r_giveups = 0 then "" else Printf.sprintf ",\"giveups\":%d" r.r_giveups
@@ -152,7 +123,6 @@ let row_of_json j =
   (* Optional (absent in pre-resilience baselines): default 0. *)
   let opt_int name = match num name j with Some v -> int_of_float v | None -> 0 in
   let retries = opt_int "retries" in
-  let shed = opt_int "shed" in
   let giveups = opt_int "giveups" in
   let alloc_bytes_per_op =
     match num "alloc_bytes_per_op" j with Some v -> v | None -> 0.
@@ -173,7 +143,6 @@ let row_of_json j =
       r_violations = int_of_float violations;
       r_space_bytes = space;
       r_retries = retries;
-      r_shed = shed;
       r_giveups = giveups;
       r_alloc_bytes_per_op = alloc_bytes_per_op;
       r_gc_minor = gc_minor;

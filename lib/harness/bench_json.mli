@@ -23,10 +23,8 @@ type row = {
   r_violations : int;  (** census chain-invariant violations (want 0) *)
   r_space_bytes : float;  (** bytes per entry; 0. when not measured *)
   r_retries : int;
-      (** retries the run absorbed (txn validation conflicts, repl wire
-          retries; parsed as 0 from pre-resilience files, serialised only
-          when non-zero) *)
-  r_shed : int;  (** [-BUSY] sheds the run observed (same conventions) *)
+      (** retries the run absorbed (txn validation conflicts; parsed as
+          0 from pre-resilience files, serialised only when non-zero) *)
   r_giveups : int;
       (** operations abandoned after retry exhaustion (txn rows; same
           serialisation conventions as [r_retries]) *)
@@ -52,17 +50,14 @@ type doc = {
 val make_doc : ?label:string -> ?scale:string -> row list -> doc
 (** Stamps today's date and {!schema_version}. *)
 
-val merge_rows : doc -> row list -> doc
-(** Replace rows with matching (figure, label), append the rest — used
-    to fold the replication rows into the committed baseline. *)
-
 val to_json : doc -> string
 
 val write_file : string -> doc -> unit
 
 val of_string : string -> (doc, string) result
 (** Strict parse + schema-version check.  Keys this schema no longer
-    carries (older docs' [phases], [walk_saturation]) are ignored. *)
+    carries (older docs' [phases], [walk_saturation], [shed]) are
+    ignored. *)
 
 val read_file : string -> (doc, string) result
 

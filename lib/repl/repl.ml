@@ -115,6 +115,11 @@ module Log = struct
     Mutex.unlock logs_mu;
     t
 
+  let unregister t =
+    Mutex.lock logs_mu;
+    logs := List.filter (fun l -> l != t) !logs;
+    Mutex.unlock logs_mu
+
   (* Oldest seq still retained is [trim t + 1]. *)
   let trim t = max 0 (t.tail - t.capacity)
 
@@ -295,104 +300,57 @@ let () =
 (* Replica apply engine.                                               *)
 
 module Apply = struct
-  (* How many out-of-order records we resequence before declaring the
-     stream unrecoverable (caller resyncs). *)
-  let max_pending = 128
-
+  (* Loop 0 is the only writer (the follow connection's reader); the
+     atomics let REPLSTATS on other loops read without a lock. *)
   type t = {
     store : Txn.Store.t;
-    mutable last_seq : int;
-    mutable watermark : int;  (** max primary stamp applied *)
-    mutable last_stamp : int;  (** stamp of the last applied record *)
-    pending : (int, record) Hashtbl.t;  (** reorder buffer, seq -> rec *)
-    mu : Mutex.t;
+    last_seq : int Atomic.t;
+    watermark : int Atomic.t;  (** max primary stamp applied *)
+    last_stamp : int Atomic.t;  (** stamp of the last applied record *)
   }
 
   let create store =
     {
       store;
-      last_seq = 0;
-      watermark = 0;
-      last_stamp = 0;
-      pending = Hashtbl.create 16;
-      mu = Mutex.create ();
+      last_seq = Atomic.make 0;
+      watermark = Atomic.make 0;
+      last_stamp = Atomic.make 0;
     }
 
-  let reset t ~seq ~stamp =
-    Mutex.lock t.mu;
-    t.last_seq <- seq;
-    t.watermark <- max t.watermark stamp;
-    t.last_stamp <- stamp;
-    Hashtbl.reset t.pending;
-    if stamp > Atomic.get watermark_g then Atomic.set watermark_g stamp;
-    Mutex.unlock t.mu
+  let advance t ~seq ~stamp =
+    Atomic.set t.last_seq seq;
+    Atomic.set t.watermark (max (Atomic.get t.watermark) stamp);
+    Atomic.set t.last_stamp stamp;
+    if stamp > Atomic.get watermark_g then Atomic.set watermark_g stamp
 
-  (* Install one record as one commit, so serialized readers on the
-     replica never observe a half-applied batch.  A record is committed
-     state: nothing to read or validate. *)
-  let install t r =
-    Fault.hit fp_apply;
-    Txn.apply t.store r.r_writes;
-    t.last_seq <- r.r_seq;
-    t.watermark <- max t.watermark r.r_stamp;
-    t.last_stamp <- r.r_stamp;
-    Atomic.incr applied_ctr;
-    if t.watermark > Atomic.get watermark_g then
-      Atomic.set watermark_g t.watermark
+  let reset t ~seq ~stamp = advance t ~seq ~stamp
 
-  (* Offer one received record: dedup on seq, resequence gaps, apply
-     every in-order record (including buffered successors a gap fill
-     releases).  A [repl.apply] fault escapes with the lock released and
-     the record unapplied; the redial delivers it again. *)
+  (* Offer one received record.  The feed is gapless and in seq order,
+     so only the next seq installs: one commit with no read phase, so
+     serialized readers on the replica never observe a half-applied
+     batch (a record is committed state: nothing to read or validate).
+     A seq at or below the cursor is a redelivery; one past the next
+     seq means the feed lost records, and the caller resyncs.  A
+     [repl.apply] fault escapes with the record unapplied; the redial
+     delivers it again. *)
   let offer t r =
-    Mutex.protect t.mu @@ fun () ->
-    if r.r_seq <= t.last_seq then begin
+    let last = Atomic.get t.last_seq in
+    if r.r_seq <= last then begin
       Atomic.incr dup_dropped_ctr;
       `Dup
     end
-    else if r.r_seq > t.last_seq + 1 then
-      if Hashtbl.length t.pending >= max_pending then `Overflow
-      else begin
-        Hashtbl.replace t.pending r.r_seq r;
-        `Buffered
-      end
+    else if r.r_seq > last + 1 then `Gap
     else begin
-      install t r;
-      let n = ref 1 in
-      let rec drain () =
-        match Hashtbl.find_opt t.pending (t.last_seq + 1) with
-        | Some nxt ->
-            Hashtbl.remove t.pending nxt.r_seq;
-            install t nxt;
-            incr n;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      `Applied !n
+      Fault.hit fp_apply;
+      Txn.apply t.store r.r_writes;
+      advance t ~seq:r.r_seq ~stamp:r.r_stamp;
+      Atomic.incr applied_ctr;
+      `Applied
     end
 
-  let last_seq t =
-    Mutex.lock t.mu;
-    let v = t.last_seq in
-    Mutex.unlock t.mu;
-    v
+  let last_seq t = Atomic.get t.last_seq
 
-  let watermark t =
-    Mutex.lock t.mu;
-    let v = t.watermark in
-    Mutex.unlock t.mu;
-    v
+  let watermark t = Atomic.get t.watermark
 
-  let last_stamp t =
-    Mutex.lock t.mu;
-    let v = t.last_stamp in
-    Mutex.unlock t.mu;
-    v
-
-  let pending_count t =
-    Mutex.lock t.mu;
-    let v = Hashtbl.length t.pending in
-    Mutex.unlock t.mu;
-    v
+  let last_stamp t = Atomic.get t.last_stamp
 end

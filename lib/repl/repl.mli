@@ -14,7 +14,10 @@
       held, so two records touching a common key are appended in stamp
       order; disjoint records may interleave out of stamp order but
       commute — a replica applying in seq order converges to the
-      primary's state (docs/REPLICATION.md).
+      primary's state (docs/REPLICATION.md).  A subscriber receives
+      them gapless and in seq order over one connection, so the replica
+      applies exactly the next seq; anything past it means records were
+      lost, and the replica resyncs from a snapshot.
     - {b Bounded, with backpressure on the laggard.}  Appends never
       block a commit: the ring overwrites its oldest record, and a
       subscriber whose cursor fell behind the trim point is told to
@@ -46,7 +49,7 @@ val touches : int -> int -> record -> bool
 
 val fp_send : Fault.Point.t
 (** [repl.send] — hit per record shipped to a subscriber; the
-    [partition]/[dup]/[reorder] actions interpret here. *)
+    [partition]/[dup] actions interpret here. *)
 
 val fp_apply : Fault.Point.t
 (** [repl.apply] — hit per record installed on a replica. *)
@@ -62,6 +65,11 @@ module Log : sig
   val create : ?capacity:int -> unit -> t
   (** [capacity] (default 65536) is the record count the ring retains;
       older records are overwritten (the feed's space bound). *)
+
+  val unregister : t -> unit
+  (** Take the log out of the process-wide lag gauges ({!lag_stamps},
+      {!lag_bytes}), which otherwise hold it, and its orphaned cursors,
+      for the life of the process.  The server calls it on stop. *)
 
   val tap : t -> Txn.Store.t -> unit
   (** Install this log as the store's commit observer: every committed
@@ -117,16 +125,17 @@ module Apply : sig
   (** Adopt a snapshot's position (after SYNC): the next expected
       record is [seq + 1] and the watermark starts at [stamp]. *)
 
-  val offer :
-    t -> record -> [ `Applied of int | `Dup | `Buffered | `Overflow ]
-  (** Offer one received record.  In-order records install immediately
-      (each as one {!Txn.apply} commit, with no read phase, so replica
-      readers never observe a half-applied batch) together with any
-      buffered successors the gap fill releases — [`Applied n] counts
-      them.  A record at or below the cursor is [`Dup] (dropped,
-      [repl_dup_dropped]); a record past the next expected seq is
-      [`Buffered] into a bounded reorder buffer, or [`Overflow] when
-      that buffer is full — the caller must resync. *)
+  val offer : t -> record -> [ `Applied | `Dup | `Gap ]
+  (** Offer one received record.  The feed delivers records gapless
+      and in seq order ({!Log.read_after}), so only seq [last_seq + 1]
+      installs: [`Applied], as one {!Txn.apply} commit with no read
+      phase, so replica readers never observe a half-applied batch.  A
+      record at or below the cursor is [`Dup] (a redelivery: dropped,
+      counted in [repl_dup_dropped]).  A record past [last_seq + 1] is
+      [`Gap]: it installs nothing and leaves the cursor where it was;
+      the feed lost records and the caller must resync from a
+      snapshot.  One domain offers; the readers below may run on any
+      domain. *)
 
   val last_seq : t -> int
 
@@ -136,8 +145,6 @@ module Apply : sig
   val last_stamp : t -> int
   (** Stamp of the most recently applied record (what the strict
       monotonicity test observes). *)
-
-  val pending_count : t -> int
 end
 
 (** {1 Process-wide accounting} *)

@@ -7,7 +7,6 @@ module Evloop = Evloop
 type config = {
   port : int;
   domains : int;
-  backlog : int;
   census_interval : float;
   max_conns : int;
   idle_timeout : float;
@@ -29,7 +28,6 @@ let default_config =
   {
     port = 7379;
     domains = 4;
-    backlog = 64;
     census_interval = 0.;
     max_conns = 0;
     idle_timeout = 0.;
@@ -92,7 +90,6 @@ type stream = {
   st_hi : int;
   st_id : int;  (** the feed cursor ([Repl.Log.subscribe]) *)
   mutable st_seq : int;  (** the last feed seq pumped *)
-  mutable st_held : Repl.record option;  (** held back by [reorder] *)
   mutable st_beat : float;  (** the last record or heartbeat *)
 }
 
@@ -373,10 +370,8 @@ let replstats_json t =
     match t.follower with
     | None -> ""
     | Some { fw_apply = a; _ } ->
-        Printf.sprintf
-          ",\"apply_last_seq\":%d,\"apply_watermark\":%d,\"apply_pending\":%d"
+        Printf.sprintf ",\"apply_last_seq\":%d,\"apply_watermark\":%d"
           (Repl.Apply.last_seq a) (Repl.Apply.watermark a)
-          (Repl.Apply.pending_count a)
   in
   Printf.sprintf
     "{\"role\":%S,\"tail_seq\":%d,\"tail_stamp\":%d,\"subscribers\":%d,\"lag_stamps\":%d,\"lag_bytes\":%d,\"records_total\":%d,\"acks_total\":%d,\"resyncs\":%d,\"applied_total\":%d,\"dup_dropped\":%d,\"watermark\":%d%s}"
@@ -428,9 +423,9 @@ let multi_queue_cap = 1024
 
    The [repl.send] fault point interprets here: [partition] latches the
    point down and kills the stream (and [sync_reply]/re-subscription for
-   the window), [dup] ships a record twice, [reorder] holds a record
-   back one round — the at-least-once, possibly-reordered delivery the
-   replica's apply engine must absorb.
+   the window), [dup] ships a record twice — the at-least-once
+   delivery the replica's apply engine dedups.  Records always go out
+   in seq order: [read_after] answers a gapless suffix or [`Resync].
 
    On abnormal death the cursor is orphaned, not dropped: the lag gauges
    must keep rising through a partition, and the reconnecting replica
@@ -449,7 +444,6 @@ let subscribe t ~lo ~hi ~seq =
           st_hi = hi;
           st_id = Repl.Log.subscribe t.feed;
           st_seq = seq;
-          st_held = None;
           st_beat = Unix.gettimeofday ();
         }
   | exception Fault.Injected _ -> None
@@ -459,23 +453,9 @@ let subscribe t ~lo ~hi ~seq =
 let pump t loop (conn : session Evloop.conn) st ~now : Evloop.action =
   let out = conn.Evloop.out in
   let push r = Protocol.render_reply out (Protocol.reply_of_record r) in
-  let release_held () =
-    match st.st_held with
-    | Some r ->
-        st.st_held <- None;
-        push r
-    | None -> ()
-  in
   let emit r =
-    match Fault.feed_check Repl.fp_send with
-    | Some Fault.Dup ->
-        push r;
-        push r;
-        release_held ()
-    | Some Fault.Reorder when st.st_held = None -> st.st_held <- Some r
-    | Some _ | None ->
-        push r;
-        release_held ()
+    if Fault.feed_check Repl.fp_send = Some Fault.Dup then push r;
+    push r
   in
   try
     match Repl.Log.read_after t.feed ~seq:st.st_seq with
@@ -487,8 +467,6 @@ let pump t loop (conn : session Evloop.conn) st ~now : Evloop.action =
     | `Records [] ->
         if now -. st.st_beat >= heartbeat then begin
           Fault.hit Repl.fp_send;
-          (* Nothing follows a held record soon: stop reordering it. *)
-          release_held ();
           Protocol.render_reply out Protocol.Ok_;
           st.st_beat <- now
         end;
@@ -1041,11 +1019,12 @@ let parse_sync_pairs rest =
    record through [Repl.Apply.offer] (in seq order, each one commit
    with no read phase, so readers' snapshots never see half a record).  One
    cumulative ACK per read chunk reports the cursor reached.  Any
-   failure — a close, a [-ERR] (resync demand, partition), a reorder
-   overflow, [follow_silence] without a byte (the primary heartbeats
-   every [heartbeat] seconds) — drops the connection, and loop 0's tick
-   dials again [redial_delay] later, from SYNC; records already applied
-   dedup as [`Dup].  PROMOTE ends it for good. *)
+   failure — a close, a [-ERR] (resync demand, partition), a record
+   past the next seq (a gap: the feed lost records), [follow_silence]
+   without a byte (the primary heartbeats every [heartbeat] seconds) —
+   drops the connection, and loop 0's tick dials again [redial_delay]
+   later, from SYNC; records already applied dedup as [`Dup].  PROMOTE
+   ends it for good. *)
 let follow_silence = 2.0
 
 let redial_delay = 0.05
@@ -1075,9 +1054,9 @@ let follow_reply t fw (conn : session Evloop.conn) (r : Protocol.reply) =
       | Error _ -> false (* not a record frame; ignore *)
       | Ok rc -> (
           match Repl.Apply.offer fw.fw_apply rc with
-          | `Applied _ -> true
-          | `Dup | `Buffered -> false
-          | `Overflow -> failwith "reorder buffer overflow"))
+          | `Applied -> true
+          | `Dup -> false
+          | `Gap -> failwith "feed gap"))
   | _, Protocol.Err e -> failwith e
   | _ -> failwith ("unexpected reply " ^ Protocol.pp_reply r)
 
@@ -1266,6 +1245,8 @@ let handlers t : session Evloop.handlers =
           sess.s_stream);
   }
 
+let listen_backlog = 64
+
 let listen t =
   if t.lsock = None then begin
     (* A peer that resets mid-reply must cost an EPIPE exception on the
@@ -1274,7 +1255,7 @@ let listen t =
     let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt lsock Unix.SO_REUSEADDR true;
     Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, t.cfg.port));
-    Unix.listen lsock t.cfg.backlog;
+    Unix.listen lsock listen_backlog;
     (match Unix.getsockname lsock with
      | Unix.ADDR_INET (_, p) -> t.bound_port <- p
      | _ -> ());
@@ -1347,7 +1328,10 @@ let stop t =
     end;
     Option.iter Verlib.Chainscan.unregister t.census_reg;
     t.census_reg <- None
-  end
+  end;
+  (* A stopped server's feed, and any cursor it orphaned, must not hold
+     the process-wide lag gauges up. *)
+  Repl.Log.unregister t.feed
 
 let run ?(deadline = infinity) ?(on_stop = ignore) t =
   t.deadline <- deadline;

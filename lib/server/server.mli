@@ -41,7 +41,6 @@ type config = {
   domains : int;
       (** event-loop domains, each serving its share of the connections
           — {e not} a connection cap *)
-  backlog : int;  (** listen(2) backlog *)
   census_interval : float;  (** seconds; 0 disables the census domain *)
   max_conns : int;
       (** connection cap: beyond [max_conns] simultaneously registered
@@ -81,7 +80,9 @@ type config = {
       (** follow that primary (a numeric IPv4 address): loop 0 dials
           it, bootstraps via [SYNC], streams the change feed via a
           full-range [SUBSCRIBE], installs records in seq order and
-          acknowledges once per read chunk; the server answers reads at
+          acknowledges once per read chunk; a record past the next seq
+          (a gap) closes the connection and loop 0 redials from
+          [SYNC]; the server answers reads at
           the replica's watermark and refuses writes
           ([-ERR READONLY ...]) until [PROMOTE].  [None] = this server
           is a primary (docs/REPLICATION.md). *)
@@ -92,7 +93,7 @@ type config = {
 }
 
 val default_config : config
-(** port 7379, 4 domains, backlog 64, no census; no
+(** port 7379, 4 domains, no census; no
     connection cap, no idle timeout, 5 s write timeout, shedding off,
     retry hint 50 ms; metrics plane, flight recorder and profiler off;
     primary role, 65536-record feed. *)
@@ -134,7 +135,8 @@ val running : t -> bool
 
 val stop : t -> unit
 (** Graceful drain as described above; idempotent; blocks until all
-    domains are joined. *)
+    domains are joined.  Also takes the server's change feed out of
+    the process-wide [repl_lag_*] gauges ({!Repl.Log.unregister}). *)
 
 val final_census : t -> Verlib.Chainscan.census option
 (** The quiescent census {!stop} took (when the census domain was

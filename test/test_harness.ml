@@ -126,7 +126,6 @@ let sample_row ?(figure = "fig8a") ?(label = "update%20 IndOnNeed")
     r_violations = violations;
     r_space_bytes = space;
     r_retries = 0;
-    r_shed = 0;
     r_giveups = 0;
     r_alloc_bytes_per_op = alloc;
     r_gc_minor = gc_minor;
@@ -178,8 +177,8 @@ let test_bench_json_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted wrong schema version"
 
-(* Rows written before the [phases] and [walk_saturation] keys were
-   dropped from the schema still read, with every kept field intact, so
+(* Rows written before the [phases], [walk_saturation] and [shed] keys
+   were dropped from the schema still read, with every kept field intact, so
    older documents stay loadable. *)
 let test_bench_json_reads_dropped_keys () =
   match
@@ -198,7 +197,6 @@ let test_bench_json_reads_dropped_keys () =
       | Some r ->
           Alcotest.(check (float 1e-6)) "old row mops" 0.055 r.B.r_mops;
           Alcotest.(check int) "old row retries" 3 r.B.r_retries;
-          Alcotest.(check int) "old row shed" 1 r.B.r_shed;
           Alcotest.(check int) "old row gc_minor" 234 r.B.r_gc_minor)
 
 (* The PR7 columns (allocation per op, GC collection counts) survive a

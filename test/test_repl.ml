@@ -2,10 +2,11 @@
    SUBSCRIBE/SYNC/REPLSTATS/PROMOTE machinery): feed capture at the
    commit tap (single writes and batch-atomic MULTI/EXEC records), the
    bounded log's laggard/resync contract, the apply engine's dedup and
-   gap resequencing, watermark monotonicity under a fault-plan-driven
-   dup/reorder chaos sender, and a live primary→replica pair: SYNC
-   bootstrap, streamed convergence, READONLY refusal, WATCH, REPLSTATS
-   and PROMOTE failover. *)
+   gap refusal, watermark monotonicity under a fault-plan-driven
+   duplicating sender, a live primary→replica pair (SYNC bootstrap,
+   streamed convergence, READONLY refusal, WATCH, REPLSTATS and PROMOTE
+   failover), and a replica that redials from SYNC when a fake primary
+   skips a seq. *)
 
 module S = Server
 module P = Server.Protocol
@@ -74,49 +75,39 @@ let test_apply_dedup_and_gap () =
   let store = mk_store () in
   let a = Repl.Apply.create store in
   let dup0 = Repl.dup_dropped_total () in
+  let applied0 = Repl.applied_total () in
   (match Repl.Apply.offer a (record 1 5 [ (1, Some 10) ]) with
-   | `Applied 1 -> ()
+   | `Applied -> ()
    | _ -> Alcotest.fail "r1 not applied");
   (match Repl.Apply.offer a (record 1 5 [ (1, Some 10) ]) with
    | `Dup -> ()
    | _ -> Alcotest.fail "duplicate not dropped");
   Alcotest.(check int) "repl_dup_dropped counts" (dup0 + 1)
     (Repl.dup_dropped_total ());
+  (* seq 2 never came: seq 3 is a gap, and installs nothing *)
   (match Repl.Apply.offer a (record 3 9 [ (3, Some 30) ]) with
-   | `Buffered -> ()
-   | _ -> Alcotest.fail "gap not buffered");
-  Alcotest.(check int) "one pending" 1 (Repl.Apply.pending_count a);
-  (match Repl.Apply.offer a (record 2 7 [ (2, Some 20) ]) with
-   | `Applied 2 -> ()
-   | _ -> Alcotest.fail "gap fill did not drain the buffer");
+   | `Gap -> ()
+   | _ -> Alcotest.fail "gap not refused");
+  Alcotest.(check int) "cursor stays" 1 (Repl.Apply.last_seq a);
+  Alcotest.(check int) "watermark stays" 5 (Repl.Apply.watermark a);
+  Alcotest.(check int) "last stamp stays" 5 (Repl.Apply.last_stamp a);
+  Alcotest.(check (option int)) "gap record not installed" None
+    (Txn.get store 3);
+  Alcotest.(check int) "one record applied" (applied0 + 1)
+    (Repl.applied_total ());
+  (* the resync's snapshot moves the cursor; the feed goes on from it *)
+  Repl.Apply.reset a ~seq:2 ~stamp:7;
+  (match Repl.Apply.offer a (record 3 9 [ (3, Some 30) ]) with
+   | `Applied -> ()
+   | _ -> Alcotest.fail "next seq after the reset not applied");
   Alcotest.(check int) "cursor" 3 (Repl.Apply.last_seq a);
   Alcotest.(check int) "watermark" 9 (Repl.Apply.watermark a);
-  Alcotest.(check int) "pending drained" 0 (Repl.Apply.pending_count a);
-  Alcotest.(check bool) "state installed" true (Txn.get store 2 = Some 20)
-
-let test_apply_overflow () =
-  Verlib.reset ();
-  let store = mk_store () in
-  let a = Repl.Apply.create store in
-  let out = ref `Buffered in
-  (try
-     (* seq 1 never arrives: everything buffers until the bound trips *)
-     for i = 2 to 1000 do
-       match Repl.Apply.offer a (record i i [ (i, Some i) ]) with
-       | `Buffered -> ()
-       | x ->
-           out := x;
-           raise Exit
-     done
-   with Exit -> ());
-  match !out with
-  | `Overflow -> ()
-  | _ -> Alcotest.fail "reorder buffer never overflowed"
+  Alcotest.(check (option int)) "state installed" (Some 30) (Txn.get store 3)
 
 (* A [txn.commit] fault on the apply path releases the latches with
    nothing installed and the record installs again; a [repl.apply]
-   fault escapes with the apply lock released and the record
-   unapplied, so the redelivered record installs. *)
+   fault escapes with the record unapplied, so the redelivered record
+   installs. *)
 let test_apply_under_faults () =
   Verlib.reset ();
   let store = mk_store () in
@@ -129,7 +120,7 @@ let test_apply_under_faults () =
   arm "seed=5;txn.commit:fail@p=0.5";
   for i = 1 to 200 do
     match Repl.Apply.offer a (record i i [ (i, Some i); (i + 1000, Some (-i)) ]) with
-    | `Applied 1 -> ()
+    | `Applied -> ()
     | _ -> Alcotest.fail "in-order record not applied"
   done;
   let fired = F.fired_at "txn.commit" in
@@ -147,16 +138,16 @@ let test_apply_under_faults () =
    | _ -> Alcotest.fail "repl.apply fault did not fire");
   F.disarm ();
   (match Repl.Apply.offer a r with
-   | `Applied 1 -> ()
+   | `Applied -> ()
    | _ -> Alcotest.fail "redelivered record not applied");
   Alcotest.(check (option int)) "installed" (Some 1) (Txn.get store 5000)
 
-(* --- satellite: watermark monotonicity under dup/reorder chaos ------------ *)
+(* --- satellite: watermark monotonicity under duplicated delivery ---------- *)
 
-(* A fault plan drives the same dup/reorder interpretation the server's
-   stream loop uses; the replica's applied-stamp sequence must stay
-   strictly increasing (dedup on seq, resequencing on gaps) and the
-   final state must converge exactly. *)
+(* A fault plan drives the same dup interpretation the server's stream
+   pump uses; the replica's applied-stamp sequence must stay strictly
+   increasing (dedup on seq) and the final state must converge
+   exactly. *)
 let test_watermark_monotone_under_chaos () =
   Verlib.reset ();
   let primary = mk_store () in
@@ -185,7 +176,7 @@ let test_watermark_monotone_under_chaos () =
     | `Resync -> Alcotest.fail "log trimmed under capacity 4096"
   in
   (match
-     F.plan_of_string "seed=11;repl.send:dup@p=0.2;repl.send:reorder@p=0.2"
+     F.plan_of_string "seed=11;repl.send:dup@p=0.2"
    with
    | Error e -> Alcotest.fail e
    | Ok p -> F.arm p);
@@ -195,35 +186,19 @@ let test_watermark_monotone_under_chaos () =
   let last = ref 0 in
   let offer r =
     match Repl.Apply.offer a r with
-    | `Applied _ ->
+    | `Applied ->
         let s = Repl.Apply.last_stamp a in
         Alcotest.(check bool)
           "applied stamps strictly increase" true (s > !last);
         last := s
-    | `Dup | `Buffered -> ()
-    | `Overflow -> Alcotest.fail "overflow under 1-deep reorder"
-  in
-  let held = ref None in
-  let release () =
-    match !held with
-    | Some r ->
-        held := None;
-        offer r
-    | None -> ()
+    | `Dup -> ()
+    | `Gap -> Alcotest.fail "gap in an in-order feed"
   in
   List.iter
     (fun r ->
-      match F.feed_check Repl.fp_send with
-      | Some F.Dup ->
-          offer r;
-          offer r;
-          release ()
-      | Some F.Reorder when !held = None -> held := Some r
-      | _ ->
-          offer r;
-          release ())
+      if F.feed_check Repl.fp_send = Some F.Dup then offer r;
+      offer r)
     records;
-  release ();
   F.disarm ();
   Alcotest.(check bool) "duplicates were dropped (repl_dup_dropped)" true
     (Repl.dup_dropped_total () > dup0);
@@ -505,6 +480,21 @@ let test_subscribe_stream () =
       | _ -> false);
   C.send_raw sc "QUIT\r\n"
 
+(* Sever an idle SUBSCRIBE stream with a [repl.send] partition: the
+   server closes it abruptly, orphaning its cursor. *)
+let sever_stream sc =
+  (match F.plan_of_string "repl.send:partition=300@once" with
+   | Ok p -> F.arm p
+   | Error e -> Alcotest.fail e);
+  let rec until_closed n =
+    match C.read_reply sc with
+    | Ok P.Ok_ when n > 0 -> until_closed (n - 1)
+    | Ok r -> Alcotest.fail ("partitioned stream: " ^ P.pp_reply r)
+    | Error _ -> ()
+  in
+  until_closed 10;
+  F.disarm ()
+
 (* The stream's fault and cursor semantics, on a primary alone: an idle
    feed gets +OK heartbeats at most 300 ms apart; a [repl.send]
    partition kills a live stream and orphans its cursor, which REPLSTATS
@@ -559,17 +549,7 @@ let test_stream_cursor_semantics () =
     last := now
   done;
   Alcotest.(check int) "one cursor" 1 (subscribers ());
-  (match F.plan_of_string "repl.send:partition=300@once" with
-   | Ok p -> F.arm p
-   | Error e -> Alcotest.fail e);
-  let rec until_closed n =
-    match C.read_reply sc with
-    | Ok P.Ok_ when n > 0 -> until_closed (n - 1)
-    | Ok r -> Alcotest.fail ("partitioned stream: " ^ P.pp_reply r)
-    | Error _ -> ()
-  in
-  until_closed 10;
-  F.disarm ();
+  sever_stream sc;
   Alcotest.(check int) "orphaned cursor still counted" 1 (subscribers ());
   Alcotest.(check bool) "resubscribe ok" true
     (req sc2 (P.Subscribe (0, 1_000_000, 0)) = P.Ok_);
@@ -715,6 +695,160 @@ let test_one_loop_replica () =
         (json_int j "connections_total" > conns0)
   | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r)
 
+(* A stopped server takes its feed out of the process-wide lag gauges:
+   a cursor orphaned by a partition would otherwise keep
+   [repl_lag_stamps]/[repl_lag_bytes] above 0 for the rest of the
+   process. *)
+let test_stop_unregisters_feed () =
+  Verlib.reset ();
+  let mount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
+  let srv =
+    S.create ~config:{ S.default_config with S.port = 0; domains = 1 } mount
+  in
+  S.start srv;
+  Fun.protect
+    ~finally:(fun () ->
+      F.disarm ();
+      S.stop srv)
+  @@ fun () ->
+  let port = S.port srv in
+  let pc = C.connect ~retries:20 ~port () in
+  let sc = C.connect ~retries:20 ~read_timeout:2. ~port () in
+  Alcotest.(check bool) "subscribe ok" true
+    (req sc (P.Subscribe (0, 1_000_000, 0)) = P.Ok_);
+  sever_stream sc;
+  C.close sc;
+  for i = 1 to 5 do
+    ignore (req pc (P.Put (i, i)))
+  done;
+  C.close pc;
+  Alcotest.(check bool) "the orphaned cursor lags" true
+    (Repl.lag_stamps () > 0 && Repl.lag_bytes () > 0);
+  S.stop srv;
+  Alcotest.(check int) "no stamp lag after stop" 0 (Repl.lag_stamps ());
+  Alcotest.(check int) "no byte lag after stop" 0 (Repl.lag_bytes ())
+
+(* A fake primary speaks the follow protocol by hand.  It answers the
+   first SYNC with a snapshot at seq 5 and SUBSCRIBE with +OK, then
+   ships seq 7: one past the next seq, so the feed lost a record.  It
+   keeps heartbeating, so only the gap can end that connection.  The
+   replica must close it, dial again, send a second SYNC and converge
+   to the second snapshot (seq 9). *)
+let test_gap_redials_from_sync () =
+  Verlib.reset ();
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  let fport =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let failed = Atomic.make None and stop = Atomic.make false in
+  let syncs = Atomic.make 0 in
+  let fake () =
+    let accept_within secs =
+      match Unix.select [ lsock ] [] [] secs with
+      | [], _, _ -> failwith "the replica did not dial again after the gap"
+      | _ ->
+          let fd, _ = Unix.accept lsock in
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+          (fd, Unix.in_channel_of_descr fd)
+    in
+    let line ic =
+      let l = input_line ic in
+      if String.ends_with ~suffix:"\r" l then
+        String.sub l 0 (String.length l - 1)
+      else l
+    in
+    let send fd r =
+      let b = Buffer.create 64 in
+      P.render_reply b r;
+      ignore (Unix.write_substring fd (Buffer.contents b) 0 (Buffer.length b))
+    in
+    (* One SYNC bootstrap: the snapshot, then SUBSCRIBE from its seq. *)
+    let bootstrap fd ic ~seq pairs =
+      let l = line ic in
+      if l <> "SYNC" then failwith ("expected SYNC, got " ^ l);
+      Atomic.incr syncs;
+      send fd
+        (P.Arr
+           (P.Int seq :: P.Int (10 * seq)
+           :: List.concat_map (fun (k, v) -> [ P.Int k; P.Int v ]) pairs));
+      let l = line ic in
+      if not (String.ends_with ~suffix:(Printf.sprintf " %d" seq) l) then
+        failwith ("expected SUBSCRIBE from seq " ^ string_of_int seq ^ ": " ^ l);
+      send fd P.Ok_
+    in
+    (* Heartbeat [fd] until [stop] or [until] (a deadline), or until a
+       connection waits on the listener when [redial]. *)
+    let rec beat fd ~redial ~until =
+      if Atomic.get stop || Unix.gettimeofday () > until then ()
+      else if
+        redial
+        && (match Unix.select [ lsock ] [] [] 0.1 with
+            | [], _, _ -> false
+            | _ -> true)
+      then ()
+      else begin
+        if not redial then Unix.sleepf 0.1;
+        (try send fd P.Ok_ with Unix.Unix_error _ -> ());
+        beat fd ~redial ~until
+      end
+    in
+    let fd1, ic1 = accept_within 5. in
+    bootstrap fd1 ic1 ~seq:5 [ (1, 10); (2, 20) ];
+    send fd1
+      (P.reply_of_record
+         { Repl.r_seq = 7; r_stamp = 70; r_writes = [ (3, Some 30) ] });
+    (* Heartbeats keep flowing, so only the gap can end this
+       connection; a replica that waited for seq 6 would never
+       redial: give it 1.5 s. *)
+    beat fd1 ~redial:true ~until:(Unix.gettimeofday () +. 1.5);
+    let fd2, ic2 = accept_within 0. in
+    Unix.close fd1;
+    bootstrap fd2 ic2 ~seq:9 [ (1, 11); (4, 40) ];
+    beat fd2 ~redial:false ~until:infinity;
+    Unix.close fd2
+  in
+  let d =
+    Domain.spawn (fun () ->
+        (try fake () with e -> Atomic.set failed (Some (Printexc.to_string e)));
+        Unix.close lsock)
+  in
+  let rmount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
+  let replica =
+    S.create
+      ~config:
+        {
+          S.default_config with
+          S.port = 0;
+          domains = 1;
+          replica_of = Some ("127.0.0.1", fport);
+        }
+      rmount
+  in
+  S.start replica;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      S.stop replica;
+      Domain.join d)
+  @@ fun () ->
+  let rc = C.connect ~retries:20 ~port:(S.port replica) () in
+  Fun.protect ~finally:(fun () -> C.close rc) @@ fun () ->
+  await "the replica converges to the second snapshot" (fun () ->
+      Option.iter Alcotest.fail (Atomic.get failed);
+      req rc (P.Get 1) = P.Int 11 && req rc (P.Get 4) = P.Int 40);
+  Alcotest.(check bool) "key 2 left with the first snapshot" true
+    (req rc (P.Get 2) = P.Nil);
+  Alcotest.(check bool) "the gap record never installed" true
+    (req rc (P.Get 3) = P.Nil);
+  Alcotest.(check int) "two SYNCs" 2 (Atomic.get syncs);
+  Alcotest.(check int) "cursor at the second snapshot" 9
+    (json_int (replstats rc) "apply_last_seq")
+
 let () =
   Alcotest.run "repl"
     [
@@ -727,16 +861,14 @@ let () =
         ] );
       ( "apply",
         [
-          Alcotest.test_case "dedup + gap resequencing" `Quick
+          Alcotest.test_case "dedup, and a gap installs nothing" `Quick
             test_apply_dedup_and_gap;
-          Alcotest.test_case "reorder buffer overflow" `Quick
-            test_apply_overflow;
           Alcotest.test_case "commit and apply faults" `Quick
             test_apply_under_faults;
         ] );
       ( "chaos",
         [
-          Alcotest.test_case "watermark monotone under dup/reorder" `Quick
+          Alcotest.test_case "watermark monotone under dup" `Quick
             test_watermark_monotone_under_chaos;
         ] );
       ( "wire",
@@ -754,5 +886,9 @@ let () =
             test_cumulative_acks;
           Alcotest.test_case "one-loop replica: audits, partition, resync"
             `Quick test_one_loop_replica;
+          Alcotest.test_case "stop takes the feed out of the lag gauges"
+            `Quick test_stop_unregisters_feed;
+          Alcotest.test_case "a gap redials from SYNC" `Quick
+            test_gap_redials_from_sync;
         ] );
     ]
