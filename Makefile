@@ -515,8 +515,10 @@ perfbench-smoke:
 # workload in W, BASE's committed files (exported under $$TMPDIR)
 # against the working tree, alternating which side runs first.  Prints
 # per-metric medians, the base's IQR, wins out of N and the spread-rule
-# verdict (bench/pairs.py), and fails when any workload fails a check,
-# fails an operation, or regresses past a BENCHMARK.json bound.  E.g.
+# verdict (bench/pairs.py).  Exits 1 when any workload fails a check,
+# fails an operation, or regresses past a BENCHMARK.json bound; else 3
+# when a metric is unresolved (the base's IQR is wider than its bound,
+# so the pairs cannot tell; pairs.py names them); else 0.  E.g.
 #   make perf-pairs W="kv-point kv-scan txn-feed" N=10 BASE=HEAD~1
 # N below 10 is refused: the spread rule needs at least ten pairs.
 W ?= txn-feed
@@ -527,7 +529,7 @@ perf-pairs:
 	@rc=0; \
 	for w in $(W); do \
 	  python3 bench/pairs.py --workload $$w --seed $(SEED) --pairs $(N) \
-	    --base $(BASE) || rc=1; \
+	    --base $(BASE) || { c=$$?; test $$rc = 1 || rc=$$c; }; \
 	done; \
 	exit $$rc
 

@@ -17,9 +17,20 @@ Prints every pair's figures, then per metric: both medians, the change,
 the base's interquartile range, how many pairs the working tree won,
 and the verdict of the spread rule: a metric is `better` (or `worse`)
 when one side wins at least 9 in 10 pairs and the medians differ by more
-than the base's IQR (so `--pairs` must be at least 10); `REGRESSED` when the working tree's median is worse
-than the base's by more than the metric's bound in BENCHMARK.json.  Exits
-non-zero when a run fails a check, fails an operation, or regresses.
+than the base's IQR (so `--pairs` must be at least 10).  Against its
+bound in BENCHMARK.json a metric is:
+
+- `unresolved` when the base's IQR, relative to the base median, is
+  wider than the bound, unless every working-tree run reads better than
+  every base run: the base's own spread cannot tell a regression from
+  noise, so identical code could fail;
+- `REGRESSED` when the working tree's median is worse than the base's
+  by more than the bound, and either the metric is resolved or every
+  working-tree run reads worse than every base run.
+
+Exit status: 1 when a run fails a check, fails an operation, or a
+metric regresses; else 3 when a metric is unresolved (the last line
+names them); else 0.
 """
 import argparse
 import json
@@ -79,6 +90,7 @@ def main():
         spec = json.load(f)
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
+    unresolved = []
     tmp = tempfile.mkdtemp(prefix="verlib-pairs-")
     try:
         export(args.base, tmp)
@@ -121,16 +133,31 @@ def main():
             else:
                 verdict = "same"
             bound = m.get("bound")
-            if bound is not None and bmed != 0 and -gap / abs(bmed) > bound:
-                verdict = "REGRESSED"
-                bad = True
+            if bound is not None and bmed != 0:
+                past_bound = -gap / abs(bmed) > bound
+                all_worse = all(sign * (y - x) < 0 for x in bv for y in hv)
+                all_better = all(sign * (y - x) > 0 for x in bv for y in hv)
+                if past_bound and all_worse:
+                    verdict = "REGRESSED"
+                elif iqr / abs(bmed) > bound and not all_better:
+                    verdict = "unresolved"
+                    unresolved.append(name)
+                elif past_bound:
+                    verdict = "REGRESSED"
+                bad |= verdict == "REGRESSED"
             change = (hmed - bmed) / abs(bmed) * 100 if bmed else float("nan")
             print(f"{name:34s} {bmed:11.4g} {hmed:11.4g} {change:+7.1f}% "
                   f"{iqr:10.4g} {wins:3d}/{args.pairs:<2d}  {verdict}")
         fails = [r["failed"] for s in runs.values() for r in s]
         print(f"failed operations: {sum(fails)}; every reply checked: "
               f"{all(r['correct'] for s in runs.values() for r in s)}")
-        return 1 if bad else 0
+        if bad:
+            return 1
+        if unresolved:
+            print(f"{args.workload}: unresolved (base IQR wider than the "
+                  f"bound): {', '.join(unresolved)}")
+            return 3
+        return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -3,7 +3,7 @@
    for --duration seconds).  The main domain runs event loop 0
    ([Server.run]).  Shutdown is a graceful drain: accepting stops,
    in-flight connections are answered, every domain (including the
-   background census domain) is joined, and the final stats report —
+   background sweep) is joined, and the final stats report —
    with a quiescent, exact-audit chain census — is flushed before
    exit. *)
 
@@ -50,10 +50,12 @@ let prefill =
 
 let census_interval =
   Arg.(value & opt float 0. & info [ "census-interval" ] ~docv:"SECONDS"
-       ~doc:"Walk the structure's version chains every $(docv) seconds from a \
-             background domain ([Verlib.Chainscan]); the latest census is \
-             reported by STATS and a final quiescent census on shutdown.  0 \
-             disables.")
+       ~doc:"Census period of the background sweep: every $(docv) seconds it \
+             walks the structure's version chains ([Verlib.Chainscan]), the \
+             whole mount and, on a sharded mount, each shard; STATS reports \
+             the latest census and shutdown takes a final quiescent one.  0 \
+             = census at --metrics-interval when that is set, else none.  \
+             With both intervals set the sweep is still one domain.")
 
 let duration =
   Arg.(value & opt float 0. & info [ "d"; "duration" ]
@@ -90,9 +92,9 @@ let retry_after_ms =
 
 let metrics_interval =
   Arg.(value & opt float 0. & info [ "metrics-interval" ] ~docv:"SECONDS"
-       ~doc:"Metrics-plane sweep period: every $(docv) seconds a background \
-             census is taken and the request-phase p99s are checked against \
-             --slo-p99-us; 0 = off.")
+       ~doc:"SLO period of the background sweep: every $(docv) seconds the \
+             request-phase p99s are checked against --slo-p99-us (and, when \
+             --census-interval is 0, a census is taken); 0 = off.")
 
 let flight_dir =
   Arg.(value & opt string "" & info [ "flight-dir" ] ~docv:"DIR"

@@ -4,7 +4,7 @@
    argument (§4-§5) are about what version lists look like at runtime:
    how long chains get, how many indirect links are outstanding, and how
    quickly superseded versions become reclaimable once no snapshot can
-   need them.  This module walks the versioned pointers of a registered
+   need them.  This module walks the versioned pointers of a
    structure and produces exactly that census, plus an audit of the
    invariants the algorithms promise:
 
@@ -267,45 +267,3 @@ let census_of_iter ?(max_depth = default_max_depth) iter =
 
 let census_of_targets ?max_depth targets =
   census_of_iter ?max_depth (fun emit -> List.iter emit targets)
-
-(* ------------------------------------------------------------------ *)
-(* Root registry                                                       *)
-
-type registration = {
-  rg_name : string;
-  rg_iter : (target -> unit) -> unit;
-  mutable rg_live : bool;
-}
-
-let roots : registration list ref = ref []
-
-let roots_mutex = Mutex.create ()
-
-let register ~name iter =
-  let r = { rg_name = name; rg_iter = iter; rg_live = true } in
-  Mutex.lock roots_mutex;
-  roots := r :: !roots;
-  Mutex.unlock roots_mutex;
-  r
-
-let unregister r =
-  Mutex.lock roots_mutex;
-  r.rg_live <- false;
-  roots := List.filter (fun x -> x != r) !roots;
-  Mutex.unlock roots_mutex
-
-let registered () =
-  Mutex.lock roots_mutex;
-  let l = !roots in
-  Mutex.unlock roots_mutex;
-  List.rev_map (fun r -> r.rg_name) l
-
-let census_all ?max_depth () =
-  Mutex.lock roots_mutex;
-  let l = List.rev !roots in
-  Mutex.unlock roots_mutex;
-  List.filter_map
-    (fun r ->
-      if r.rg_live then Some (r.rg_name, census_of_iter ?max_depth r.rg_iter)
-      else None)
-    l

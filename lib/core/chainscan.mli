@@ -88,22 +88,3 @@ val chain_p50 : census -> int
 val chain_p99 : census -> int
 
 val percentile : census -> float -> int
-
-(** {1 Root registry}
-
-    Structures (or the harness driver) register an iterator over their
-    versioned pointers; {!census_all} scans every registered root.
-    Registrations hold the structure alive — callers that create
-    structures per run must {!unregister} when done. *)
-
-type registration
-
-val register :
-  name:string -> ((target -> unit) -> unit) -> registration
-
-val unregister : registration -> unit
-
-val registered : unit -> string list
-(** Names of live registrations, oldest first. *)
-
-val census_all : ?max_depth:int -> unit -> (string * census) list

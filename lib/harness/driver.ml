@@ -151,13 +151,6 @@ let run_once spec =
     Atomic.set alloc (Gc.allocated_bytes () -. a0)
   in
   let iter_targets emit = M.iter_vptrs t emit in
-  (* Register the structure as a census root for the run, so in-process
-     samplers (and anything else watching [Chainscan.census_all]) can
-     see it; unregistered before returning so runs do not accumulate. *)
-  let registration =
-    if spec.census then Some (Verlib.Chainscan.register ~name:M.name iter_targets)
-    else None
-  in
   let series = ref [] in
   (* Optional low-frequency background census sampler: an extra domain
      that walks the structure every [census_interval] seconds while the
@@ -239,7 +232,6 @@ let run_once spec =
     if spec.census then Some (Verlib.Chainscan.census_of_iter iter_targets)
     else None
   in
-  Option.iter Verlib.Chainscan.unregister registration;
   {
     total_mops = Float.of_int total_ops /. elapsed /. 1e6;
     group_mops = List.map (fun o -> Float.of_int o /. elapsed /. 1e6) group_ops;

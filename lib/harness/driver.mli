@@ -32,8 +32,8 @@ type spec = {
           two [n] samples 1-in-[n] operations into the [Verlib.Obs]
           per-op-kind latency histograms. *)
   census : bool;
-      (** register the structure with [Verlib.Chainscan] for the run and
-          take a quiescent final census (exact audit) after workers join. *)
+      (** take a quiescent final census ([Verlib.Chainscan], exact
+          audit) after the workers join. *)
   census_interval : float;
       (** when [census] is set and this is > 0, a background domain
           additionally walks the structure every [census_interval] seconds

@@ -12,10 +12,11 @@
    ([flight-<epoch-ms>-<seq>-<trigger>.json] — the monotonic sequence
    number disambiguates dumps landing in the same millisecond and makes
    lexicographic order match dump order within a run).
-   Everything interesting is in what it snapshots: the full gauge and
-   counter capture, the optional chain census, and every finished span
-   from [Verlib.Obs.Span.recent] with per-phase µs and a computed
-   dominant phase. *)
+   Everything interesting is in what it snapshots: the caller's STATS
+   object (its own figures, the full counter, histogram and gauge
+   capture, the latest chain census), and every finished span from
+   [Verlib.Obs.Span.recent] with per-phase µs and a computed dominant
+   phase. *)
 
 module Obs = Verlib.Obs
 module Span = Verlib.Obs.Span
@@ -36,8 +37,7 @@ type t = {
   dir : string;
   min_interval : float;
   max_dumps : int;
-  mutable dumps : int;  (** reserved under the cap *)
-  mutable written : int;  (** on disk, [last_path] set *)
+  mutable dumps : int;  (** filed: reserved under the cap *)
   mutable suppressed : int;
   mutable last_at : float;
   mutable last_path : string option;
@@ -50,14 +50,13 @@ let create ?(min_interval = 5.0) ?(max_dumps = 16) ~dir () =
     min_interval;
     max_dumps;
     dumps = 0;
-    written = 0;
     suppressed = 0;
     last_at = neg_infinity;
     last_path = None;
     lock = Mutex.create ();
   }
 
-let dump_count t = Mutex.protect t.lock (fun () -> t.written)
+let dump_count t = Mutex.protect t.lock (fun () -> t.dumps)
 
 let suppressed_count t = t.suppressed
 
@@ -127,8 +126,7 @@ let aggregate_dominant spans =
     List.find_opt (fun p -> Span.phase_index p = !best) Span.phases
     |> Option.map Span.phase_name
 
-let render ~trigger ?census ?(extra = []) () =
-  let r = Obs.capture () in
+let render ~trigger ~stats =
   let spans = Span.recent () in
   let b = Buffer.create 8192 in
   Buffer.add_string b
@@ -139,30 +137,12 @@ let render ~trigger ?census ?(extra = []) () =
        Buffer.add_string b
          (Printf.sprintf ",\"slo_phase\":\"%s\"" (Jsonlite.escape phase))
    | _ -> ());
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf ",\"%s\":%s" (Jsonlite.escape k) v))
-    extra;
   (match aggregate_dominant spans with
    | Some d -> Buffer.add_string b (Printf.sprintf ",\"dominant_phase\":\"%s\"" d)
    | None -> ());
-  (match census with
-   | Some c ->
-       Buffer.add_string b (",\"census\":" ^ Obs_report.json_of_census c)
-   | None -> ());
-  Buffer.add_string b ",\"gauges\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Jsonlite.escape name) v))
-    r.Obs.gauges;
-  Buffer.add_string b "},\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Jsonlite.escape name) v))
-    r.Obs.counters;
-  Buffer.add_string b "},\"spans\":[";
+  Buffer.add_string b ",\"stats\":";
+  Buffer.add_string b (stats ());
+  Buffer.add_string b ",\"spans\":[";
   List.iteri
     (fun i sp ->
       if i > 0 then Buffer.add_char b ',';
@@ -176,7 +156,7 @@ let render ~trigger ?census ?(extra = []) () =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let record t ~trigger ?census ?extra () =
+let record t ~trigger ~stats =
   Mutex.lock t.lock;
   let now = Unix.gettimeofday () in
   let allowed =
@@ -193,7 +173,7 @@ let record t ~trigger ?census ?extra () =
   else begin
     (* Render and write outside the lock: dumps are rare (cooldown) and
        rendering walks shared-but-stable state. *)
-    let body = render ~trigger ?census ?extra () in
+    let body = render ~trigger ~stats in
     mkdir_p t.dir;
     let path =
       Filename.concat t.dir
@@ -206,7 +186,6 @@ let record t ~trigger ?census ?extra () =
       (fun () -> output_string oc body);
     Mutex.lock t.lock;
     t.last_path <- Some path;
-    t.written <- t.written + 1;
     Mutex.unlock t.lock;
     Some path
   end

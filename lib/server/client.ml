@@ -229,56 +229,16 @@ let count_retry rt =
   rt.rt_retries <- rt.rt_retries + 1;
   Atomic.incr retry_total_a
 
-(* One command with transparent recovery.  Ambiguous transport failures
-   (reset, EOF mid-reply, read timeout) are retried only for
-   [Protocol.idempotent] commands — the reply may have been lost after
-   execution.  [-BUSY] is shed {e before} execution, so it is retried
-   (after the server's hinted delay, jittered) regardless of
-   idempotency, as long as [retry_busy] is set. *)
-let rt_request rt c =
-  let retryable = Protocol.idempotent c in
-  let rec go attempt =
-    let fail_retry e =
-      rt_drop rt;
-      if retryable && attempt + 1 < rt.rt_max_attempts then begin
-        rt_rotate rt;
-        count_retry rt;
-        backoff rt attempt;
-        go (attempt + 1)
-      end
-      else Error e
-    in
-    match request (ensure rt) c with
-    | Ok (Protocol.Busy ms) ->
-        rt.rt_busy <- rt.rt_busy + 1;
-        if rt.rt_retry_busy && attempt + 1 < rt.rt_max_attempts then begin
-          count_retry rt;
-          busy_wait rt ms;
-          go (attempt + 1)
-        end
-        else Ok (Protocol.Busy ms)
-    | Ok (Protocol.Err msg)
-      when is_readonly msg
-           && Array.length rt.rt_eps > 1
-           && attempt + 1 < rt.rt_max_attempts ->
-        (* A replica refused the write before executing anything:
-           always safe to re-issue against the next endpoint. *)
-        rt_rotate rt;
-        count_retry rt;
-        backoff rt attempt;
-        go (attempt + 1)
-    | Ok r -> Ok r
-    | Error e -> fail_retry e
-    | exception Unix.Unix_error (err, _, _) ->
-        fail_retry (Unix.error_message err)
-  in
-  go 0
-
-(* Traced variant of {!rt_request}: same recovery ladder, but the trace
-   frame of the {e successful} attempt rides along.  A retried attempt
-   discards the earlier frame with the earlier reply — the pair the
-   caller sees always describes one server-side execution. *)
-let rt_request_traced rt ~trace_id c =
+(* One command with transparent recovery; [once] sends it on a live
+   connection.  Ambiguous transport failures (reset, EOF mid-reply,
+   read timeout) are retried only for [Protocol.idempotent] commands —
+   the reply may have been lost after execution.  [-BUSY] is shed
+   {e before} execution, so it is retried (after the server's hinted
+   delay, jittered) regardless of idempotency, as long as [retry_busy]
+   is set.  A trace frame rides with its own attempt's reply: a retried
+   attempt discards both, so the pair returned always describes one
+   server-side execution. *)
+let rt_ladder rt c once =
   let retryable = Protocol.idempotent c in
   let rec go attempt =
     let fail_retry e =
@@ -291,29 +251,36 @@ let rt_request_traced rt ~trace_id c =
       end
       else (Error e, None)
     in
-    match request_traced (ensure rt) ~trace_id c with
-    | Ok (Protocol.Busy ms), tr ->
+    match once (ensure rt) with
+    | (Ok (Protocol.Busy ms), _) as r ->
         rt.rt_busy <- rt.rt_busy + 1;
         if rt.rt_retry_busy && attempt + 1 < rt.rt_max_attempts then begin
           count_retry rt;
           busy_wait rt ms;
           go (attempt + 1)
         end
-        else (Ok (Protocol.Busy ms), tr)
+        else r
     | Ok (Protocol.Err msg), _
       when is_readonly msg
            && Array.length rt.rt_eps > 1
            && attempt + 1 < rt.rt_max_attempts ->
+        (* A replica refused the write before executing anything:
+           always safe to re-issue against the next endpoint. *)
         rt_rotate rt;
         count_retry rt;
         backoff rt attempt;
         go (attempt + 1)
     | (Ok _, _) as r -> r
-    | (Error e, _) -> fail_retry e
+    | Error e, _ -> fail_retry e
     | exception Unix.Unix_error (err, _, _) ->
         fail_retry (Unix.error_message err)
   in
   go 0
+
+let rt_request rt c = fst (rt_ladder rt c (fun t -> (request t c, None)))
+
+let rt_request_traced rt ~trace_id c =
+  rt_ladder rt c (fun t -> request_traced t ~trace_id c)
 
 (* Pipelined batch with recovery.  The whole batch is re-sent on a
    transport failure only when {e every} command is idempotent (replies

@@ -72,7 +72,8 @@ type 'a handlers = {
           a streaming one ([`Stream] keeps it streaming); not called
           while a stream's outbuf is at [out_hwm] *)
   h_overflow : 'a -> string;  (** reply bytes for an over-long line *)
-  h_kill : [ `Idle | `Write ] -> unit;  (** deadline-kill accounting *)
+  h_kill : [ `Idle | `Write ] -> unit;
+      (** deadline-kill accounting, once the killed connection is closed *)
   h_tick : 'a t -> now:float -> int;
       (** once per iteration, after the sweep; returns the longest the
           next poll may sleep, in ms ([max_int]: no cap) *)
@@ -328,8 +329,8 @@ let rec flush_conn t conn =
             && Unix.gettimeofday () -. conn.out_since > t.write_timeout
           then begin
             (* Peer stopped reading: reclaim the connection. *)
-            t.handlers.h_kill `Write;
             close_conn t conn;
+            t.handlers.h_kill `Write;
             `Closed
           end
           else `More
@@ -558,15 +559,15 @@ let sweep t now conn =
     && now -. conn.last_act > t.idle_timeout
   then begin
     (* The client connected and went silent. *)
-    t.handlers.h_kill `Idle;
-    close_conn t conn
+    close_conn t conn;
+    t.handlers.h_kill `Idle
   end
   else if
     t.write_timeout > 0. && conn.out_since > 0.
     && now -. conn.out_since > t.write_timeout
   then begin
-    t.handlers.h_kill `Write;
-    close_conn t conn
+    close_conn t conn;
+    t.handlers.h_kill `Write
   end
   else if conn.parked || conn.streaming then begin
     resume t conn ~now;

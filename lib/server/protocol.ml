@@ -144,14 +144,51 @@ type verb =
   | V_discard | V_subscribe | V_watch | V_sync | V_replstats | V_promote
   | V_ack | V_quit | V_unknown
 
+(* The verb table: every verb's wire name, in [verb] declaration order,
+   so a verb's row is its constructor's index. *)
 let verbs =
-  [ (V_ping, "PING"); (V_get, "GET"); (V_put, "PUT"); (V_del, "DEL");
-    (V_mget, "MGET"); (V_range, "RANGE"); (V_rangecount, "RANGECOUNT");
-    (V_scan, "SCAN"); (V_size, "SIZE"); (V_stats, "STATS");
-    (V_metrics, "METRICS"); (V_profile, "PROFILE"); (V_multi, "MULTI");
-    (V_exec, "EXEC"); (V_discard, "DISCARD"); (V_subscribe, "SUBSCRIBE");
-    (V_watch, "WATCH"); (V_sync, "SYNC"); (V_replstats, "REPLSTATS");
-    (V_promote, "PROMOTE"); (V_ack, "ACK"); (V_quit, "QUIT") ]
+  [| (V_ping, "PING"); (V_get, "GET"); (V_put, "PUT"); (V_del, "DEL");
+     (V_mget, "MGET"); (V_range, "RANGE"); (V_rangecount, "RANGECOUNT");
+     (V_scan, "SCAN"); (V_size, "SIZE"); (V_stats, "STATS");
+     (V_metrics, "METRICS"); (V_profile, "PROFILE"); (V_multi, "MULTI");
+     (V_exec, "EXEC"); (V_discard, "DISCARD"); (V_subscribe, "SUBSCRIBE");
+     (V_watch, "WATCH"); (V_sync, "SYNC"); (V_replstats, "REPLSTATS");
+     (V_promote, "PROMOTE"); (V_ack, "ACK"); (V_quit, "QUIT") |]
+
+let verb_count = Array.length verbs
+
+(* A constant constructor is represented by its declaration index. *)
+let row_of_verb (v : verb) : int = Obj.magic v
+
+let () = Array.iteri (fun i (v, _) -> assert (row_of_verb v = i)) verbs
+
+let verb_name i = snd verbs.(i)
+
+let verb_of_command = function
+  | Ping -> V_ping
+  | Get _ -> V_get
+  | Put _ -> V_put
+  | Del _ -> V_del
+  | Mget _ -> V_mget
+  | Range _ -> V_range
+  | Rangecount _ -> V_rangecount
+  | Scan _ -> V_scan
+  | Size -> V_size
+  | Stats -> V_stats
+  | Metrics -> V_metrics
+  | Profile _ -> V_profile
+  | Multi -> V_multi
+  | Exec _ -> V_exec
+  | Discard -> V_discard
+  | Subscribe _ -> V_subscribe
+  | Watch _ -> V_watch
+  | Sync -> V_sync
+  | Replstats -> V_replstats
+  | Promote -> V_promote
+  | Ack _ -> V_ack
+  | Quit -> V_quit
+
+let verb_index c = row_of_verb (verb_of_command c)
 
 (* Whether the token [start, stop) is [lit], ignoring ASCII case. *)
 let rec same_from line start lit j =
@@ -161,14 +198,13 @@ let rec same_from line start lit j =
 let token_is line start stop lit =
   stop - start = String.length lit && same_from line start lit 0
 
-let rec find_verb line start stop = function
-  | [] -> V_unknown
-  | (v, name) :: rest ->
-      if token_is line start stop name then v else find_verb line start stop rest
+let rec find_verb line start stop i =
+  if i >= verb_count then V_unknown
+  else
+    let v, name = verbs.(i) in
+    if token_is line start stop name then v else find_verb line start stop (i + 1)
 
-let verb_of_token line start stop = find_verb line start stop verbs
-
-let verb_name v = List.assq v verbs
+let verb_of_token line start stop = find_verb line start stop 0
 
 let mget_keys line i stop n =
   let ks = Array.make n 0 in
@@ -248,7 +284,10 @@ let parse_command_at line i stop =
         let v = String.uppercase_ascii (String.sub line i (ve - i)) in
         let v = if String.length v > 32 then String.sub v 0 32 ^ "..." else v in
         fail (Printf.sprintf "unknown command %S" v)
-    | v, _ -> fail (Printf.sprintf "wrong number of arguments for %s" (verb_name v))
+    | v, _ ->
+        fail
+          (Printf.sprintf "wrong number of arguments for %s"
+             (verb_name (row_of_verb v)))
 
 (* Total by construction; the catch-all is belt-and-braces so a parser
    bug can never take a connection (or the server) down. *)
@@ -292,54 +331,6 @@ let parse_command_traced line =
 
 (* --- command rendering --------------------------------------------------- *)
 
-let render_command ?trace_id buf c =
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (match trace_id with
-   | Some id when id > 0 -> p "TRACE %d " id
-   | Some _ | None -> ());
-  (match c with
-   | Ping -> p "PING"
-   | Get k -> p "GET %d" k
-   | Put (k, v) -> p "PUT %d %d" k v
-   | Del k -> p "DEL %d" k
-   | Mget ks ->
-       p "MGET";
-       Array.iter (fun k -> p " %d" k) ks
-   | Range (lo, hi) -> p "RANGE %d %d" lo hi
-   | Rangecount (lo, hi) -> p "RANGECOUNT %d %d" lo hi
-   | Scan n -> p "SCAN %d" n
-   | Size -> p "SIZE"
-   | Stats -> p "STATS"
-   | Metrics -> p "METRICS"
-   | Profile 0 -> p "PROFILE"
-   | Profile ms -> p "PROFILE %d" ms
-   | Multi -> p "MULTI"
-   | Exec 0 -> p "EXEC"
-   | Exec t -> p "EXEC %d" t
-   | Discard -> p "DISCARD"
-   | Subscribe (lo, hi, 0) -> p "SUBSCRIBE %d %d" lo hi
-   | Subscribe (lo, hi, seq) -> p "SUBSCRIBE %d %d %d" lo hi seq
-   | Watch (lo, hi, 0) -> p "WATCH %d %d" lo hi
-   | Watch (lo, hi, ms) -> p "WATCH %d %d %d" lo hi ms
-   | Sync -> p "SYNC"
-   | Replstats -> p "REPLSTATS"
-   | Promote -> p "PROMOTE"
-   | Ack (seq, stamp) -> p "ACK %d %d" seq stamp
-   | Quit -> p "QUIT");
-  Buffer.add_string buf "\r\n"
-
-let command_line ?trace_id c =
-  let b = Buffer.create 32 in
-  render_command ?trace_id b c;
-  Buffer.contents b
-
-(* --- reply rendering ----------------------------------------------------- *)
-
-(* Error messages travel on a single line: control bytes would break
-   framing, so they are mapped to spaces. *)
-let sanitize msg =
-  String.map (fun ch -> if Char.code ch < 0x20 then ' ' else ch) msg
-
 (* Decimal digits of [n <= 0] without the sign: worked on the negative
    side so [min_int] needs no special case. *)
 let rec add_neg_digits buf n =
@@ -353,6 +344,46 @@ let add_int buf n =
     add_neg_digits buf n
   end
   else add_neg_digits buf (-n)
+
+let render_command ?trace_id buf c =
+  (match trace_id with
+   | Some id when id > 0 ->
+       Buffer.add_string buf "TRACE ";
+       add_int buf id;
+       Buffer.add_char buf ' '
+   | Some _ | None -> ());
+  Buffer.add_string buf (verb_name (verb_index c));
+  let arg n =
+    Buffer.add_char buf ' ';
+    add_int buf n
+  in
+  (match c with
+   | Ping | Size | Stats | Metrics | Multi | Discard | Sync | Replstats
+   | Promote | Quit ->
+       ()
+   | Get k | Del k | Scan k -> arg k
+   | Put (a, b) | Range (a, b) | Rangecount (a, b) | Ack (a, b) ->
+       arg a;
+       arg b
+   | Mget ks -> Array.iter arg ks
+   | Profile n | Exec n -> if n <> 0 then arg n
+   | Subscribe (lo, hi, n) | Watch (lo, hi, n) ->
+       arg lo;
+       arg hi;
+       if n <> 0 then arg n);
+  Buffer.add_string buf "\r\n"
+
+let command_line ?trace_id c =
+  let b = Buffer.create 32 in
+  render_command ?trace_id b c;
+  Buffer.contents b
+
+(* --- reply rendering ----------------------------------------------------- *)
+
+(* Error messages travel on a single line: control bytes would break
+   framing, so they are mapped to spaces. *)
+let sanitize msg =
+  String.map (fun ch -> if Char.code ch < 0x20 then ' ' else ch) msg
 
 (* [prefix], an integer and CRLF: the shape of every counted header. *)
 let add_int_line buf prefix n =

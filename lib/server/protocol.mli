@@ -111,6 +111,19 @@ val snapshot_heavy : command -> bool
     [Rangecount], [Scan]) or validates a whole read set ([Exec]) — the
     class an overloaded server sheds first. *)
 
+(** {1 The verb table} *)
+
+val verb_count : int
+(** Rows in the verb table: one per command verb. *)
+
+val verb_index : command -> int
+(** The command's row in the verb table, in [\[0, verb_count)]: constant
+    time, allocation-free. *)
+
+val verb_name : int -> string
+(** A row's wire name ([GET], [PUT], ...): what {!render_command} writes
+    and the parser accepts, in any ASCII case. *)
+
 val parse_command : string -> (command, string) result
 (** Parse one line (without the trailing newline; a trailing ['\r'] is
     tolerated).  Total: never raises. *)

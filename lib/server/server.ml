@@ -51,14 +51,14 @@ module Span = Verlib.Obs.Span
    land in every [Verlib.Obs] report next to [faults_fired]. *)
 let shed_total_a = Atomic.make 0
 
-let deadline_kills_a = Atomic.make 0
+let deadline_kills_total_a = Atomic.make 0
 
 let (_ : Flock.Telemetry.Gauge.t) =
   Flock.Telemetry.Gauge.make "shed_total" (fun () -> Atomic.get shed_total_a)
 
 let (_ : Flock.Telemetry.Gauge.t) =
-  Flock.Telemetry.Gauge.make "deadline_kills" (fun () ->
-      Atomic.get deadline_kills_a)
+  Flock.Telemetry.Gauge.make "deadline_kills_total" (fun () ->
+      Atomic.get deadline_kills_total_a)
 
 (* Wire-layer fault points (docs/RESILIENCE.md): interpreted against the
    live file descriptor by the event loop's read/flush paths. *)
@@ -139,6 +139,13 @@ type follower = {
   mutable fw_redial : float;  (** dial again no sooner than this *)
 }
 
+(* One census of the sweep: the whole mount's, and on a sharded mount
+   one per shard view. *)
+type census_sample = {
+  whole : Verlib.Chainscan.census;
+  shards : (string * Verlib.Chainscan.census) list;
+}
+
 type t = {
   mount : Mount.t;
   cfg : config;
@@ -160,9 +167,7 @@ type t = {
   mutable lsock : Unix.file_descr option;
   mutable bound_port : int;
   mutable loop_ds : unit Domain.t list;  (** one event loop each *)
-  mutable census_d : unit Domain.t option;
-  mutable metrics_d : unit Domain.t option;
-  mutable census_reg : Verlib.Chainscan.registration option;
+  mutable sweep_d : unit Domain.t option;  (** the census and SLO sweep *)
   mutable started : bool;
   mutable stopped : bool;
   mutable started_at : float;
@@ -175,8 +180,7 @@ type t = {
   census_violations : int Atomic.t;
   shed : int Atomic.t;
   deadline_kills : int Atomic.t;
-  latest_census : Verlib.Chainscan.census option Atomic.t;
-  final_census : Verlib.Chainscan.census option Atomic.t;
+  latest_census : census_sample option Atomic.t;
 }
 
 let create ?(config = default_config) mount =
@@ -216,9 +220,7 @@ let create ?(config = default_config) mount =
     lsock = None;
     bound_port = config.port;
     loop_ds = [];
-    census_d = None;
-    metrics_d = None;
-    census_reg = None;
+    sweep_d = None;
     started = false;
     stopped = false;
     started_at = 0.;
@@ -231,34 +233,18 @@ let create ?(config = default_config) mount =
     shed = Atomic.make 0;
     deadline_kills = Atomic.make 0;
     latest_census = Atomic.make None;
-    final_census = Atomic.make None;
   }
 
 let port t = t.bound_port
 
 let running t = t.started && not t.stopped
 
-(* --- flight recorder ------------------------------------------------------ *)
+(* --- the server's figures ---------------------------------------------- *)
 
 (* The admission signal summed over the loops (each loop sheds on its
    own; this is the gauge). *)
 let queue_depth t =
   Array.fold_left (fun n l -> n + l.Evloop.waiting) 0 t.loops
-
-let flight_extra t =
-  [
-    ("queue_depth", string_of_int (queue_depth t));
-    ("connections_active", string_of_int (Atomic.get t.conns_active));
-    ("shed", string_of_int (Atomic.get t.shed));
-    ("deadline_kills", string_of_int (Atomic.get t.deadline_kills));
-  ]
-
-let flight_record t ~trigger ?census () =
-  match t.flight with
-  | None -> ()
-  | Some f ->
-      ignore
-        (Harness.Flight.record f ~trigger ?census ~extra:(flight_extra t) ())
 
 let flight_dump_count t =
   match t.flight with None -> 0 | Some f -> Harness.Flight.dump_count f
@@ -266,47 +252,50 @@ let flight_dump_count t =
 let flight_last_path t =
   match t.flight with None -> None | Some f -> Harness.Flight.last_path f
 
-(* --- STATS --------------------------------------------------------------- *)
+(* This instance's figures: the one list every exporter renders — STATS
+   at top level, METRICS as [server_<name>], a flight dump inside its
+   embedded STATS object. *)
+let figures t =
+  [
+    ("domains", t.cfg.domains);
+    ("connections_total", Atomic.get t.conns_total);
+    ("connections_active", Atomic.get t.conns_active);
+    ("commands_total", Atomic.get t.commands_total);
+    ("protocol_errors", Atomic.get t.errors_total);
+    ("shed", Atomic.get t.shed);
+    ("deadline_kills", Atomic.get t.deadline_kills);
+    ("queue_depth", queue_depth t);
+    ("size", Mount.size t.mount);
+    ("census_samples", Atomic.get t.census_samples);
+    ("census_violations_total", Atomic.get t.census_violations);
+    ("flight_dumps", flight_dump_count t);
+  ]
+
+(* --- STATS and METRICS ---------------------------------------------------- *)
+
+(* The sweep's latest census; on a sharded mount also one census per
+   shard, so a hot or pathological shard is visible instead of averaged
+   away in the merged totals.  No census is taken here. *)
+let census_fields t =
+  match Atomic.get t.latest_census with
+  | None -> []
+  | Some { whole; shards } ->
+      let json = Harness.Obs_report.json_of_census in
+      ("census", json whole)
+      ::
+      (match shards with
+       | [] -> []
+       | shards ->
+           [
+             ( "census_shards",
+               List.map
+                 (fun (name, c) -> Printf.sprintf "\"%s\":%s" name (json c))
+                 shards
+               |> String.concat "," |> Printf.sprintf "{%s}" );
+           ])
 
 let stats_json t =
   let uptime = if t.started then Unix.gettimeofday () -. t.started_at else 0. in
-  let census_extra =
-    match
-      (match Atomic.get t.final_census with
-       | Some c -> Some c
-       | None -> Atomic.get t.latest_census)
-    with
-    | None -> []
-    | Some c ->
-        [
-          ("census", Harness.Obs_report.json_of_census c);
-          ("census_samples", string_of_int (Atomic.get t.census_samples));
-          ( "census_violations_total",
-            string_of_int (Atomic.get t.census_violations) );
-        ]
-  in
-  (* Per-shard census breakdown for sharded mounts: one fresh (passive,
-     approximate-under-mutators) census per shard view, so a hot or
-     pathological shard is visible instead of averaged away in the
-     merged totals. *)
-  let shard_extra =
-    match Mount.shard_views t.mount with
-    | [] | [ _ ] -> []
-    | views ->
-        let b = Buffer.create 1024 in
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (name, iter) ->
-            if i > 0 then Buffer.add_char b ',';
-            let c = Verlib.Chainscan.census_of_iter iter in
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\":%s" name
-                 (Harness.Obs_report.json_of_census c)))
-          views;
-        Buffer.add_char b '}';
-        [ ("census_shards", Buffer.contents b) ]
-  in
-  let census_extra = census_extra @ shard_extra in
   let extra =
     [
       ("server", "\"verlib-serve\"");
@@ -316,45 +305,31 @@ let stats_json t =
           (Dstruct.Map_intf.range_capability_name (Mount.range_capability t.mount))
       );
       ("uptime_s", Printf.sprintf "%.3f" uptime);
-      ("domains", string_of_int t.cfg.domains);
-      ("connections_total", string_of_int (Atomic.get t.conns_total));
-      ("connections_active", string_of_int (Atomic.get t.conns_active));
-      ("commands_total", string_of_int (Atomic.get t.commands_total));
-      ("protocol_errors", string_of_int (Atomic.get t.errors_total));
-      ("shed", string_of_int (Atomic.get t.shed));
-      ("deadline_kills", string_of_int (Atomic.get t.deadline_kills));
-      ("queue_depth", string_of_int (queue_depth t));
       ( "loop_conns",
         Array.to_list t.loops
         |> List.map (fun l -> string_of_int (Atomic.get l.Evloop.load))
         |> String.concat "," |> Printf.sprintf "[%s]" );
-      ("size", string_of_int (Mount.size t.mount));
     ]
-    @ census_extra
+    @ List.map (fun (name, v) -> (name, string_of_int v)) (figures t)
+    @ census_fields t
   in
   Harness.Obs_report.to_json ~extra (Verlib.Obs.capture ())
 
-(* --- METRICS -------------------------------------------------------------- *)
-
 (* The live metrics plane: everything [Flock.Telemetry] holds plus the
-   server's own counters, as Prometheus text exposition.  Like [Ping]
+   server's own figures, as Prometheus text exposition.  Like [Ping]
    and [Stats], never shed — an overloaded server stays measurable. *)
 let metrics_text t =
-  let uptime = if t.started then Unix.gettimeofday () -. t.started_at else 0. in
   Harness.Obs_report.prometheus
-    ~extra:
-      [
-        ("server_uptime_s", int_of_float uptime);
-        ("server_connections_total", Atomic.get t.conns_total);
-        ("server_connections_active", Atomic.get t.conns_active);
-        ("server_commands_total", Atomic.get t.commands_total);
-        ("server_protocol_errors", Atomic.get t.errors_total);
-        ("server_shed", Atomic.get t.shed);
-        ("server_deadline_kills", Atomic.get t.deadline_kills);
-        ("server_queue_depth", queue_depth t);
-        ("server_flight_dumps", flight_dump_count t);
-      ]
+    ~extra:(List.map (fun (name, v) -> ("server_" ^ name, v)) (figures t))
     ()
+
+(* --- flight recorder ------------------------------------------------------ *)
+
+let flight_record t ~trigger =
+  match t.flight with
+  | None -> ()
+  | Some f ->
+      ignore (Harness.Flight.record f ~trigger ~stats:(fun () -> stats_json t))
 
 (* --- replication plane ---------------------------------------------------- *)
 
@@ -529,7 +504,7 @@ let shed t loop sp c =
   let hard = waiting >= 2 * thr in
   if hard then begin
     if not (Atomic.exchange t.hard_shed_on true) then
-      flight_record t ~trigger:Harness.Flight.Hard_shed ()
+      flight_record t ~trigger:Harness.Flight.Hard_shed
   end
   else if waiting < thr then Atomic.set t.hard_shed_on false;
   let refuse = hard || (waiting >= thr && Protocol.snapshot_heavy c) in
@@ -554,82 +529,15 @@ let trace_info_of (sp : Span.t) id outcome : Protocol.trace_info =
         Span.phases;
   }
 
-let command_verb : Protocol.command -> string = function
-  | Protocol.Ping -> "PING"
-  | Protocol.Get _ -> "GET"
-  | Protocol.Put _ -> "PUT"
-  | Protocol.Del _ -> "DEL"
-  | Protocol.Mget _ -> "MGET"
-  | Protocol.Range _ -> "RANGE"
-  | Protocol.Rangecount _ -> "RANGECOUNT"
-  | Protocol.Scan _ -> "SCAN"
-  | Protocol.Size -> "SIZE"
-  | Protocol.Stats -> "STATS"
-  | Protocol.Metrics -> "METRICS"
-  | Protocol.Profile _ -> "PROFILE"
-  | Protocol.Multi -> "MULTI"
-  | Protocol.Exec _ -> "EXEC"
-  | Protocol.Discard -> "DISCARD"
-  | Protocol.Subscribe _ -> "SUBSCRIBE"
-  | Protocol.Watch _ -> "WATCH"
-  | Protocol.Sync -> "SYNC"
-  | Protocol.Replstats -> "REPLSTATS"
-  | Protocol.Promote -> "PROMOTE"
-  | Protocol.Ack _ -> "ACK"
-  | Protocol.Quit -> "QUIT"
-
-(* Per-verb activity frames for the sampling profiler.  Interning is
-   mutexed and must stay off hot paths, so every verb is interned once
-   at module-load time (single-domain); [exec_line] then publishes a
-   pre-computed id — two gated plain stores per command. *)
+(* Per-verb activity frames for the sampling profiler, by verb-table
+   row.  Interning is mutexed and must stay off hot paths, so every verb
+   is interned once at module-load time (single-domain); [exec_line]
+   then publishes a pre-computed id — two gated plain stores per
+   command. *)
 module Activity = Flock.Telemetry.Activity
 
-let verb_activity : Protocol.command -> int =
-  let ping = Activity.intern "PING"
-  and get = Activity.intern "GET"
-  and put = Activity.intern "PUT"
-  and del = Activity.intern "DEL"
-  and mget = Activity.intern "MGET"
-  and range = Activity.intern "RANGE"
-  and rangecount = Activity.intern "RANGECOUNT"
-  and scan = Activity.intern "SCAN"
-  and size = Activity.intern "SIZE"
-  and stats = Activity.intern "STATS"
-  and metrics = Activity.intern "METRICS"
-  and profile = Activity.intern "PROFILE"
-  and multi = Activity.intern "MULTI"
-  and exec = Activity.intern "EXEC"
-  and discard = Activity.intern "DISCARD"
-  and subscribe = Activity.intern "SUBSCRIBE"
-  and watch = Activity.intern "WATCH"
-  and sync = Activity.intern "SYNC"
-  and replstats = Activity.intern "REPLSTATS"
-  and promote = Activity.intern "PROMOTE"
-  and ack = Activity.intern "ACK"
-  and quit = Activity.intern "QUIT" in
-  function
-  | Protocol.Ping -> ping
-  | Protocol.Get _ -> get
-  | Protocol.Put _ -> put
-  | Protocol.Del _ -> del
-  | Protocol.Mget _ -> mget
-  | Protocol.Range _ -> range
-  | Protocol.Rangecount _ -> rangecount
-  | Protocol.Scan _ -> scan
-  | Protocol.Size -> size
-  | Protocol.Stats -> stats
-  | Protocol.Metrics -> metrics
-  | Protocol.Profile _ -> profile
-  | Protocol.Multi -> multi
-  | Protocol.Exec _ -> exec
-  | Protocol.Discard -> discard
-  | Protocol.Subscribe _ -> subscribe
-  | Protocol.Watch _ -> watch
-  | Protocol.Sync -> sync
-  | Protocol.Replstats -> replstats
-  | Protocol.Promote -> promote
-  | Protocol.Ack _ -> ack
-  | Protocol.Quit -> quit
+let verb_activity =
+  Array.init Protocol.verb_count (fun i -> Activity.intern (Protocol.verb_name i))
 
 (* --- command execution (on the connection's loop) ------------------------ *)
 
@@ -685,9 +593,10 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
         if sess.s_multi then sess.s_dirty <- true;
         (None, "error", Protocol.Err msg)
     | Ok (tid, c) -> (
-        Span.set_cmd sp (command_verb c);
+        let verb = Protocol.verb_index c in
+        Span.set_cmd sp (Protocol.verb_name verb);
         (match tid with Some id -> Span.set_trace_id sp id | None -> ());
-        if Activity.on () then Activity.set Activity.dim_op (verb_activity c);
+        if Activity.on () then Activity.set Activity.dim_op verb_activity.(verb);
         match c with
         | Protocol.Quit ->
             sess.s_quit <- true;
@@ -780,7 +689,7 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
             | _ ->
                 sess.s_queued <- c :: sess.s_queued;
                 (tid, "ok", Protocol.Queued))
-        | c when sess.s_multi ->
+        | _ when sess.s_multi ->
             (* PING/STATS/SCAN/... make no sense inside a transaction;
                poison it so EXEC cannot silently commit a sequence the
                client mis-stated. *)
@@ -789,7 +698,8 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
             ( tid,
               "error",
               Protocol.Err
-                (Printf.sprintf "%s not allowed in MULTI" (command_verb c))
+                (Printf.sprintf "%s not allowed in MULTI"
+                   (Protocol.verb_name verb))
             )
         | Protocol.Stats ->
             Span.switch sp Span.Op;
@@ -1109,29 +1019,30 @@ let follow_closed fw =
 
 (* --- domains ------------------------------------------------------------- *)
 
+(* One census of the whole mount and, on a sharded mount, of each
+   shard; STATS and flight dumps report the latest. *)
 let take_census t =
   let c = Verlib.Chainscan.census_of_iter (Mount.iter_vptrs t.mount) in
-  Atomic.set t.latest_census (Some c);
+  let shards =
+    match Mount.shard_views t.mount with
+    | [] | [ _ ] -> []
+    | views ->
+        List.map
+          (fun (name, iter) -> (name, Verlib.Chainscan.census_of_iter iter))
+          views
+  in
+  Atomic.set t.latest_census (Some { whole = c; shards });
   Atomic.incr t.census_samples;
   if c.Verlib.Chainscan.c_violation_count > 0 then begin
     ignore
       (Atomic.fetch_and_add t.census_violations c.Verlib.Chainscan.c_violation_count);
     (* A chain-invariant violation is exactly the incident the flight
-       recorder exists for: dump with the offending census attached. *)
-    flight_record t ~trigger:Harness.Flight.Census_violation ~census:c ()
-  end;
-  c
+       recorder exists for: the dump's STATS carries the offending
+       census. *)
+    flight_record t ~trigger:Harness.Flight.Census_violation
+  end
 
-let census_loop t () =
-  while not (Atomic.get t.stop_flag) do
-    let deadline = Unix.gettimeofday () +. t.cfg.census_interval in
-    while (not (Atomic.get t.stop_flag)) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.01
-    done;
-    if not (Atomic.get t.stop_flag) then ignore (take_census t)
-  done
-
-(* SLO sweep: any request phase whose p99 (µs) exceeds the configured
+(* SLO check: any request phase whose p99 (µs) exceeds the configured
    budget files a flight report naming the offending phase.  The
    recorder's cooldown keeps a persistently slow phase from spamming. *)
 let slo_check t =
@@ -1145,22 +1056,35 @@ let slo_check t =
              > t.cfg.slo_p99_us
         then
           flight_record t
-            ~trigger:(Harness.Flight.Slo_breach (Span.phase_name p))
-            ())
+            ~trigger:(Harness.Flight.Slo_breach (Span.phase_name p)))
       Span.phases
 
-(* The metrics plane's background cadence: a fresh census (so STATS and
-   shedding see current chain health even with the dedicated census
-   domain off) plus the SLO sweep, every [metrics_interval] seconds. *)
-let metrics_loop t () =
+let sweep_on cfg = cfg.census_interval > 0. || cfg.metrics_interval > 0.
+
+(* The one background sweep, the census's only owner: a census every
+   [census_interval] seconds (every [metrics_interval] when only that is
+   set) and the SLO check every [metrics_interval]. *)
+let sweep_loop t () =
+  let census_every =
+    if t.cfg.census_interval > 0. then t.cfg.census_interval
+    else t.cfg.metrics_interval
+  in
+  let slo_every =
+    if t.cfg.metrics_interval > 0. then t.cfg.metrics_interval else infinity
+  in
+  let next_census = ref (Unix.gettimeofday () +. census_every) in
+  let next_slo = ref (Unix.gettimeofday () +. slo_every) in
   while not (Atomic.get t.stop_flag) do
-    let deadline = Unix.gettimeofday () +. t.cfg.metrics_interval in
-    while (not (Atomic.get t.stop_flag)) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.01
-    done;
+    Unix.sleepf 0.01;
     if not (Atomic.get t.stop_flag) then begin
-      ignore (take_census t);
-      slo_check t
+      if Unix.gettimeofday () >= !next_census then begin
+        take_census t;
+        next_census := Unix.gettimeofday () +. census_every
+      end;
+      if Unix.gettimeofday () >= !next_slo then begin
+        slo_check t;
+        next_slo := Unix.gettimeofday () +. slo_every
+      end
     end
   done
 
@@ -1229,8 +1153,8 @@ let handlers t : session Evloop.handlers =
     h_kill =
       (fun _reason ->
         Atomic.incr t.deadline_kills;
-        Atomic.incr deadline_kills_a;
-        flight_record t ~trigger:Harness.Flight.Deadline_kill ());
+        Atomic.incr deadline_kills_total_a;
+        flight_record t ~trigger:Harness.Flight.Deadline_kill);
     h_close =
       (fun sess ~graceful ->
         if sess.s_admitted then Atomic.decr t.conns_active;
@@ -1275,16 +1199,7 @@ let launch t =
     Evloop.create ~n:t.cfg.domains ~lsock ~handlers:(handlers t)
       ~stop_flag:t.stop_flag ~idle_timeout:t.cfg.idle_timeout
       ~write_timeout:t.cfg.write_timeout ~max_line ~fp_read ~fp_write ();
-  if t.cfg.census_interval > 0. then begin
-    t.census_reg <-
-      Some
-        (Verlib.Chainscan.register
-           ~name:("serve:" ^ Mount.name t.mount)
-           (Mount.iter_vptrs t.mount));
-    t.census_d <- Some (Domain.spawn (census_loop t))
-  end;
-  if t.cfg.metrics_interval > 0. then
-    t.metrics_d <- Some (Domain.spawn (metrics_loop t));
+  if sweep_on t.cfg then t.sweep_d <- Some (Domain.spawn (sweep_loop t));
   if t.cfg.profile_hz > 0 then
     Verlib.Obs.Profile.start ~hz:t.cfg.profile_hz ()
 
@@ -1313,21 +1228,14 @@ let stop t =
          (try Unix.close fd with _ -> ());
          t.lsock <- None
      | None -> ());
-    Option.iter Domain.join t.census_d;
-    t.census_d <- None;
-    Option.iter Domain.join t.metrics_d;
-    t.metrics_d <- None;
+    Option.iter Domain.join t.sweep_d;
+    t.sweep_d <- None;
     (* Stop the sampler after the loops are joined so the final ticks
        still see their activity; stacks stay accumulated for export. *)
     if t.cfg.profile_hz > 0 then Verlib.Obs.Profile.stop ();
     (* Quiescent final census: the loops are joined, so the audit is
        exact. *)
-    if t.cfg.census_interval > 0. || t.cfg.metrics_interval > 0. then begin
-      let c = take_census t in
-      Atomic.set t.final_census (Some c)
-    end;
-    Option.iter Verlib.Chainscan.unregister t.census_reg;
-    t.census_reg <- None
+    if sweep_on t.cfg then take_census t
   end;
   (* A stopped server's feed, and any cursor it orphaned, must not hold
      the process-wide lag gauges up. *)
@@ -1340,7 +1248,9 @@ let run ?(deadline = infinity) ?(on_stop = ignore) t =
   spawn_loops t ~from:1;
   Fun.protect ~finally:(fun () -> stop t) (fun () -> Evloop.run t.loops.(0))
 
-let final_census t = Atomic.get t.final_census
+let final_census t =
+  if t.stopped then Option.map (fun s -> s.whole) (Atomic.get t.latest_census)
+  else None
 
 let census_violations_total t = Atomic.get t.census_violations
 

@@ -19,10 +19,11 @@
     from loop 0: the follow connection is dialed, read and written by
     that loop like any other connection, so a replica runs no domain
     beyond its loops.  An optional
-    census domain walks the mounted structure's versioned pointers
-    every [census_interval] seconds ([Verlib.Chainscan]), keeping the
-    latest census for [STATS] and accumulating the invariant-violation
-    count.
+    sweep domain, the census's only owner, walks the mounted structure's
+    versioned pointers ([Verlib.Chainscan]) — the whole mount and, on a
+    sharded mount, each shard — keeping the latest census for [STATS]
+    and accumulating the invariant-violation count, and runs the SLO
+    check; the serving loops take no census.
 
     {!stop} is a graceful drain: the listener stops accepting, every
     complete line already read is answered, streams end, outbufs flush,
@@ -41,7 +42,9 @@ type config = {
   domains : int;
       (** event-loop domains, each serving its share of the connections
           — {e not} a connection cap *)
-  census_interval : float;  (** seconds; 0 disables the census domain *)
+  census_interval : float;
+      (** seconds between the sweep's censuses; 0 = census at
+          [metrics_interval] when that is set, else no sweep *)
   max_conns : int;
       (** connection cap: beyond [max_conns] simultaneously registered
           connections, new arrivals are answered [-BUSY] at accept and
@@ -61,8 +64,9 @@ type config = {
           observability verbs are never shed; 0 = off *)
   retry_after_ms : int;  (** the hint carried in [-BUSY] replies *)
   metrics_interval : float;
-      (** seconds between metrics-plane sweeps (background census + SLO
-          check on the request-phase histograms); 0 = off *)
+      (** seconds between the sweep's SLO checks on the request-phase
+          histograms (and its censuses when [census_interval] is 0);
+          0 = off *)
   flight_dir : string;
       (** directory for anomaly flight-recorder dumps
           ([flight-<ms>-<trigger>.json]); "" disables the recorder *)
@@ -93,7 +97,7 @@ type config = {
 }
 
 val default_config : config
-(** port 7379, 4 domains, no census; no
+(** port 7379, 4 domains, no sweep; no
     connection cap, no idle timeout, 5 s write timeout, shedding off,
     retry hint 50 ms; metrics plane, flight recorder and profiler off;
     primary role, 65536-record feed. *)
@@ -108,8 +112,8 @@ val listen : t -> unit
     [Unix.Unix_error] if the port cannot be bound. *)
 
 val start : t -> unit
-(** Listen and spawn one domain per loop (plus the census, metrics and
-    profiler domains when configured), returning at once: the form for
+(** Listen and spawn one domain per loop (plus the sweep and profiler
+    domains when configured), returning at once: the form for
     embedding a server in a process that does other work, and for the
     tests. *)
 
@@ -139,8 +143,8 @@ val stop : t -> unit
     the process-wide [repl_lag_*] gauges ({!Repl.Log.unregister}). *)
 
 val final_census : t -> Verlib.Chainscan.census option
-(** The quiescent census {!stop} took (when the census domain was
-    enabled); [None] before {!stop}. *)
+(** The quiescent census {!stop} took (when the sweep was on); [None]
+    before {!stop}. *)
 
 val census_violations_total : t -> int
 (** Cumulative invariant violations over every census taken (background
@@ -153,25 +157,33 @@ val shed_count : t -> int
 
 val deadline_kill_count : t -> int
 (** Connections this instance killed for blowing the idle or write
-    deadline (process-wide: the [deadline_kills] gauge). *)
-
-
+    deadline (process-wide: the [deadline_kills_total] gauge). *)
 
 val flight_dump_count : t -> int
-(** Flight-recorder dumps written so far (0 when the recorder is off). *)
+(** Flight-recorder dumps filed so far (0 when the recorder is off);
+    {!flight_last_path} names the latest once it is written. *)
 
 val flight_last_path : t -> string option
 (** Path of the most recent flight dump. *)
 
+val figures : t -> (string * int) list
+(** This instance's figures, the one list every exporter renders:
+    [domains], [connections_total], [connections_active],
+    [commands_total], [protocol_errors], [shed], [deadline_kills],
+    [queue_depth], [size], [census_samples], [census_violations_total],
+    [flight_dumps]. *)
+
 val stats_json : t -> string
-(** The [STATS] payload: one jsonlite object — server counters
-    (connections, commands, errors, uptime), the [Verlib.Obs] report
-    (counters / histograms / gauges), when the census domain is on the
-    latest census headline ([Harness.Obs_report.json_of_census]), and
-    for [sharded-*] mounts a ["census_shards"] object with one census
-    per shard. *)
+(** The [STATS] payload: one jsonlite object — [server], [structure],
+    [range_capability], [uptime_s], [loop_conns], the {!figures}, the
+    [Verlib.Obs] report (counters / histograms / gauges) and, once the
+    sweep has taken one, its latest census
+    ([Harness.Obs_report.json_of_census]); for [sharded-*] mounts the
+    census comes with a ["census_shards"] object holding one census per
+    shard.  Takes no census itself.  A flight dump embeds this object as
+    its [stats] member. *)
 
 val metrics_text : t -> string
 (** The [METRICS] payload: Prometheus text exposition of every
-    counter / histogram / gauge plus the server's own live figures
-    ([Harness.Obs_report.prometheus]). *)
+    counter / histogram / gauge plus the {!figures} as
+    [verlib_server_<name>] ([Harness.Obs_report.prometheus]). *)

@@ -114,6 +114,12 @@ let max_spin = 200
 
 let idem_capacity = 4096
 
+(* Stripes per store: a power of two, so a key's stripe is its hash
+   masked. *)
+let stripe_count = 512
+
+let[@inline] stripe_of k = mix k land (stripe_count - 1)
+
 (* ------------------------------------------------------------------ *)
 
 module Store = struct
@@ -124,7 +130,6 @@ module Store = struct
         m : (module Dstruct.Map_intf.MAP with type t = 'h);
         h : 'h;
         stripes : int Atomic.t array;
-        mask : int;
         clock : int Atomic.t;
         starts : int Atomic.t;  (** writer commits entered install window *)
         dones : int Atomic.t;  (** writer commits left it (either way) *)
@@ -140,16 +145,12 @@ module Store = struct
       }
         -> t
 
-  let rec pow2_ge n p = if p >= n then p else pow2_ge n (p * 2)
-
-  let create ?(stripes = 512) m h =
-    let n = pow2_ge (max 1 stripes) 1 in
+  let create m h =
     Store
       {
         m;
         h;
-        stripes = Array.init n (fun _ -> Atomic.make 0);
-        mask = n - 1;
+        stripes = Array.init stripe_count (fun _ -> Atomic.make 0);
         clock = Atomic.make 0;
         starts = Atomic.make 0;
         dones = Atomic.make 0;
@@ -264,7 +265,7 @@ let install store ~spin ~validate writes =
         go 0
       in
       List.iter acquire
-        (List.sort_uniq compare (List.map (fun (k, _) -> mix k land st.mask) writes));
+        (List.sort_uniq compare (List.map (fun (k, _) -> stripe_of k) writes));
       Atomic.incr st.starts;
       let vs = 1 + Atomic.fetch_and_add st.clock 1 in
       (try
@@ -304,7 +305,6 @@ let run_once store ops =
   match store with
   | Store.Store st ->
       let module M = (val st.m) in
-      let stripe_of k = mix k land st.mask in
       (* read set: stripe -> version observed at first read *)
       let reads : (int, int) Hashtbl.t = Hashtbl.create 16 in
       (* range read set: (lo, hi, fingerprint) *)
@@ -618,7 +618,7 @@ let write_one (type h) (m : (module Dstruct.Map_intf.MAP with type t = h)) (h : 
 let single_write store k w =
   match store with
   | Store.Store st ->
-      let cell = st.stripes.(mix k land st.mask) in
+      let cell = st.stripes.(stripe_of k) in
       (* One uncontended latch attempt first, before any retry state
          exists: a write that meets no other writer allocates only what
          the map and the feed do. *)
@@ -693,7 +693,7 @@ let get store k =
   match store with
   | Store.Store st ->
       let module M = (val st.m) in
-      let s = mix k land st.mask in
+      let s = stripe_of k in
       (* One uncontended bracket first, before any retry state exists:
          a point read that meets no writer allocates only what the map
          returns. *)
@@ -728,7 +728,7 @@ let mget store keys =
       let module M = (val st.m) in
       let stripes =
         List.sort_uniq compare
-          (Array.fold_left (fun acc k -> (mix k land st.mask) :: acc) [] keys)
+          (Array.fold_left (fun acc k -> stripe_of k :: acc) [] keys)
       in
       let b = Flock.Backoff.create () in
       let expired = grace_clock () in

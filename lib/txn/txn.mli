@@ -77,12 +77,8 @@ module Store : sig
       PUT/DEL) through it, so plain writes participate in stripe
       versioning and transactions validate against them. *)
 
-  val create :
-    ?stripes:int ->
-    (module Dstruct.Map_intf.MAP with type t = 'h) ->
-    'h ->
-    t
-  (** [stripes] (default 512) is rounded up to a power of two. *)
+  val create : (module Dstruct.Map_intf.MAP with type t = 'h) -> 'h -> t
+  (** A store with 512 stripes. *)
 
   val quiescent : t -> bool
   (** No stripe latch held and no commit in flight — the leak-free

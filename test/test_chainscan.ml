@@ -174,20 +174,6 @@ let test_shortcut_effectiveness () =
   Alcotest.(check bool) "shortcut ratio in [0,1]" true
     (C.shortcut_ratio c2 >= 0. && C.shortcut_ratio c2 <= 1.)
 
-(* --- registry ------------------------------------------------------------ *)
-
-let test_registry () =
-  V.reset ();
-  let target = target_of_head V.Vptr.Ind_on_need (mk 1) in
-  let before = List.length (C.registered ()) in
-  let r = C.register ~name:"t1" (fun emit -> emit target) in
-  Alcotest.(check int) "registered" (before + 1) (List.length (C.registered ()));
-  let all = C.census_all () in
-  Alcotest.(check bool) "census_all includes t1" true
-    (List.exists (fun (n, c) -> n = "t1" && c.C.c_pointers = 1) all);
-  C.unregister r;
-  Alcotest.(check int) "unregistered" before (List.length (C.registered ()))
-
 (* --- concurrent censuses (qcheck) ---------------------------------------- *)
 
 (* Property: a census running concurrently with real mutators never
@@ -253,7 +239,6 @@ let () =
           Alcotest.test_case "sorted chain counts" `Quick test_sorted_chain;
           Alcotest.test_case "empty and plain pointers" `Quick test_empty_and_plain;
           Alcotest.test_case "depth cap" `Quick test_depth_cap;
-          Alcotest.test_case "registry" `Quick test_registry;
         ] );
       ( "audit",
         [

@@ -431,7 +431,7 @@ let test_flight_deadline_dump () =
   let t = F.create ~min_interval:0. ~dir:(tmpdir ()) () in
   match
     F.record t ~trigger:F.Deadline_kill
-      ~extra:[ ("queue_depth", "3") ] ()
+      ~stats:(fun () -> "{\"queue_depth\":3}")
   with
   | None -> Alcotest.fail "deadline-kill dump suppressed"
   | Some path ->
@@ -456,8 +456,11 @@ let test_flight_deadline_dump () =
       in
       Alcotest.(check (option string)) "trigger recorded"
         (Some "deadline-kill") (str "trigger");
-      Alcotest.(check bool) "extra at top level" true
-        (Harness.Jsonlite.member "queue_depth" j <> None);
+      Alcotest.(check (option (float 0.))) "stats embedded" (Some 3.)
+        (Option.bind
+           (Option.bind (Harness.Jsonlite.member "stats" j)
+              (Harness.Jsonlite.member "queue_depth"))
+           Harness.Jsonlite.to_number);
       Alcotest.(check bool) "spans included" true
         (match Harness.Jsonlite.member "spans" j with
          | Some (Harness.Jsonlite.Arr (_ :: _)) -> true
@@ -474,7 +477,10 @@ let test_flight_census_violation () =
   Verlib.reset ();
   let c = Verlib.Chainscan.census_of_iter (fun _emit -> ()) in
   let t = F.create ~min_interval:0. ~dir:(tmpdir ()) () in
-  match F.record t ~trigger:F.Census_violation ~census:c () with
+  let stats () =
+    Printf.sprintf "{\"census\":%s}" (Harness.Obs_report.json_of_census c)
+  in
+  match F.record t ~trigger:F.Census_violation ~stats with
   | None -> Alcotest.fail "census-violation dump suppressed"
   | Some path ->
       let j =
@@ -486,22 +492,25 @@ let test_flight_census_violation () =
         (Some "census-violation")
         (Option.bind (Harness.Jsonlite.member "trigger" j)
            Harness.Jsonlite.to_string);
-      Alcotest.(check bool) "census block present" true
-        (Harness.Jsonlite.member "census" j <> None)
+      Alcotest.(check bool) "census in the stats object" true
+        (Option.bind (Harness.Jsonlite.member "stats" j)
+           (Harness.Jsonlite.member "census")
+        <> None)
 
 let test_flight_cooldown_and_cap () =
   Verlib.reset ();
+  let empty () = "{}" in
   let t = F.create ~min_interval:3600. ~max_dumps:16 ~dir:(tmpdir ()) () in
   Alcotest.(check bool) "first fires" true
-    (F.record t ~trigger:F.Hard_shed () <> None);
+    (F.record t ~trigger:F.Hard_shed ~stats:empty <> None);
   Alcotest.(check bool) "second suppressed by cooldown" true
-    (F.record t ~trigger:F.Hard_shed () = None);
+    (F.record t ~trigger:F.Hard_shed ~stats:empty = None);
   Alcotest.(check int) "suppression counted" 1 (F.suppressed_count t);
   let t2 = F.create ~min_interval:0. ~max_dumps:2 ~dir:(tmpdir ()) () in
-  let p1 = F.record t2 ~trigger:F.Hard_shed () in
-  let p2 = F.record t2 ~trigger:F.Hard_shed () in
+  let p1 = F.record t2 ~trigger:F.Hard_shed ~stats:empty in
+  let p2 = F.record t2 ~trigger:F.Hard_shed ~stats:empty in
   Alcotest.(check bool) "cap suppresses" true
-    (F.record t2 ~trigger:F.Hard_shed () = None);
+    (F.record t2 ~trigger:F.Hard_shed ~stats:empty = None);
   Alcotest.(check int) "capped at max_dumps" 2 (F.dump_count t2);
   (* filenames carry the monotonic dump sequence, so two dumps in the
      same millisecond cannot overwrite each other *)

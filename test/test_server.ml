@@ -465,6 +465,12 @@ let await ?(timeout = 10.) msg pred =
   in
   go ()
 
+(* A member of the in-process STATS object. *)
+let stats_member srv k =
+  match Harness.Jsonlite.parse_result (S.stats_json srv) with
+  | Ok j -> Harness.Jsonlite.member k j
+  | Error e -> Alcotest.fail ("STATS json: " ^ e)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -549,7 +555,7 @@ let test_wire_stats_json () =
     ignore (req conn (P.Put (k, k)))
   done;
   Unix.sleepf 0.15;
-  (* let the census domain sample *)
+  (* let the sweep take a census *)
   match req conn P.Stats with
   | P.Bulk raw -> (
       match Harness.Jsonlite.parse_result raw with
@@ -632,8 +638,8 @@ let test_wire_metrics () =
             (match find "verlib_server_commands_total" with
              | Some c -> c >= 20.
              | None -> false);
-          Alcotest.(check bool) "uptime gauge" true
-            (find "verlib_server_uptime_s" <> None);
+          Alcotest.(check (option (float 0.))) "size figure" (Some 20.)
+            (find "verlib_server_size");
           (* request-phase histograms ride along, µs-converted *)
           Alcotest.(check bool) "phase hist exported" true
             (match find "verlib_phase_op_us_count" with
@@ -645,12 +651,14 @@ let test_wire_metrics () =
 
 (* STATS against a sharded mount must break the census down per shard. *)
 let test_wire_stats_shards () =
-  with_server (Harness.Registry.find "sharded-btree:4") @@ fun _srv port ->
+  with_server ~census_interval:0.05 (Harness.Registry.find "sharded-btree:4")
+  @@ fun srv port ->
   let conn = C.connect ~retries:20 ~port () in
   Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
   for k = 1 to 64 do
     ignore (req conn (P.Put (k, k)))
   done;
+  await "the sweep's census" (fun () -> stats_member srv "census" <> None);
   match req conn P.Stats with
   | P.Bulk raw -> (
       match Harness.Jsonlite.parse_result raw with
@@ -703,7 +711,7 @@ let test_flight_on_deadline_kill () =
   ignore (req conn P.Ping);
   (* idle past the deadline; the loop kills the connection *)
   let deadline = Unix.gettimeofday () +. 5. in
-  while S.flight_dump_count srv = 0 && Unix.gettimeofday () < deadline do
+  while S.flight_last_path srv = None && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.02
   done;
   Alcotest.(check bool) "kill recorded" true (S.deadline_kill_count srv >= 1);
@@ -724,6 +732,124 @@ let test_flight_on_deadline_kill () =
             (Option.bind
                (Harness.Jsonlite.member "trigger" j)
                Harness.Jsonlite.to_string))
+
+(* The sweep is the census's only owner.  With it off, a STATS on a
+   sharded mount walks no chain — no domain's trace ring holds an
+   [ev_census] event — and reports no census; with it on,
+   [census_shards] holds one census per shard, next to [census]. *)
+let test_stats_census_from_sweep () =
+  let sharded = Harness.Registry.find "sharded-btree:4" in
+  (with_server sharded @@ fun _srv port ->
+   let conn = C.connect ~retries:20 ~port () in
+   Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
+   for k = 1 to 64 do
+     ignore (req conn (P.Put (k, k)))
+   done;
+   Verlib.Obs.set_tracing true;
+   let r =
+     Fun.protect
+       ~finally:(fun () -> Verlib.Obs.set_tracing false)
+       (fun () -> req conn P.Stats)
+   in
+   let censuses = ref 0 in
+   for slot = 0 to Flock.Registry.max_slots - 1 do
+     List.iter
+       (fun (_, code, _) -> if code = Verlib.Obs.ev_census then incr censuses)
+       (Flock.Telemetry.events_of_slot slot)
+   done;
+   Alcotest.(check int) "no census event" 0 !censuses;
+   match r with
+   | P.Bulk raw -> (
+       match Harness.Jsonlite.parse_result raw with
+       | Error e -> Alcotest.fail ("STATS json: " ^ e)
+       | Ok j ->
+           Alcotest.(check bool) "no census" true
+             (Harness.Jsonlite.member "census" j = None);
+           Alcotest.(check bool) "no census_shards" true
+             (Harness.Jsonlite.member "census_shards" j = None))
+   | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r));
+  with_server ~census_interval:0.02 sharded @@ fun srv _port ->
+  await "the sweep's census" (fun () -> stats_member srv "census" <> None);
+  match stats_member srv "census_shards" with
+  | Some (Harness.Jsonlite.Obj members) ->
+      Alcotest.(check (list string)) "one census per shard"
+        [ "shard-0"; "shard-1"; "shard-2"; "shard-3" ]
+        (List.map fst members)
+  | Some _ -> Alcotest.fail "census_shards is not an object"
+  | None -> Alcotest.fail "census without census_shards"
+
+(* Every exporter renders one figure list: at a quiescent point (after
+   an idle connection's kill filed the one flight dump) each figure
+   reads the same in STATS, in METRICS as [verlib_server_<name>] and in
+   the STATS object the dump embeds. *)
+let test_figures_agree () =
+  Verlib.reset ();
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "flight_figures_%d" (Unix.getpid ()))
+  in
+  let mount = S.Mount.mount ~n_hint:64 (module Dstruct.Btree) in
+  let config =
+    {
+      S.default_config with
+      S.port = 0;
+      domains = 2;
+      idle_timeout = 0.1;
+      flight_dir = dir;
+      flight_min_interval = 3600.;
+    }
+  in
+  let srv = S.create ~config mount in
+  S.start srv;
+  Fun.protect ~finally:(fun () -> S.stop srv) @@ fun () ->
+  let conn = C.connect ~retries:20 ~port:(S.port srv) () in
+  Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
+  for k = 1 to 5 do
+    ignore (req conn (P.Put (k, k)))
+  done;
+  ignore (req conn (P.Exec 0));
+  await "the kill's dump" (fun () -> S.flight_last_path srv <> None);
+  let parse raw =
+    match Harness.Jsonlite.parse_result raw with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("json: " ^ e)
+  in
+  let dump =
+    let path = Option.get (S.flight_last_path srv) in
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> parse (really_input_string ic (in_channel_length ic)))
+  in
+  let in_dump =
+    match Harness.Jsonlite.member "stats" dump with
+    | Some j -> j
+    | None -> Alcotest.fail "no stats object in the dump"
+  in
+  let stats = parse (S.stats_json srv) in
+  let metrics =
+    match Harness.Obs_report.parse_prometheus (S.metrics_text srv) with
+    | Ok m -> m
+    | Error e -> Alcotest.fail ("METRICS: " ^ e)
+  in
+  let num j k =
+    Option.bind (Harness.Jsonlite.member k j) Harness.Jsonlite.to_number
+  in
+  Alcotest.(check int) "figures" 12 (List.length (S.figures srv));
+  List.iter
+    (fun (name, v) ->
+      let v = Some (float_of_int v) in
+      Alcotest.(check (option (float 0.))) ("STATS " ^ name) v (num stats name);
+      Alcotest.(check (option (float 0.)))
+        ("METRICS " ^ name) v
+        (Harness.Obs_report.prom_find metrics ("verlib_server_" ^ name));
+      Alcotest.(check (option (float 0.)))
+        ("dump " ^ name) v (num in_dump name))
+    (S.figures srv);
+  Alcotest.(check (option (float 0.))) "the kill counted" (Some 1.)
+    (num stats "deadline_kills");
+  Alcotest.(check (option (float 0.))) "the dump counts itself" (Some 1.)
+    (num in_dump "flight_dumps")
 
 let test_wire_graceful_stop () =
   Verlib.reset ();
@@ -1924,6 +2050,10 @@ let () =
             test_wire_stats_shards;
           Alcotest.test_case "flight dump on deadline kill" `Quick
             test_flight_on_deadline_kill;
+          Alcotest.test_case "STATS census from the sweep" `Quick
+            test_stats_census_from_sweep;
+          Alcotest.test_case "figures agree across exporters" `Quick
+            test_figures_agree;
         ] );
       ( "bank-invariant",
         [
