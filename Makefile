@@ -192,33 +192,36 @@ c10k-smoke:
 	  || { echo "FAIL: connections still registered after the drain"; exit 1; }; \
 	echo "c10k-smoke: OK"
 
-# Chaos gate (docs/RESILIENCE.md).  Three stanzas:
-#   1. bin/verlib_soak: the bank mix against a live in-process server
-#      while a named fault plan fires at the versioning core and the
-#      wire; exits non-zero unless the final quiescent census is
-#      violation-free, no domain is left parked, clients saw zero
-#      errors, and money is conserved exactly.
+# Chaos gate (docs/RESILIENCE.md).  Four stanzas:
+#   1. bin/verlib_soak: the plain bank ([Server.Bank]) against a live
+#      in-process server while a named fault plan fires at the
+#      versioning core and the wire, tbd-window (Theorem 6.2's
+#      set-stamp helping) among them; exits non-zero unless the plan
+#      fired, no domain is left parked, clients saw zero errors and
+#      give-ups, the censuses are violation-free, and money is
+#      conserved exactly.
 #   2. Overload: a 1-loop server with admission control is overdriven
 #      by 6 client domains — the loadgen must observe -BUSY sheds
 #      (shed > 0) — and must then serve an untroubled follow-up run
 #      (shed = 0, 0 errors): shedding engages and releases.
-#   3. The loadgen's own --faults path: the bank invariant holds over a
-#      flaky wire masked by the client retry layer.
+#   3. The loadgen's own --faults path: the transactional bank holds
+#      over a flaky wire masked by the client retry layer.
 #   4. --duration alone ends a server: a primary and a one-loop replica
 #      following it each exit 0 by themselves within the timeout, and
 #      print their final report with the quiescent census.
 chaos-smoke:
 	dune build bin/verlib_soak.exe bin/verlib_serve.exe bin/verlib_loadgen.exe
 	@set -e; \
-	for plan in crash-stop-locker flaky-wire stalled-reclaimer yield-storm; do \
+	for plan in crash-stop-locker flaky-wire stalled-reclaimer yield-storm \
+	    tbd-window; do \
 	  echo "chaos-smoke: soak under $$plan"; \
-	  ./_build/default/bin/verlib_soak.exe --plan $$plan --duration 1.5 --ci; \
+	  ./_build/default/bin/verlib_soak.exe --plan $$plan --duration 1; \
 	done; \
 	echo "chaos-smoke: sharded soak (cross-shard snapshots under fire)"; \
 	./_build/default/bin/verlib_soak.exe --plan crash-stop-locker \
-	  -s sharded-btree:4 --duration 1.5 --ci; \
+	  -s sharded-btree:4 --duration 1; \
 	./_build/default/bin/verlib_soak.exe --plan flaky-wire \
-	  -s sharded-hashtable:2 --duration 1.5 --ci
+	  -s sharded-hashtable:2 --duration 1
 	@set -e; \
 	echo "chaos-smoke: overload shedding (1 loop, admission control)"; \
 	./_build/default/bin/verlib_serve.exe -s btree -p 0 -t 1 \
@@ -475,18 +478,19 @@ txn-smoke:
 	echo "txn-smoke: OK"
 
 # Replication end-to-end gate: an in-process primary/replica pair runs
-# the bank mix while the split-brain-window plan partitions the change
-# feed and duplicates records.  The soak binary itself demands the full
-# divergence arc — lag gauges RISE under the partition, drain to zero
-# after the heal (the replica redials and re-SYNCs), the replica's
-# ledger balances exactly at the healed watermark, and both sides
-# finish with zero census violations (docs/REPLICATION.md).  It writes
-# no benchmark rows: perfbench's txn-feed, which runs a live replica,
-# is the replication benchmark (make perf-pairs).
+# the plain bank ([Server.Bank]) against the primary while the
+# split-brain-window plan partitions the change feed and duplicates
+# records.  The soak binary itself demands the full divergence arc —
+# lag gauges RISE under the partition, drain to zero after the heal
+# (the replica redials and re-SYNCs), the replica's ledger balances
+# exactly at the healed watermark, and both sides finish with zero
+# census violations (docs/REPLICATION.md).  It writes no benchmark
+# rows: perfbench's txn-feed, which runs a live replica, is the
+# replication benchmark (make perf-pairs).
 repl-smoke:
 	dune build bin/verlib_soak.exe
 	@set -e; \
-	./_build/default/bin/verlib_soak.exe --repl --ci \
+	./_build/default/bin/verlib_soak.exe --repl --duration 1 \
 	  2>&1 | tee /tmp/verlib_repl_smoke.log; \
 	grep -q 'soak(repl): OK' /tmp/verlib_repl_smoke.log \
 	  || { echo "FAIL: replication soak did not pass"; exit 1; }; \

@@ -13,18 +13,15 @@
      profiles; it writes no benchmark rows — served throughput is
      perfbench's (perfbench/run.py).
 
-   - [--mix bank]: the serializability workload.  Writer domains own
-     disjoint account pairs (a = 2i+1, b = 2i+2, both seeded with BASE)
-     and move one unit per transfer with one server-side transaction
-     [MULTI; DEL a; PUT a (va-1); DEL b; PUT b (vb+1); EXEC token].
-     The server commits the four effects atomically at a single
-     versionstamp, exactly once per token, so there is no settle/replay
-     pass and no partially-applied transfer to repair.  Reader domains
-     audit the pair sum through read-only transactions, MGET and (on
-     ordered structures) RANGE; every observed pair must sum to
-     {e exactly} 2*BASE — the old 2*BASE-1 "between the two PUTs"
-     window and the visible in-flight DEL are gone.  On shutdown a
-     quiescent MGET of every account must sum to exactly 2*BASE*pairs.
+   - [--mix bank]: the serializability workload, [Server.Bank] with
+     transactional transfers.  Writer domains own disjoint account
+     pairs and move one unit per transfer with one tokened
+     [MULTI; DEL a; PUT a; DEL b; PUT b; EXEC token], committed
+     atomically and exactly once, so there is no settling pass.
+     Reader domains check pair sums through read-only transactions,
+     MGET and (on ordered structures) RANGE; every pair must sum to
+     {e exactly} 2*BASE.  After the run a quiescent MGET of every
+     account must sum to exactly 2*BASE*pairs.
 
    Exit codes: 0 = clean; 1 = invariant violation, reply errors, or
    census violations reported by the server's STATS; 2 = usage. *)
@@ -364,236 +361,6 @@ let opgen_worker ~host ~port ~depth ~gen_of ~trace_sample ~rt_attempts ~wid st
   st.retries <- r;
   st.shed <- b;
   C.rt_close rt
-
-(* --- bank mix ------------------------------------------------------------- *)
-
-let bank_base = 1_000_000
-
-type bank_stats = {
-  mutable transfers : int;
-  mutable checks : int;
-  mutable skipped : int;  (** a read shed past the retry budget ([-BUSY]) *)
-  mutable violations : int;
-  mutable berrors : int;
-  mutable giveups : int;
-      (** transactional transport exhausted its retry budget — asserted
-          {e zero} by the driver: EXEC tokens make wholesale retries
-          exactly-once, so under the shipped fault plans no transfer or
-          audit read should ever run out of attempts *)
-  mutable detail : string option;
-  mutable bretries : int;
-  mutable bshed : int;
-}
-
-let new_bank_stats () =
-  { transfers = 0; checks = 0; skipped = 0; violations = 0; berrors = 0;
-    giveups = 0; detail = None; bretries = 0; bshed = 0 }
-
-let bank_note_violation st msg =
-  st.violations <- st.violations + 1;
-  if st.detail = None then st.detail <- Some msg
-
-let bank_note_error st msg =
-  st.berrors <- st.berrors + 1;
-  if st.detail = None then st.detail <- Some msg
-
-(* Writer [w] owns pairs {i | i mod nwriters = w}; local shadows of the
-   two balances make every transfer a blind transactional write. *)
-let bank_writer ~host ~port ~pairs ~nwriters ~wid st () =
-  (* Each transfer is one server-side transaction
-     [MULTI; DEL a; PUT a na; DEL b; PUT b nb; EXEC token]: the server
-     installs all four effects atomically at a single versionstamp or
-     none of them, and the fresh token makes the commit exactly-once, so
-     an ambiguous wire failure is retried wholesale by [rt_txn] without
-     risk of double-apply.  The old settle loop — replaying a possibly
-     half-applied pipelined sequence until it converged — is gone;
-     there is no half-applied state to settle (docs/TRANSACTIONS.md). *)
-  let rt =
-    C.connect_rt ~host ~port ~endpoints:!failover_eps
-      ~seed:(0xba9c + (wid * 104729)) ()
-  in
-  let owned =
-    List.init pairs Fun.id
-    |> List.filter (fun i -> i mod nwriters = wid)
-    |> Array.of_list
-  in
-  let va = Hashtbl.create 16 and vb = Hashtbl.create 16 in
-  Array.iter
-    (fun i ->
-      Hashtbl.replace va i bank_base;
-      Hashtbl.replace vb i bank_base)
-    owned;
-  let rng = Workload.Splitmix.create (0xba9c + (wid * 104729)) in
-  wait_go ();
-  (try
-     while not (Atomic.get stop) && Array.length owned > 0 do
-       let i = owned.(Workload.Splitmix.below rng (Array.length owned)) in
-       let a = (2 * i) + 1 and b = (2 * i) + 2 in
-       let na = Hashtbl.find va i - 1 and nb = Hashtbl.find vb i + 1 in
-       (match
-          C.rt_txn rt [ P.Del a; P.Put (a, na); P.Del b; P.Put (b, nb) ]
-        with
-       | Ok (_vs, [ P.Int 1; P.Ok_; P.Int 1; P.Ok_ ]) ->
-           (* Both accounts were present and both re-inserts landed —
-              the only step shape a committed transfer can have. *)
-           Hashtbl.replace va i na;
-           Hashtbl.replace vb i nb;
-           st.transfers <- st.transfers + 1
-       | Ok (_, rs) ->
-           bank_note_error st
-             ("transfer steps: " ^ String.concat " " (List.map P.pp_reply rs));
-           Atomic.set stop true
-       | Error e ->
-           (* The transactional transport ran out of attempts.  Unlike
-              the old pipelined bank there is nothing to settle — the
-              commit either claimed the token or it didn't — but the
-              writer's shadow balances are now one transfer ambiguous,
-              so the run stops and the driver fails on [giveups > 0].
-              Under the shipped plans (abort-storm, flaky-wire) the
-              retry budget makes this probabilistically unreachable. *)
-           st.giveups <- st.giveups + 1;
-           bank_note_error st ("transfer gave up: " ^ e);
-           Atomic.set stop true)
-     done
-   with e -> bank_note_error st (Printexc.to_string e));
-  let r, b = C.rt_stats rt in
-  st.bretries <- r;
-  st.bshed <- b;
-  C.rt_close rt
-
-(* Transfers commit atomically, so every observed pair must sum to
-   {e exactly} 2*BASE: the pipelined bank's 2*BASE-1 "between the two
-   PUTs" window and its visible in-flight DEL no longer exist, and an
-   absent account or an off-by-one sum is a serializability
-   violation, not a skip. *)
-let check_pair_sum st ~via a b = function
-  | None ->
-      bank_note_violation st
-        (Printf.sprintf
-           "%s pair (%d,%d): account absent — transfer observed mid-flight"
-           via a b)
-  | Some sum ->
-      st.checks <- st.checks + 1;
-      if sum <> 2 * bank_base then
-        bank_note_violation st
-          (Printf.sprintf
-             "%s pair (%d,%d): sum %d <> %d — non-atomic multi-read" via a b
-             sum (2 * bank_base))
-
-(* Extract both balances from an MGET reply ([Int|Nil; Int|Nil]). *)
-let sum_of_mget = function
-  | P.Arr [ P.Int x; P.Int y ] -> Ok (Some (x + y))
-  | P.Arr [ _; _ ] -> Ok None  (* an account is mid-transfer *)
-  | r -> Error ("MGET reply: " ^ P.pp_reply r)
-
-(* Extract both balances from a RANGE a b reply (flat [k;v;...]). *)
-let sum_of_range a b = function
-  | P.Arr items ->
-      let rec pairs = function
-        | P.Int k :: P.Int v :: rest -> ((k, v) :: pairs rest)
-        | [] -> []
-        | _ -> raise Exit
-      in
-      (try
-         let kvs = pairs items in
-         (match (List.assoc_opt a kvs, List.assoc_opt b kvs) with
-          | Some x, Some y -> Ok (Some (x + y))
-          | _ -> Ok None)
-       with Exit -> Error "RANGE reply: odd k/v framing")
-  | P.Err e -> Error ("RANGE: " ^ e) (* capability was probed at start *)
-  | r -> Error ("RANGE reply: " ^ P.pp_reply r)
-
-let bank_reader ~host ~port ~pairs ~rid st () =
-  let rt =
-    C.connect_rt ~host ~port ~endpoints:!failover_eps
-      ~seed:(0x5ead + (rid * 65537)) ()
-  in
-  (* Probe once whether RANGE is supported (ordered structure). *)
-  let ranges_ok =
-    match C.rt_request rt (P.Range (1, 2)) with
-    | Ok (P.Err _) -> false
-    | Ok _ -> true
-    | Error _ -> false
-  in
-  let rng = Workload.Splitmix.create (0x5ead + (rid * 65537)) in
-  wait_go ();
-  (try
-     while not (Atomic.get stop) do
-       let i = Workload.Splitmix.below rng pairs in
-       let a = (2 * i) + 1 and b = (2 * i) + 2 in
-       (* Three audit paths, all held to the exact-sum invariant: a
-          read-only transaction (validated against the commit clock),
-          an atomic MGET, and — on ordered structures — a RANGE over
-          the pair's snapshot. *)
-       let die = Workload.Splitmix.below rng (if ranges_ok then 3 else 2) in
-       if die = 0 then (
-         match C.rt_txn rt [ P.Get a; P.Get b ] with
-         | Ok (_vs, [ P.Int x; P.Int y ]) ->
-             check_pair_sum st ~via:"TXN" a b (Some (x + y))
-         | Ok (_, _) -> check_pair_sum st ~via:"TXN" a b None
-         | Error e ->
-             (* Reads carry no effects, but a read that runs out of
-                attempts still counts against the zero-giveups
-                assertion — the retry budget is sized so it never
-                should. *)
-             st.giveups <- st.giveups + 1;
-             bank_note_error st ("TXN read gave up: " ^ e))
-       else
-         let use_range = die = 2 in
-         let cmd = if use_range then P.Range (a, b) else P.Mget [| a; b |] in
-         match C.rt_request rt cmd with
-         | Ok (P.Busy _) ->
-             (* shed past the retry budget: nothing executed, skip *)
-             st.skipped <- st.skipped + 1
-         | Ok r -> (
-             let sum =
-               if use_range then sum_of_range a b r else sum_of_mget r
-             in
-             match sum with
-             | Ok s ->
-                 check_pair_sum st
-                   ~via:(if use_range then "RANGE" else "MGET")
-                   a b s
-             | Error e ->
-                 (* a malformed reply is a real protocol violation *)
-                 bank_note_error st e;
-                 Atomic.set stop true)
-         | Error e ->
-             st.giveups <- st.giveups + 1;
-             bank_note_error st ("read gave up: " ^ e)
-     done
-   with e -> bank_note_error st (Printexc.to_string e));
-  let r, b = C.rt_stats rt in
-  st.bretries <- r;
-  st.bshed <- b;
-  C.rt_close rt
-
-(* Quiescent audit: after every domain is joined, the sum over all
-   accounts must be exactly 2*BASE*pairs (each pipelined transfer runs
-   to completion before the writer observes the stop flag). *)
-let bank_final_audit ~host ~port ~pairs =
-  let conn = C.connect ~host ~retries:20 ~port () in
-  Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
-  let keys = Array.init (2 * pairs) (fun j -> j + 1) in
-  match C.request conn (P.Mget keys) with
-  | Ok (P.Arr items) ->
-      let missing = ref 0 and total = ref 0 in
-      List.iter
-        (function
-          | P.Int v -> total := !total + v
-          | _ -> incr missing)
-        items;
-      if !missing > 0 then
-        Error (Printf.sprintf "final audit: %d account(s) missing" !missing)
-      else if !total <> 2 * bank_base * pairs then
-        Error
-          (Printf.sprintf "final audit: total %d, expected %d (money %s)"
-             !total
-             (2 * bank_base * pairs)
-             (if !total < 2 * bank_base * pairs then "destroyed" else "created"))
-      else Ok !total
-  | Ok r -> Error ("final audit reply: " ^ P.pp_reply r)
-  | Error e -> Error ("final audit: " ^ e)
 
 (* --- server STATS --------------------------------------------------------- *)
 
@@ -944,108 +711,52 @@ let run host port failover threads depth size updates query theta duration seed
   in
   match mix with
   | `Bank ->
-      let nwriters = max 1 (threads / 2) in
-      let nreaders = max 1 (threads - nwriters) in
-      (* Seed every account before any writer or reader starts. *)
-      (try
-         let conn = C.connect ~host ~retries:50 ~port () in
-         Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
-         (* DEL-then-PUT so reseeding an already-populated server (a
-            second bank run, or accounts left by an opgen fill) resets
-            every balance to BASE instead of tripping on EXISTS. *)
-         let cmds =
-           List.init (2 * pairs) (fun j -> [ P.Del (j + 1); P.Put (j + 1, bank_base) ])
-           |> List.concat
-         in
-         match C.pipeline conn cmds with
-         | Ok rs ->
-             List.iteri
-               (fun i r ->
-                 match r with
-                 | P.Ok_ -> ()
-                 | _ when i mod 2 = 0 -> () (* the DEL half: 0 or 1 *)
-                 | r -> failwith ("bank seed reply: " ^ P.pp_reply r))
-               rs
-         | Error e -> failwith ("bank seed: " ^ e)
+      let with_conn f =
+        let conn = C.connect ~host ~retries:50 ~port () in
+        Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
+        f (Server.Bank.wire conn)
+      in
+      (try with_conn (Server.Bank.seed ~pairs)
        with e ->
          prerr_endline ("verlib_loadgen: " ^ Printexc.to_string e);
          exit 1);
-      let wstats = Array.init nwriters (fun _ -> new_bank_stats ()) in
-      let rstats = Array.init nreaders (fun _ -> new_bank_stats ()) in
-      let elapsed =
-        timed_run (fun () ->
-            List.init nwriters (fun w ->
-                Domain.spawn
-                  (bank_writer ~host ~port ~pairs ~nwriters ~wid:w wstats.(w)))
-            @ List.init nreaders (fun r ->
-                  Domain.spawn (bank_reader ~host ~port ~pairs ~rid:r rstats.(r))))
+      let v =
+        Server.Bank.run Server.Bank.Txn ~host ~endpoints:!failover_eps ~stop ~port ~pairs
+          ~threads ~duration
+          ~on_go:(fun () -> Option.iter Fault.arm plan)
+          ()
       in
-      let sum f arr = Array.fold_left (fun acc s -> acc + f s) 0 arr in
-      let transfers = sum (fun s -> s.transfers) wstats in
-      let checks = sum (fun s -> s.checks) rstats in
-      let skipped = sum (fun s -> s.skipped) rstats in
-      let violations =
-        sum (fun s -> s.violations) wstats + sum (fun s -> s.violations) rstats
-      in
-      let errors =
-        sum (fun s -> s.berrors) wstats + sum (fun s -> s.berrors) rstats
-      in
-      let retries =
-        sum (fun s -> s.bretries) wstats + sum (fun s -> s.bretries) rstats
-      in
-      let shed =
-        sum (fun s -> s.bshed) wstats + sum (fun s -> s.bshed) rstats
-      in
-      let giveups =
-        sum (fun s -> s.giveups) wstats + sum (fun s -> s.giveups) rstats
-      in
-      Array.iter
-        (fun s -> Option.iter (Printf.eprintf "  detail: %s\n") s.detail)
-        (Array.append wstats rstats);
-      let audit = bank_final_audit ~host ~port ~pairs in
-      Printf.printf
-        "bank: %d writer(s) %d reader(s) %d pair(s), %.2fs\n\
-         transfers=%d checks=%d shed_skips=%d violations=%d errors=%d\n"
-        nwriters nreaders pairs elapsed transfers checks skipped violations
-        errors;
-      Printf.printf "wire: retries=%d shed=%d giveups=%d reconnects=%d\n"
-        retries shed giveups
-        (C.reconnect_total ());
-      let stats_raw =
-        match fetch_stats ~host ~port with Ok raw -> Some raw | Error _ -> None
-      in
+      if plan <> None then Fault.disarm ();
+      List.iter (Printf.eprintf "  detail: %s\n") v.Server.Bank.details;
+      print_endline (Server.Bank.summary v);
       (* The server-side transaction counters (exported as gauges):
          aborts and validation retries are the OCC contention signal,
          replays count EXEC tokens answered from the idempotency
          cache — each one a double-commit that tokens prevented. *)
-      (match stats_raw with
-       | Some raw ->
+      (match fetch_stats ~host ~port with
+       | Ok raw ->
            Printf.printf
              "txn: commits=%d aborts=%d validation_retries=%d replays=%d\n"
              (gauge_of_stats raw "txn_commits")
              (gauge_of_stats raw "txn_aborts")
              (gauge_of_stats raw "txn_validation_retries")
              (gauge_of_stats raw "txn_replays")
-       | None -> ());
-      (match audit with
+       | Error _ -> ());
+      (match
+         try with_conn (Server.Bank.audit ~pairs)
+         with e -> Error (Printexc.to_string e)
+       with
        | Ok total -> Printf.printf "final audit: OK (total %d)\n" total
        | Error e ->
            print_endline ("final audit: FAIL — " ^ e);
            exit_bad := true);
       check_metrics ~host ~port ~exit_bad metrics_out;
       check_profile ~host ~port ~exit_bad profile_out;
-      if checks = 0 then begin
-        print_endline "bank: FAIL — no atomic checks completed";
-        exit_bad := true
-      end;
-      if giveups > 0 then begin
-        Printf.printf
-          "bank: FAIL — %d give-up(s); transactional retries are \
-           exactly-once and budgeted to never exhaust\n"
-          giveups;
-        exit_bad := true
-      end;
-      if violations > 0 || errors > 0 then exit_bad := true;
+      List.iter
+        (fun f ->
+          print_endline ("bank: FAIL — " ^ f);
+          exit_bad := true)
+        (Server.Bank.failures v);
       check_idle_pool ~exit_bad idle_pool;
       if !exit_bad then exit 1
   | `Opgen -> (

@@ -1,6 +1,7 @@
 module Protocol = Protocol
 module Mount = Mount
 module Client = Client
+module Bank = Bank
 module Evpoll = Evpoll
 module Evloop = Evloop
 

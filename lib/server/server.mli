@@ -34,6 +34,11 @@
 module Protocol = Protocol
 module Mount = Mount
 module Client = Client
+
+module Bank = Bank
+(** The served bank workload the loadgen, the soak and the wire tests
+    share. *)
+
 module Evpoll = Evpoll
 module Evloop = Evloop
 

@@ -593,83 +593,50 @@ let test_cumulative_acks () =
         (contains text "repl_acks_total")
   | r -> Alcotest.fail ("METRICS: " ^ P.pp_reply r)
 
-(* Bank transfers through MULTI/EXEC on the primary, one writer. *)
-let transfer pc rng ~accounts =
-  let a = Random.State.int rng accounts in
-  let b = (a + 1 + Random.State.int rng (accounts - 1)) mod accounts in
-  match C.pipeline pc [ P.Get a; P.Get b ] with
-  | Ok [ P.Int va; P.Int vb ] -> (
-      match
-        C.pipeline pc
-          [ P.Multi; P.Del a; P.Put (a, va - 1); P.Del b; P.Put (b, vb + 1);
-            P.Exec 0 ]
-      with
-      | Ok [ P.Ok_; P.Queued; P.Queued; P.Queued; P.Queued; P.Arr _ ] -> ()
-      | Ok rs ->
-          Alcotest.fail
-            ("transfer: " ^ String.concat "," (List.map P.pp_reply rs))
-      | Error e -> Alcotest.fail e)
-  | Ok rs -> Alcotest.fail ("balances: " ^ String.concat "," (List.map P.pp_reply rs))
-  | Error e -> Alcotest.fail e
-
-(* Every account in one snapshot read. *)
-let balances conn ~accounts =
-  match req conn (P.Mget (Array.init accounts Fun.id)) with
-  | P.Arr l ->
-      List.map (function P.Int v -> Some v | _ -> None) l
-  | r -> Alcotest.fail ("MGET: " ^ P.pp_reply r)
-
 (* A one-loop replica: the stream's apply, the audits' MGETs and the
-   resync after a partition all run on the same loop.  Conservation must
-   hold on every replica MGET while transfers stream in; then a
-   [repl.send] partition severs the stream and refuses SYNC for its
-   window, and the replica must dial again, re-SYNC and converge. *)
+   resync after a partition all run on the same loop.  A [Server.Bank]
+   writer commits tokened transfers on the primary, each one atomic
+   record on the feed, so every replica MGET of the whole ledger must
+   sum exactly while they stream in; then a [repl.send] partition
+   severs the stream and refuses SYNC for its window, and the replica
+   must dial again, re-SYNC and converge. *)
 let test_one_loop_replica () =
   with_pair ~replica_domains:1 @@ fun pport rport ->
-  let accounts = 16 and total = 16 * 100 in
+  let pairs = 8 in
   let pc = C.connect ~retries:20 ~port:pport () in
   let rc = C.connect ~retries:20 ~port:rport () in
+  let gate = S.Bank.gate () in
   Fun.protect
     ~finally:(fun () ->
+      S.Bank.halt gate;
       F.disarm ();
       C.close pc;
       C.close rc)
   @@ fun () ->
-  for k = 0 to accounts - 1 do
-    ignore (req pc (P.Put (k, 100)))
-  done;
-  let conserved () =
-    let vs = balances rc ~accounts in
-    List.for_all Option.is_some vs
-    && List.fold_left (fun s v -> s + Option.get v) 0 vs = total
-  in
-  await "replica bootstrapped" conserved;
-  let stop = Atomic.make false in
+  S.Bank.seed (S.Bank.wire pc) ~pairs;
+  let audit conn = S.Bank.audit (S.Bank.wire conn) ~pairs in
+  await "replica bootstrapped" (fun () -> Result.is_ok (audit rc));
+  let st = S.Bank.new_stats () in
   let writer =
     Domain.spawn (fun () ->
-        let c = C.connect ~retries:20 ~port:pport () in
-        let rng = Random.State.make [| 5 |] in
-        let n = ref 0 in
-        while not (Atomic.get stop) do
-          transfer c rng ~accounts;
-          incr n
-        done;
-        C.close c;
-        !n)
+        S.Bank.writer S.Bank.Txn gate ~port:pport ~pairs ~nwriters:1 ~wid:0 st)
+  in
+  S.Bank.go gate;
+  let stop_writer () =
+    S.Bank.halt gate;
+    Domain.join writer
   in
   let audits = ref 0 in
   let t_end = Unix.gettimeofday () +. 0.6 in
   (try
      while Unix.gettimeofday () < t_end do
-       let vs = balances rc ~accounts in
-       let sum = List.fold_left (fun s v -> s + Option.value ~default:0 v) 0 vs in
-       if List.exists Option.is_none vs || sum <> total then
-         Alcotest.failf "replica MGET %d: sum %d, want %d" !audits sum total;
+       (match audit rc with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "replica MGET %d: %s" !audits e);
        incr audits
      done
    with e ->
-     Atomic.set stop true;
-     ignore (Domain.join writer);
+     stop_writer ();
      raise e);
   let conns0 =
     match req pc P.Stats with
@@ -680,15 +647,17 @@ let test_one_loop_replica () =
    | Ok p -> F.arm p
    | Error e -> Alcotest.fail e);
   Unix.sleepf 0.5;
-  Atomic.set stop true;
-  let transfers = Domain.join writer in
+  stop_writer ();
   F.disarm ();
-  Alcotest.(check bool) "transfers committed" true (transfers > 0);
+  Alcotest.(check bool) "transfers committed" true (st.S.Bank.transfers > 0);
+  Alcotest.(check (option string)) "writer saw no error" None st.detail;
   Alcotest.(check bool) "replica audited" true (!audits > 0);
-  let primary = balances pc ~accounts in
+  let balances conn = req conn (P.Mget (S.Bank.accounts ~pairs)) in
+  let primary = balances pc in
   await "replica converges after the partition" (fun () ->
-      balances rc ~accounts = primary);
-  Alcotest.(check bool) "conserved on the replica" true (conserved ());
+      balances rc = primary);
+  Alcotest.(check bool) "conserved on the replica" true
+    (Result.is_ok (audit rc));
   match req pc P.Stats with
   | P.Bulk j ->
       Alcotest.(check bool) "the replica dialed again" true

@@ -1556,121 +1556,39 @@ let test_wire_txn_rt_helper () =
 
 (* --- live: bank-transfer snapshot invariant ----------------------------- *)
 
-(* Writer domains own disjoint account pairs (a = 2i+1, b = 2i+2, both
-   seeded with [base]) and move one unit per transfer with a pipelined
-   [DEL a; PUT a (va-1); DEL b; PUT b (vb+1)].  Readers MGET (and RANGE,
-   on ordered structures) a pair in one snapshot: with both accounts
-   present the sum must be 2*base (no transfer in flight) or 2*base - 1
-   (between the two PUTs).  Because va only decreases and vb only
-   increases, a non-atomic multi-read drifts outside that window. *)
-let bank_over_wire map ~use_range =
-  let base = 1_000 in
+(* [Server.Bank] over the wire: writer domains move one unit at a time
+   between the account pairs they own, reader domains check each pair's
+   sum through one snapshot read (MGET, RANGE on ordered structures and,
+   for transactional transfers, read-only transactions), and a quiescent
+   audit checks that money is conserved exactly.  Plain transfers admit
+   a pair sum of 2B or 2B-1 and skip a pair mid-transfer; transactional
+   ones admit exactly 2B. *)
+let bank_over_wire kind map =
   let pairs = 8 in
-  let nwriters = 2 and nreaders = 2 in
   with_server ~domains:2 map @@ fun _srv port ->
-  (let conn = C.connect ~retries:20 ~port () in
-   Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
-   for i = 0 to pairs - 1 do
-     ignore (req conn (P.Put ((2 * i) + 1, base)));
-     ignore (req conn (P.Put ((2 * i) + 2, base)))
-   done);
-  let stop = Atomic.make false in
-  let violations = Atomic.make 0 in
-  let checks = Atomic.make 0 in
-  let transfers = Atomic.make 0 in
-  let writer w () =
-    let conn = C.connect ~retries:20 ~port () in
-    Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
-    let owned =
-      List.init pairs Fun.id |> List.filter (fun i -> i mod nwriters = w)
-    in
-    let va = Hashtbl.create 8 and vb = Hashtbl.create 8 in
-    List.iter
-      (fun i ->
-        Hashtbl.replace va i base;
-        Hashtbl.replace vb i base)
-      owned;
-    let rng = Workload.Splitmix.create (100 + w) in
-    let owned = Array.of_list owned in
-    while not (Atomic.get stop) do
-      let i = owned.(Workload.Splitmix.below rng (Array.length owned)) in
-      let a = (2 * i) + 1 and b = (2 * i) + 2 in
-      let na = Hashtbl.find va i - 1 and nb = Hashtbl.find vb i + 1 in
-      match
-        C.pipeline conn [ P.Del a; P.Put (a, na); P.Del b; P.Put (b, nb) ]
-      with
-      | Ok [ _; P.Ok_; _; P.Ok_ ] ->
-          Hashtbl.replace va i na;
-          Hashtbl.replace vb i nb;
-          Atomic.incr transfers
-      | Ok _ | Error _ -> Atomic.set stop true
-    done
-  in
-  let reader r () =
-    let conn = C.connect ~retries:20 ~port () in
-    Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
-    let rng = Workload.Splitmix.create (200 + r) in
-    while not (Atomic.get stop) do
-      let i = Workload.Splitmix.below rng pairs in
-      let a = (2 * i) + 1 and b = (2 * i) + 2 in
-      let ranged = use_range && Workload.Splitmix.below rng 2 = 0 in
-      let sum =
-        if ranged then
-          match C.request conn (P.Range (a, b)) with
-          | Ok (P.Arr items) ->
-              let rec kvs = function
-                | P.Int k :: P.Int v :: rest -> (k, v) :: kvs rest
-                | _ -> []
-              in
-              let kvs = kvs items in
-              (match (List.assoc_opt a kvs, List.assoc_opt b kvs) with
-               | Some x, Some y -> Some (x + y)
-               | _ -> None)
-          | _ -> None
-        else
-          match C.request conn (P.Mget [| a; b |]) with
-          | Ok (P.Arr [ P.Int x; P.Int y ]) -> Some (x + y)
-          | _ -> None
-      in
-      match sum with
-      | None -> () (* an account is mid-transfer: visible DEL, skip *)
-      | Some s ->
-          Atomic.incr checks;
-          if s <> 2 * base && s <> (2 * base) - 1 then Atomic.incr violations
-    done
-  in
-  let ds =
-    List.init nwriters (fun w -> Domain.spawn (writer w))
-    @ List.init nreaders (fun r -> Domain.spawn (reader r))
-  in
-  Unix.sleepf 0.4;
-  Atomic.set stop true;
-  List.iter Domain.join ds;
-  Alcotest.(check int) "no snapshot violations" 0 (Atomic.get violations);
-  Alcotest.(check bool) "made transfers" true (Atomic.get transfers > 0);
-  Alcotest.(check bool) "made atomic checks" true (Atomic.get checks > 0);
-  (* quiescent audit: money is conserved exactly *)
   let conn = C.connect ~retries:20 ~port () in
   Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
-  let keys = Array.init (2 * pairs) (fun j -> j + 1) in
-  match C.request conn (P.Mget keys) with
-  | Ok (P.Arr items) ->
-      let total =
-        List.fold_left
-          (fun acc r ->
-            match r with
-            | P.Int v -> acc + v
-            | _ -> Alcotest.fail "account missing at quiescence")
-          0 items
-      in
-      Alcotest.(check int) "total conserved" (2 * base * pairs) total
-  | Ok r -> Alcotest.fail ("audit: " ^ P.pp_reply r)
-  | Error e -> Alcotest.fail ("audit: " ^ e)
+  S.Bank.seed (S.Bank.wire conn) ~pairs;
+  let v = S.Bank.run kind ~port ~pairs ~threads:4 ~duration:0.4 () in
+  let t = v.S.Bank.total in
+  Alcotest.(check int) "no snapshot violations" 0 t.S.Bank.violations;
+  Alcotest.(check bool) "made transfers" true (t.transfers > 0);
+  Alcotest.(check bool) "made atomic checks" true (t.checks > 0);
+  Alcotest.(check (list string)) "verdict passed" [] (S.Bank.failures v);
+  Alcotest.(check (result int string))
+    "total conserved"
+    (Ok (2 * S.Bank.base * pairs))
+    (S.Bank.audit (S.Bank.wire conn) ~pairs)
 
-let test_bank_btree () = bank_over_wire (module Dstruct.Btree) ~use_range:true
+let test_bank_btree () = bank_over_wire S.Bank.Plain (module Dstruct.Btree)
 
 let test_bank_hashtable () =
-  bank_over_wire (module Dstruct.Hashtable) ~use_range:false
+  bank_over_wire S.Bank.Plain (module Dstruct.Hashtable)
+
+let test_bank_txn_btree () = bank_over_wire S.Bank.Txn (module Dstruct.Btree)
+
+let test_bank_txn_sharded () =
+  bank_over_wire S.Bank.Txn (Harness.Registry.find "sharded-btree:4")
 
 (* --- suite -------------------------------------------------------------- *)
 
@@ -2059,5 +1977,8 @@ let () =
         [
           Alcotest.test_case "btree (mget+range)" `Quick test_bank_btree;
           Alcotest.test_case "hashtable (mget)" `Quick test_bank_hashtable;
+          Alcotest.test_case "txn: btree" `Quick test_bank_txn_btree;
+          Alcotest.test_case "txn: sharded-btree:4" `Quick
+            test_bank_txn_sharded;
         ] );
     ]
