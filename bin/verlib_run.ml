@@ -109,7 +109,7 @@ let census_interval =
   let doc =
     "With $(b,--census), additionally sample a census every $(docv) seconds \
      from a background domain while the workers run, reporting a time series \
-     (chain growth and reclamation lag over time).  0 disables the sampler."
+     (chain growth and reclamation lag over time).  0 disables the series."
   in
   Arg.(value & opt float 0. & info [ "census-interval" ] ~docv:"SECONDS" ~doc)
 

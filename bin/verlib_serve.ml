@@ -55,7 +55,9 @@ let census_interval =
              whole mount and, on a sharded mount, each shard; STATS reports \
              the latest census and shutdown takes a final quiescent one.  0 \
              = census at --metrics-interval when that is set, else none.  \
-             With both intervals set the sweep is still one domain.")
+             The sweep is the process's one background domain: it also \
+             runs the SLO check (--metrics-interval) and the profiler's \
+             tick (--profile-hz), however many of them are set.")
 
 let duration =
   Arg.(value & opt float 0. & info [ "d"; "duration" ]
@@ -125,7 +127,8 @@ let locks =
 let profile_hz =
   Arg.(value & opt int 0 & info [ "profile-hz" ] ~docv:"HZ"
        ~doc:"Run the continuous sampling profiler at $(docv) samples per \
-             second for the server's lifetime ([Verlib.Obs.Profile]); \
+             second for the server's lifetime ([Verlib.Obs.Profile]), \
+             ticked by the background sweep (no domain of its own); \
              activity stacks are served by the PROFILE wire command and \
              land in flight-recorder dumps.  0 = off.")
 

@@ -67,6 +67,23 @@ let threads = 4
 
 let server_domains = 4
 
+(* One integer field of a server's REPLSTATS, read over the wire. *)
+let replstats port =
+  let c = Server.Client.connect ~retries:20 ~port () in
+  let j =
+    Fun.protect
+      ~finally:(fun () -> Server.Client.close c)
+      (fun () ->
+        match Server.Client.request c Server.Protocol.Replstats with
+        | Ok (Server.Protocol.Bulk s) -> Harness.Jsonlite.parse s
+        | Ok r -> failwith ("REPLSTATS: " ^ Server.Protocol.pp_reply r)
+        | Error e -> failwith ("REPLSTATS: " ^ e))
+  in
+  fun key ->
+    match Option.bind (Harness.Jsonlite.member key j) Harness.Jsonlite.to_number with
+    | Some x -> int_of_float x
+    | None -> failwith ("REPLSTATS: no " ^ key)
+
 let run plan_spec structure duration pairs repl =
   let pairs = max 1 pairs in
   let plan_spec =
@@ -132,11 +149,26 @@ let run plan_spec structure duration pairs repl =
   Fault.disarm ();
   Unix.sleepf 0.1;
   let t_heal = Unix.gettimeofday () in
-  let caught () = Repl.lag_stamps () = 0 && Repl.lag_bytes () = 0 in
-  if repl then
-    while (not (caught ())) && Unix.gettimeofday () < t_heal +. 30. do
-      Unix.sleepf 0.01
-    done;
+  (* Caught up: the primary has a subscriber again, the replica has
+     applied through the primary's tail seq, and the acks drained the
+     lag gauges.  The gauges alone read 0 while no subscriber is
+     registered, so they cannot tell a healed stream from a replica
+     still redialing.  Seqs, not stamps: under crash-stop plans
+     records reach the feed out of stamp order, so the replica's max
+     stamp can reach the tail's before the last record is applied. *)
+  let caught () =
+    match replica with
+    | None -> true
+    | Some (_, r) ->
+        let p = replstats port and rs = replstats (Server.port r) in
+        p "subscribers" >= 1
+        && rs "apply_last_seq" >= p "tail_seq"
+        && Repl.lag_stamps () = 0
+        && Repl.lag_bytes () = 0
+  in
+  while (not (caught ())) && Unix.gettimeofday () < t_heal +. 30. do
+    Unix.sleepf 0.01
+  done;
   let catchup_s = Unix.gettimeofday () -. t_heal in
   let caught = caught () in
   Option.iter (fun (_, r) -> Server.stop r) replica;

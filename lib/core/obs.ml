@@ -496,17 +496,17 @@ let (_ : Flock.Telemetry.Gauge.t) =
 (* ------------------------------------------------------------------ *)
 (* Continuous sampling profiler                                        *)
 
-(* The read side of [Flock.Telemetry.Activity]: a sampler domain ticks
-   at a configurable rate and, for every registry slot with any
-   published activity, folds one weighted stack
+(* The read side of [Flock.Telemetry.Activity]: every [tick] folds,
+   for every registry slot with a live span or published activity, one
+   weighted stack
 
      domain-<slot>;<op>;<span phase>;<lock frame>[;stall]
 
-   into an accumulation table.  Workers pay plain stores (gated on one
-   atomic load) to publish; all sampling cost lives on the sampler.
-   Exports: collapsed-stack text (flamegraph.pl / speedscope), a JSON
-   snapshot (the PROFILE wire command), and per-slot "current activity"
-   lines for dashboards. *)
+   into an accumulation table.  The profiler owns no domain: the
+   process's sweep calls [tick] every [1/hz] seconds.  Exports:
+   collapsed-stack text (flamegraph.pl / speedscope), a JSON snapshot
+   (the PROFILE wire command), and per-slot "current activity" lines
+   for dashboards. *)
 
 module Profile = struct
   module A = Flock.Telemetry.Activity
@@ -523,10 +523,8 @@ module Profile = struct
 
   let hz_a = Atomic.make 0
 
-  let sampler : unit Domain.t option ref = ref None
-
-  (* Last sampled stack per slot; plain writes by the sampler, racy
-     reads by dashboards. *)
+  (* Last sampled stack per slot; plain writes by [tick], racy reads by
+     dashboards. *)
   let last_stack = Array.make Flock.Registry.max_slots ""
 
   let running () = Atomic.get running_a
@@ -535,16 +533,15 @@ module Profile = struct
 
   let samples_total () = Atomic.get samples
 
+  let (_ : Flock.Telemetry.Gauge.t) =
+    Flock.Telemetry.Gauge.make "profile_samples" samples_total
+
   (* Compose one collapsed stack for a slot, "" when idle.  Reads of
      another domain's span record are racy by design (same contract as
      every cross-slot read in the stack). *)
   let stack_of_slot slot =
     let live = Span.live.(slot) and sp = Span.spans.(slot) in
-    let op =
-      match A.name_of (A.get slot A.dim_op) with
-      | "" -> if live then sp.Span.sp_cmd else ""
-      | s -> s
-    in
+    let op = if live then sp.Span.sp_cmd else "" in
     let phase =
       let p = Span.top_phase sp.Span.sp_stack in
       if live && p >= 0 && p < Span.nphases then Span.phase_names.(p) else ""
@@ -571,51 +568,28 @@ module Profile = struct
       Buffer.contents b
     end
 
-  let sample_once () =
-    for slot = 0 to Flock.Registry.max_slots - 1 do
-      let s = stack_of_slot slot in
-      last_stack.(slot) <- s;
-      if s <> "" then begin
-        Mutex.lock mutex;
-        (match Hashtbl.find_opt table s with
-         | Some r -> incr r
-         | None -> Hashtbl.add table s (ref 1));
-        Mutex.unlock mutex;
-        Atomic.incr samples
-      end
-    done
+  let tick () =
+    if running () then
+      for slot = 0 to Flock.Registry.max_slots - 1 do
+        let s = stack_of_slot slot in
+        last_stack.(slot) <- s;
+        if s <> "" then begin
+          Mutex.lock mutex;
+          (match Hashtbl.find_opt table s with
+           | Some r -> incr r
+           | None -> Hashtbl.add table s (ref 1));
+          Mutex.unlock mutex;
+          Atomic.incr samples
+        end
+      done
 
   let start ?(hz = default_hz) () =
-    Mutex.lock mutex;
-    let spawn = not (Atomic.get running_a) in
-    if spawn then begin
-      Atomic.set running_a true;
-      Atomic.set hz_a (max 1 hz);
-      A.set_enabled true
-    end;
-    Mutex.unlock mutex;
-    if spawn then begin
-      let period = 1. /. float_of_int (max 1 hz) in
-      let d =
-        Domain.spawn (fun () ->
-            while Atomic.get running_a do
-              sample_once ();
-              Thread.delay period
-            done)
-      in
-      sampler := Some d
-    end
+    Atomic.set hz_a (max 1 hz);
+    A.set_enabled true;
+    Atomic.set running_a true
 
   let stop () =
-    if Atomic.get running_a then begin
-      Atomic.set running_a false;
-      (match !sampler with
-       | Some d ->
-           sampler := None;
-           Domain.join d
-       | None -> ());
-      A.set_enabled false
-    end
+    if Atomic.exchange running_a false then A.set_enabled false
 
   let reset () =
     Mutex.lock mutex;

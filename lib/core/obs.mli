@@ -201,32 +201,33 @@ end
 
 (** {1 Continuous sampling profiler}
 
-    The read side of [Flock.Telemetry.Activity]: a sampler domain ticks
-    at [hz], folding one weighted stack
-    [domain-<slot>;<op>;<phase>;<lock frame>] per active slot into an
-    accumulation table.  Publishing domains pay plain stores behind one
-    atomic gate; all sampling cost lives on the sampler.  Lock frames
-    come from [Flock.Lock] site labels, phases from the current request
-    span, op names from whatever the serving layer published. *)
+    The read side of [Flock.Telemetry.Activity]: each {!Profile.tick}
+    folds one weighted stack [domain-<slot>;<op>;<phase>;<lock frame>]
+    per active slot into an accumulation table; the op and phase come
+    from the slot's live request span.  The profiler owns no domain:
+    the process's periodic runner ([Harness.Sweep]) ticks it. *)
 
 module Profile : sig
   val default_hz : int
   (** 97 — deliberately off any round scheduler frequency. *)
 
   val start : ?hz:int -> unit -> unit
-  (** Spawn the sampler domain and open the activity-publication gate;
-      idempotent while running. *)
+  (** Open the activity-publication gate and record the rate. *)
 
   val stop : unit -> unit
-  (** Join the sampler and close the gate; accumulated stacks are
-      retained for export.  Idempotent. *)
+  (** Close the gate; accumulated stacks are retained for export.
+      Idempotent. *)
+
+  val tick : unit -> unit
+  (** Sample every registry slot once; a no-op unless running. *)
 
   val running : unit -> bool
 
   val hz : unit -> int
 
   val samples_total : unit -> int
-  (** Slot-samples folded in so far (one per active slot per tick). *)
+  (** Slot-samples folded in so far (one per active slot per tick);
+      also the [profile_samples] telemetry gauge. *)
 
   val stacks : unit -> (string * int) list
   (** Accumulated collapsed stacks with sample counts, heaviest
@@ -249,13 +250,13 @@ module Profile : sig
 
   val json : ?window:window -> unit -> string
   (** The [PROFILE] wire payload: one JSON object with [clock_source],
-      sampler state, stacks, per-slot activity, per-site lock contention
+      profiler state, stacks, per-slot activity, per-site lock contention
       (including sampled waits-on edges) and GC telemetry.  With
       [window], only the stacks accumulated since {!open_window}, and
       [window_ms] is the window's elapsed length. *)
 
   val reset : unit -> unit
-  (** Drop accumulated stacks and sample counts (not the sampler). *)
+  (** Drop accumulated stacks and sample counts (not the running state). *)
 end
 
 (** {1 Structured report} *)

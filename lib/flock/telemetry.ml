@@ -195,22 +195,21 @@ end
 (* ------------------------------------------------------------------ *)
 (* Activity publication (the sampling profiler's write side)           *)
 
-(* Each domain publishes what it is doing right now — the operation it
-   serves and the lock site it holds / waits on — as interned integer
-   ids in slot-private cells.  A sampler (Verlib.Obs.Profile) reads the
-   cells at its own cadence; the published path is one atomic load (the
-   gate) plus plain stores, so the cost on workers is near zero and
-   exactly zero allocation.  Names are interned once (registration
+(* Each domain publishes what it is doing right now — the lock site it
+   holds / waits on, an injected stall — as interned integer ids in
+   slot-private cells (the op it serves is its live request span's).
+   The profiler (Verlib.Obs.Profile) reads the cells at its own
+   cadence; the published path is one atomic load (the gate) plus
+   plain stores, so the cost on workers is near zero and exactly zero
+   allocation.  Names are interned once (registration
    time, or first use) under a mutex; the hot path never touches it. *)
 
 module Activity = struct
-  let dim_op = 0
+  let dim_lock_hold = 0
 
-  let dim_lock_hold = 1
+  let dim_lock_wait = 1
 
-  let dim_lock_wait = 2
-
-  let dim_stall = 3
+  let dim_stall = 2
 
   (* Padded so no two slots share a cache line. *)
   let stride = 8

@@ -89,14 +89,11 @@ end
 
     The write side of the sampling profiler ([Verlib.Obs.Profile]
     drives the read side).  Each domain publishes its current activity
-    — served op, held lock site, waited-on lock site — as interned
+    — held lock site, waited-on lock site, injected stall — as interned
     integer ids in slot-private cells; disabled (the default) every
     {!Activity.set} is one atomic load and a not-taken branch. *)
 
 module Activity : sig
-  val dim_op : int
-  (** Cell dimension: the operation this domain currently serves. *)
-
   val dim_lock_hold : int
   (** Cell dimension: the lock site this domain currently holds. *)
 

@@ -42,7 +42,7 @@ let default_spec map =
 
 (* Cooperative external stop: the CLIs' SIGINT/SIGTERM handlers call
    [request_stop]; the measurement sleep is sliced so the run winds down
-   early but {e completely} — workers and the census sampler join, the
+   early but {e completely} — workers and the sweep join, the
    final census, space measurement and report still happen, nothing dies
    mid-write. *)
 let external_stop = Atomic.make false
@@ -152,30 +152,22 @@ let run_once spec =
   in
   let iter_targets emit = M.iter_vptrs t emit in
   let series = ref [] in
-  (* Optional low-frequency background census sampler: an extra domain
-     that walks the structure every [census_interval] seconds while the
-     workers run, recording a (elapsed, census) time series — chain
-     growth and reclamation lag over time, not just the final state.
-     Sleeps in small slices so it exits promptly at the stop flag. *)
-  let sampler () =
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    while not (Atomic.get stop) do
-      let deadline = Unix.gettimeofday () +. spec.census_interval in
-      while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.005
-      done;
-      if not (Atomic.get stop) then begin
-        let c = Verlib.Chainscan.census_of_iter iter_targets in
-        series := (Unix.gettimeofday () -. t0, c) :: !series
-      end
-    done
-  in
-  let sampler_domain =
-    if spec.census && spec.census_interval > 0. then Some (Domain.spawn sampler)
-    else None
+  (* The run's one background domain, while the workers run: the census
+     series (a walk every [census_interval] seconds recording
+     (elapsed, census) — chain growth and reclamation lag over time,
+     not just the final state) and the profiler's tick when it is
+     running. *)
+  let sweep_jobs t0 =
+    [
+      ( (if spec.census then spec.census_interval else 0.),
+        fun () ->
+          let c = Verlib.Chainscan.census_of_iter iter_targets in
+          series := (Unix.gettimeofday () -. t0, c) :: !series );
+      ( (if Verlib.Obs.Profile.running () then
+           1. /. float_of_int (Verlib.Obs.Profile.hz ())
+         else 0.),
+        Verlib.Obs.Profile.tick );
+    ]
   in
   let domains =
     List.concat
@@ -190,6 +182,7 @@ let run_once spec =
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   Atomic.set go true;
+  let sweep_domain = Sweep.spawn ~stop (sweep_jobs t0) in
   let deadline = t0 +. spec.duration in
   let rec measure () =
     let now = Unix.gettimeofday () in
@@ -207,7 +200,7 @@ let run_once spec =
      the denominator would deflate throughput. *)
   let t1 = Unix.gettimeofday () in
   List.iter Domain.join domains;
-  Option.iter Domain.join sampler_domain;
+  Option.iter Domain.join sweep_domain;
   let gc1 = Gc.quick_stat () in
   let elapsed = t1 -. t0 in
   let alloc_total =

@@ -35,10 +35,12 @@ type spec = {
       (** take a quiescent final census ([Verlib.Chainscan], exact
           audit) after the workers join. *)
   census_interval : float;
-      (** when [census] is set and this is > 0, a background domain
-          additionally walks the structure every [census_interval] seconds
-          while the workers run, recording a time series of censuses
-          (chain growth / reclamation lag over time). *)
+      (** when [census] is set and this is > 0, the run's background
+          domain ([Sweep]) additionally walks the structure every
+          [census_interval] seconds while the workers run, recording a
+          time series of censuses (chain growth / reclamation lag over
+          time).  The same domain ticks [Verlib.Obs.Profile] while the
+          profiler is running. *)
 }
 
 val default_spec : (module Dstruct.Map_intf.MAP) -> spec
@@ -62,7 +64,7 @@ type result = {
       (** quiescent final census when [spec.census]; its audit is exact
           (any reported violation is a real invariant break). *)
   census_series : (float * Verlib.Chainscan.census) list;
-      (** (elapsed-seconds, census) samples from the background sampler,
+      (** (elapsed-seconds, census) samples from the background sweep,
           oldest first; empty unless [spec.census] and
           [spec.census_interval > 0]. *)
   alloc_bytes_per_op : float;
@@ -84,7 +86,7 @@ val request_stop : unit -> unit
 (** Cooperative external stop, for signal handlers: the current run's
     measurement window ends at the next 50 ms slice, remaining repeats
     are skipped, and [run] still returns a complete result (workers and
-    the census sampler joined, final census and report intact) instead
+    the sweep joined, final census and report intact) instead
     of the process dying mid-write.  Sticky for the process lifetime. *)
 
 val interrupted : unit -> bool

@@ -149,7 +149,7 @@ let render ~trigger ~stats =
       Buffer.add_string b (json_of_span sp))
     spans;
   (* The profiler's cumulative snapshot (stacks, lock contention, GC):
-     when the sampler is running this is what the victims' domains were
+     when the profiler is running this is what the victims' domains were
      actually doing — the dump's "where was the time going" section. *)
   Buffer.add_string b "],\"profile\":";
   Buffer.add_string b (Obs.Profile.json ());

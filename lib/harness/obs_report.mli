@@ -29,11 +29,11 @@ val one_line : Verlib.Obs.report -> string
 
 (** {1 Prometheus text exposition}
 
-    The live metrics plane: the [METRICS] wire command and the
-    [--metrics-interval] background census in [verlib_serve] both speak
-    the Prometheus text format (0.0.4) rendered by {!prometheus};
-    {!parse_prometheus} is the validating line-format parser the test
-    suite and [verlib_loadgen] share. *)
+    The live metrics plane: the [METRICS] wire command speaks the
+    Prometheus text format (0.0.4) rendered by {!prometheus}
+    ([--metrics-interval] only sets [verlib_serve]'s SLO-check period,
+    and renders nothing); {!parse_prometheus} is the validating
+    line-format parser the test suite and [verlib_loadgen] share. *)
 
 val prometheus : ?extra:(string * int) list -> unit -> string
 (** Render every [Verlib.Stats] counter, every registered

@@ -17,8 +17,6 @@ let mount ?mode ?lock_mode ~n_hint (map : (module Dstruct.Map_intf.MAP)) =
 
 let name (Mount { m = (module M); _ }) = M.name
 
-let size (Mount { m = (module M); h; _ }) = M.size h
-
 let range_capability (Mount { m = (module M); _ }) = M.range_capability
 
 let iter_vptrs (Mount { m = (module M); h; _ }) emit = M.iter_vptrs h emit

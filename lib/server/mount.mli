@@ -18,8 +18,6 @@ val mount :
 
 val name : t -> string
 
-val size : t -> int
-
 val range_capability : t -> Dstruct.Map_intf.range_capability
 
 val iter_vptrs : t -> (Verlib.Chainscan.target -> unit) -> unit

@@ -168,7 +168,8 @@ type t = {
   mutable lsock : Unix.file_descr option;
   mutable bound_port : int;
   mutable loop_ds : unit Domain.t list;  (** one event loop each *)
-  mutable sweep_d : unit Domain.t option;  (** the census and SLO sweep *)
+  mutable sweep_d : unit Domain.t option;
+      (** the sweep: census, SLO check and profiler tick *)
   mutable started : bool;
   mutable stopped : bool;
   mutable started_at : float;
@@ -266,7 +267,7 @@ let figures t =
     ("shed", Atomic.get t.shed);
     ("deadline_kills", Atomic.get t.deadline_kills);
     ("queue_depth", queue_depth t);
-    ("size", Mount.size t.mount);
+    ("size", Txn.size (Mount.store t.mount));
     ("census_samples", Atomic.get t.census_samples);
     ("census_violations_total", Atomic.get t.census_violations);
     ("flight_dumps", flight_dump_count t);
@@ -530,16 +531,6 @@ let trace_info_of (sp : Span.t) id outcome : Protocol.trace_info =
         Span.phases;
   }
 
-(* Per-verb activity frames for the sampling profiler, by verb-table
-   row.  Interning is mutexed and must stay off hot paths, so every verb
-   is interned once at module-load time (single-domain); [exec_line]
-   then publishes a pre-computed id — two gated plain stores per
-   command. *)
-module Activity = Flock.Telemetry.Activity
-
-let verb_activity =
-  Array.init Protocol.verb_count (fun i -> Activity.intern (Protocol.verb_name i))
-
 (* --- command execution (on the connection's loop) ------------------------ *)
 
 let multi_reset sess =
@@ -597,7 +588,6 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
         let verb = Protocol.verb_index c in
         Span.set_cmd sp (Protocol.verb_name verb);
         (match tid with Some id -> Span.set_trace_id sp id | None -> ());
-        if Activity.on () then Activity.set Activity.dim_op verb_activity.(verb);
         match c with
         | Protocol.Quit ->
             sess.s_quit <- true;
@@ -774,7 +764,6 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
               | _ -> (tid, "ok", r)
             end)
   in
-  if Activity.on () then Activity.set Activity.dim_op 0;
   if sess.s_park <> None then Span.abandon sp
   else
     emit ~out:conn.Evloop.out ~scratch:loop.Evloop.scratch sp trace_id
@@ -1060,34 +1049,21 @@ let slo_check t =
             ~trigger:(Harness.Flight.Slo_breach (Span.phase_name p)))
       Span.phases
 
-let sweep_on cfg = cfg.census_interval > 0. || cfg.metrics_interval > 0.
+(* A census every [census_interval] seconds, or every [metrics_interval]
+   when only that is set; 0: no census. *)
+let census_every cfg =
+  if cfg.census_interval > 0. then cfg.census_interval else cfg.metrics_interval
 
-(* The one background sweep, the census's only owner: a census every
-   [census_interval] seconds (every [metrics_interval] when only that is
-   set) and the SLO check every [metrics_interval]. *)
-let sweep_loop t () =
-  let census_every =
-    if t.cfg.census_interval > 0. then t.cfg.census_interval
-    else t.cfg.metrics_interval
-  in
-  let slo_every =
-    if t.cfg.metrics_interval > 0. then t.cfg.metrics_interval else infinity
-  in
-  let next_census = ref (Unix.gettimeofday () +. census_every) in
-  let next_slo = ref (Unix.gettimeofday () +. slo_every) in
-  while not (Atomic.get t.stop_flag) do
-    Unix.sleepf 0.01;
-    if not (Atomic.get t.stop_flag) then begin
-      if Unix.gettimeofday () >= !next_census then begin
-        take_census t;
-        next_census := Unix.gettimeofday () +. census_every
-      end;
-      if Unix.gettimeofday () >= !next_slo then begin
-        slo_check t;
-        next_slo := Unix.gettimeofday () +. slo_every
-      end
-    end
-  done
+(* The process's one background domain runs these, whenever any is
+   configured: the census, the SLO check every [metrics_interval], and
+   a profiler tick every [1/profile_hz]. *)
+let sweep_jobs t =
+  [
+    (census_every t.cfg, fun () -> take_census t);
+    (t.cfg.metrics_interval, fun () -> slo_check t);
+    ( (if t.cfg.profile_hz > 0 then 1. /. float_of_int t.cfg.profile_hz else 0.),
+      Verlib.Obs.Profile.tick );
+  ]
 
 (* --- event-loop handlers -------------------------------------------------- *)
 
@@ -1200,9 +1176,8 @@ let launch t =
     Evloop.create ~n:t.cfg.domains ~lsock ~handlers:(handlers t)
       ~stop_flag:t.stop_flag ~idle_timeout:t.cfg.idle_timeout
       ~write_timeout:t.cfg.write_timeout ~max_line ~fp_read ~fp_write ();
-  if sweep_on t.cfg then t.sweep_d <- Some (Domain.spawn (sweep_loop t));
-  if t.cfg.profile_hz > 0 then
-    Verlib.Obs.Profile.start ~hz:t.cfg.profile_hz ()
+  if t.cfg.profile_hz > 0 then Verlib.Obs.Profile.start ~hz:t.cfg.profile_hz ();
+  t.sweep_d <- Harness.Sweep.spawn ~stop:t.stop_flag (sweep_jobs t)
 
 let spawn_loops t ~from =
   t.loop_ds <-
@@ -1231,12 +1206,12 @@ let stop t =
      | None -> ());
     Option.iter Domain.join t.sweep_d;
     t.sweep_d <- None;
-    (* Stop the sampler after the loops are joined so the final ticks
+    (* Stop the profiler after the loops are joined so the final ticks
        still see their activity; stacks stay accumulated for export. *)
     if t.cfg.profile_hz > 0 then Verlib.Obs.Profile.stop ();
     (* Quiescent final census: the loops are joined, so the audit is
        exact. *)
-    if sweep_on t.cfg then take_census t
+    if census_every t.cfg > 0. then take_census t
   end;
   (* A stopped server's feed, and any cursor it orphaned, must not hold
      the process-wide lag gauges up. *)

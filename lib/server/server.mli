@@ -19,11 +19,14 @@
     from loop 0: the follow connection is dialed, read and written by
     that loop like any other connection, so a replica runs no domain
     beyond its loops.  An optional
-    sweep domain, the census's only owner, walks the mounted structure's
+    sweep domain ([Harness.Sweep]) is the server's only other domain.
+    It is the census's only owner: it walks the mounted structure's
     versioned pointers ([Verlib.Chainscan]) — the whole mount and, on a
     sharded mount, each shard — keeping the latest census for [STATS]
-    and accumulating the invariant-violation count, and runs the SLO
-    check; the serving loops take no census.
+    and accumulating the invariant-violation count.  It also runs the
+    SLO check and ticks the profiler.  The serving loops take no census,
+    and no exporter walks the store: the [size] figure is the count
+    [Txn.Store] keeps as writes land ({!Txn.size}).
 
     {!stop} is a graceful drain: the listener stops accepting, every
     complete line already read is answered, streams end, outbufs flush,
@@ -49,7 +52,7 @@ type config = {
           — {e not} a connection cap *)
   census_interval : float;
       (** seconds between the sweep's censuses; 0 = census at
-          [metrics_interval] when that is set, else no sweep *)
+          [metrics_interval] when that is set, else none *)
   max_conns : int;
       (** connection cap: beyond [max_conns] simultaneously registered
           connections, new arrivals are answered [-BUSY] at accept and
@@ -81,10 +84,10 @@ type config = {
           µs files a dump (checked every [metrics_interval]); 0 = off *)
   profile_hz : int;
       (** sampling rate of the continuous profiler
-          ([Verlib.Obs.Profile]): {!start} spawns the sampler domain and
-          opens the activity-publication gate, {!stop} joins it after
-          the loops; 0 = profiler off (PROFILE still answers, with
-          whatever was accumulated by an externally started sampler) *)
+          ([Verlib.Obs.Profile]): {!start} opens the activity-publication
+          gate and the sweep ticks the profiler at this rate, {!stop}
+          closes the gate after the loops are joined; 0 = profiler off
+          (PROFILE still answers, with whatever was accumulated) *)
   replica_of : (string * int) option;
       (** follow that primary (a numeric IPv4 address): loop 0 dials
           it, bootstraps via [SYNC], streams the change feed via a
@@ -117,8 +120,9 @@ val listen : t -> unit
     [Unix.Unix_error] if the port cannot be bound. *)
 
 val start : t -> unit
-(** Listen and spawn one domain per loop (plus the sweep and profiler
-    domains when configured), returning at once: the form for
+(** Listen and spawn one domain per loop (plus the sweep when any of
+    the census, the SLO check or the profiler is configured), returning
+    at once: the form for
     embedding a server in a process that does other work, and for the
     tests. *)
 

@@ -142,10 +142,14 @@ module Store = struct
                 [(vs, writes)] while the written stripes are still
                 latched, so for any one key observer calls arrive in
                 versionstamp order *)
+        entries : int Atomic.t;
+            (** bound keys: counted once here, then moved by every
+                write that changes a key's presence *)
       }
         -> t
 
-  let create m h =
+  let create (type h) (m : (module Dstruct.Map_intf.MAP with type t = h)) (h : h) =
+    let module M = (val m) in
     Store
       {
         m;
@@ -159,12 +163,15 @@ module Store = struct
         cache = Hashtbl.create 64;
         fifo = Queue.create ();
         feed = Atomic.make None;
+        entries = Atomic.make (M.size h);
       }
 
   let quiescent (Store st) =
     Array.for_all (fun a -> Atomic.get a land 1 = 0) st.stripes
     && Atomic.get st.starts = Atomic.get st.dones
 end
+
+let size (Store.Store st) = Atomic.get st.entries
 
 let set_commit_observer (Store.Store st) f = Atomic.set st.feed (Some f)
 
@@ -274,8 +281,9 @@ let install store ~spin ~validate writes =
              Fault.hit fp_commit;
              List.iter
                (function
-                 | k, Some v -> ignore (M.upsert st.h k v)
-                 | k, None -> ignore (M.delete st.h k))
+                 | k, Some v ->
+                     if not (M.upsert st.h k v) then Atomic.incr st.entries
+                 | k, None -> if M.delete st.h k then Atomic.decr st.entries)
                writes;
              (* Feed tap BEFORE the release: a conflicting later commit
                 cannot install (or emit) until these latches drop, so
@@ -610,10 +618,21 @@ let latch_slow cell =
   in
   acq ()
 
-(* [w] is [Some v] for an insert of [v], [None] for a delete. *)
-let write_one (type h) (m : (module Dstruct.Map_intf.MAP with type t = h)) (h : h) k w =
-  let module M = (val m) in
-  match w with Some v -> M.insert h k v | None -> M.delete h k
+(* [w] is [Some v] for an insert of [v], [None] for a delete; a write
+   that changed the map moved the entry count. *)
+let write_one store k w =
+  match store with
+  | Store.Store st ->
+      let module M = (val st.m) in
+      match w with
+      | Some v ->
+          let added = M.insert st.h k v in
+          if added then Atomic.incr st.entries;
+          added
+      | None ->
+          let removed = M.delete st.h k in
+          if removed then Atomic.decr st.entries;
+          removed
 
 let single_write store k w =
   match store with
@@ -629,7 +648,7 @@ let single_write store k w =
       in
       if v0 >= 0 then begin
         let changed =
-          try write_one st.m st.h k w
+          try write_one store k w
           with e ->
             Atomic.set cell v0;
             raise e
@@ -651,7 +670,7 @@ let single_write store k w =
            stripe is free; when it is still held, the parked
            holder's eventual release changes the word, which
            invalidates any reader that recorded it.               *)
-        let changed = write_one st.m st.h k w in
+        let changed = write_one store k w in
         if changed then begin
           let rec bump () =
             let v = Atomic.get cell in

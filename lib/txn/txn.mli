@@ -85,6 +85,13 @@ module Store : sig
       contract chaos tests assert after [Fault.disarm]. *)
 end
 
+val size : Store.t -> int
+(** Bound keys, counted without a walk: read from the structure once at
+    {!Store.create}, then moved by every write through this module that
+    changes a key's presence (a single-key insert or delete, an install
+    that binds an unbound key or deletes a bound one).  Exact when every
+    write to the structure goes through its store; O(1). *)
+
 val idem_capacity : int
 (** Committed tokens retained per store (4096). *)
 

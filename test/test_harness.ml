@@ -529,6 +529,35 @@ let test_flight_cooldown_and_cap () =
   Alcotest.(check bool) "first dump is seq 1" true (seq_suffix 1 p1);
   Alcotest.(check bool) "second dump is seq 2" true (seq_suffix 2 p2)
 
+(* The periodic runner over 0.5 s: a 20 ms job and a 100 ms job that
+   overruns two of the fast job's periods each time it runs.  Each job
+   runs at least half its nominal count, and the fast job's missed
+   periods are skipped, not fired in a burst: no job runs more than its
+   nominal count + 1. *)
+let test_sweep_cadence () =
+  let stop = Atomic.make false in
+  let fast = Atomic.make 0 and slow = Atomic.make 0 in
+  let d =
+    Domain.spawn (fun () ->
+        Harness.Sweep.run ~stop
+          [
+            (0.02, fun () -> Atomic.incr fast);
+            ( 0.1,
+              fun () ->
+                Atomic.incr slow;
+                Unix.sleepf 0.045 );
+          ])
+  in
+  Unix.sleepf 0.5;
+  Atomic.set stop true;
+  Domain.join d;
+  List.iter
+    (fun (name, n, nominal) ->
+      let n = Atomic.get n in
+      if n * 2 < nominal || n > nominal + 1 then
+        Alcotest.failf "%s job ran %d times, nominal %d" name n nominal)
+    [ ("20 ms", fast, 25); ("100 ms", slow, 5) ]
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -560,6 +589,7 @@ let () =
           case "label escapes" test_prometheus_label_escapes;
           case "accepts edge cases" test_prometheus_accepts_edge_cases;
         ] );
+      ("sweep", [ case "two periods, missed ones skipped" test_sweep_cadence ]);
       ( "flight",
         [
           case "deadline-kill dump" test_flight_deadline_dump;

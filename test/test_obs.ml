@@ -652,25 +652,22 @@ let test_span_export_trace () =
 module Pr = Verlib.Obs.Profile
 module Act = Flock.Telemetry.Activity
 
-(* Publish a synthetic activity frame, sample it at a high rate, and
-   check every export surface: accumulated stacks, per-slot activity,
-   collapsed-stack file, JSON snapshot. *)
+(* Publish a live request span and a held lock frame, tick the
+   profiler by hand, and check every export surface: accumulated
+   stacks, per-slot activity, collapsed-stack file, JSON snapshot. *)
 let test_profile_end_to_end () =
   Verlib.reset ();
   Pr.reset ();
+  Pr.tick ();
+  Alcotest.(check int) "no sample while stopped" 0 (Pr.samples_total ());
   Pr.start ~hz:500 ();
   Alcotest.(check bool) "running" true (Pr.running ());
   Alcotest.(check int) "hz" 500 (Pr.hz ());
-  let op = Act.intern "TESTOP" and site = Act.intern "test.site" in
-  Act.set Act.dim_op op;
-  Act.set Act.dim_lock_hold site;
-  (* wait until the sampler has attributed at least one sample to us,
-     bounded so a wedged sampler fails rather than hangs *)
-  let deadline = Unix.gettimeofday () +. 5. in
-  while Pr.samples_total () = 0 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.01
-  done;
+  let sp = Span.start ~begin_ticks:0 ~cmd:"TESTOP" in
+  Act.set Act.dim_lock_hold (Act.intern "test.site");
+  Pr.tick ();
   Act.clear_my_slot ();
+  Span.finish sp ~outcome:"ok";
   Pr.stop ();
   Alcotest.(check bool) "stopped" false (Pr.running ());
   Alcotest.(check bool) "samples accumulated" true (Pr.samples_total () > 0);
@@ -722,6 +719,37 @@ let test_profile_end_to_end () =
       "lock_sites"; "gc" ];
   Pr.reset ();
   Alcotest.(check int) "reset clears" 0 (Pr.samples_total ())
+
+(* PROFILE and METRICS render one sample count: the JSON snapshot's
+   [samples] and the [verlib_profile_samples] gauge read the same
+   counter after ticks driven by hand. *)
+let test_profile_samples_agree () =
+  Verlib.reset ();
+  Pr.reset ();
+  Pr.start ~hz:500 ();
+  let sp = Span.start ~begin_ticks:0 ~cmd:"TESTOP" in
+  for _ = 1 to 5 do
+    Pr.tick ()
+  done;
+  Span.finish sp ~outcome:"ok";
+  Pr.stop ();
+  let profiled =
+    match Harness.Jsonlite.parse_result (Pr.json ()) with
+    | Ok j ->
+        Option.bind (Harness.Jsonlite.member "samples" j)
+          Harness.Jsonlite.to_number
+    | Error e -> Alcotest.fail ("PROFILE json rejected: " ^ e)
+  in
+  let metered =
+    match Harness.Obs_report.(parse_prometheus (prometheus ())) with
+    | Ok m -> Harness.Obs_report.prom_find m "verlib_profile_samples"
+    | Error e -> Alcotest.fail ("METRICS: " ^ e)
+  in
+  Alcotest.(check bool) "this domain sampled on every tick" true
+    (match profiled with Some n -> n >= 5. | None -> false);
+  Alcotest.(check (option (float 0.))) "PROFILE samples = METRICS gauge"
+    profiled metered;
+  Pr.reset ()
 
 (* A contended instrumented lock surfaces at its site in the
    contention table, with wait time and the waits-on edge map.  A
@@ -822,6 +850,8 @@ let () =
         [
           Alcotest.test_case "sampler end to end" `Quick
             test_profile_end_to_end;
+          Alcotest.test_case "PROFILE and METRICS agree on samples" `Quick
+            test_profile_samples_agree;
           Alcotest.test_case "lock-site contention" `Quick
             test_lock_site_contention;
         ] );

@@ -664,6 +664,73 @@ let test_one_loop_replica () =
         (json_int j "connections_total" > conns0)
   | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r)
 
+(* STATS [size] is counted by the writes, not by a walk: after plain
+   PUT/DEL, an EXEC that inserts, overwrites and deletes, the replica's
+   applies, and a re-SYNC reconcile after a feed partition (which
+   deletes the keys the primary dropped and inserts the ones it gained
+   meanwhile), both ends' [size] equals the model and the SIZE verb. *)
+let test_stats_size_matches_model () =
+  with_pair @@ fun pport rport ->
+  let pc = C.connect ~retries:20 ~port:pport () in
+  let rc = C.connect ~retries:20 ~port:rport () in
+  Fun.protect
+    ~finally:(fun () ->
+      F.disarm ();
+      C.close pc;
+      C.close rc)
+  @@ fun () ->
+  let model = Hashtbl.create 64 in
+  let put k =
+    if req pc (P.Put (k, k)) = P.Ok_ then Hashtbl.replace model k ()
+  in
+  let del k = if req pc (P.Del k) = P.Int 1 then Hashtbl.remove model k in
+  let stat conn key =
+    match req conn P.Stats with
+    | P.Bulk j -> json_int j key
+    | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r)
+  in
+  let check_sizes what =
+    let n = Hashtbl.length model in
+    Alcotest.(check int) (what ^ ": primary STATS size") n (stat pc "size");
+    Alcotest.(check int) (what ^ ": replica STATS size") n (stat rc "size");
+    Alcotest.(check bool) (what ^ ": primary SIZE") true
+      (req pc P.Size = P.Int n);
+    Alcotest.(check bool) (what ^ ": replica SIZE") true
+      (req rc P.Size = P.Int n)
+  in
+  for k = 1 to 40 do
+    put k
+  done;
+  put 1;
+  List.iter del [ 2; 4; 6; 8; 10; 100 ];
+  (match
+     C.pipeline pc
+       [ P.Multi; P.Del 1; P.Put (1, 111); P.Put (200, 2); P.Del 3; P.Exec 0 ]
+   with
+   | Ok [ P.Ok_; P.Queued; P.Queued; P.Queued; P.Queued; P.Arr (P.Int _ :: _) ]
+     ->
+       Hashtbl.replace model 200 ();
+       Hashtbl.remove model 3
+   | Ok rs ->
+       Alcotest.fail ("batch: " ^ String.concat "," (List.map P.pp_reply rs))
+   | Error e -> Alcotest.fail e);
+  await "replica applied the batch" (fun () -> req rc (P.Get 200) = P.Int 2);
+  check_sizes "streamed";
+  let conns0 = stat pc "connections_total" in
+  (match F.plan_of_string "repl.send:partition=300@once" with
+   | Ok p -> F.arm p
+   | Error e -> Alcotest.fail e);
+  for k = 300 to 320 do
+    put k
+  done;
+  List.iter del [ 5; 7; 9; 11 ];
+  Unix.sleepf 0.4;
+  F.disarm ();
+  await "replica re-synced" (fun () -> req rc (P.Scan 0) = req pc (P.Scan 0));
+  Alcotest.(check bool) "the replica dialed again" true
+    (stat pc "connections_total" > conns0);
+  check_sizes "re-synced"
+
 (* A stopped server takes its feed out of the process-wide lag gauges:
    a cursor orphaned by a partition would otherwise keep
    [repl_lag_stamps]/[repl_lag_bytes] above 0 for the rest of the
@@ -859,5 +926,7 @@ let () =
             `Quick test_stop_unregisters_feed;
           Alcotest.test_case "a gap redials from SYNC" `Quick
             test_gap_redials_from_sync;
+          Alcotest.test_case "STATS size matches the model" `Quick
+            test_stats_size_matches_model;
         ] );
     ]

@@ -851,6 +851,80 @@ let test_figures_agree () =
   Alcotest.(check (option (float 0.))) "the dump counts itself" (Some 1.)
     (num in_dump "flight_dumps")
 
+(* A btree whose [size] raises once armed: the server's figures must
+   not walk the structure, so STATS, METRICS and a flight dump all
+   render, and [size] reads the writes' count. *)
+let size_armed = Atomic.make false
+
+module Size_raises = struct
+  include Dstruct.Btree
+
+  let size t =
+    if Atomic.get size_armed then failwith "size walked the structure"
+    else Dstruct.Btree.size t
+end
+
+let test_figures_without_size_walk () =
+  Verlib.reset ();
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "flight_size_%d" (Unix.getpid ()))
+  in
+  let mount = S.Mount.mount ~n_hint:64 (module Size_raises) in
+  Atomic.set size_armed true;
+  let config =
+    {
+      S.default_config with
+      S.port = 0;
+      domains = 2;
+      idle_timeout = 0.1;
+      flight_dir = dir;
+      flight_min_interval = 0.;
+    }
+  in
+  let srv = S.create ~config mount in
+  S.start srv;
+  Fun.protect
+    ~finally:(fun () ->
+      S.stop srv;
+      Atomic.set size_armed false)
+  @@ fun () ->
+  let conn = C.connect ~retries:20 ~read_timeout:5. ~port:(S.port srv) () in
+  Fun.protect ~finally:(fun () -> C.close conn) @@ fun () ->
+  for k = 1 to 4 do
+    ignore (req conn (P.Put (k, k)))
+  done;
+  ignore (req conn (P.Del 2));
+  let num j k =
+    Option.bind (Harness.Jsonlite.member k j) Harness.Jsonlite.to_number
+  in
+  (match req conn P.Stats with
+   | P.Bulk raw -> (
+       match Harness.Jsonlite.parse_result raw with
+       | Ok j ->
+           Alcotest.(check (option (float 0.))) "STATS size" (Some 3.)
+             (num j "size")
+       | Error e -> Alcotest.fail ("STATS json: " ^ e))
+   | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r));
+  (match req conn P.Metrics with
+   | P.Bulk text -> (
+       match Harness.Obs_report.parse_prometheus text with
+       | Ok m ->
+           Alcotest.(check (option (float 0.))) "METRICS size" (Some 3.)
+             (Harness.Obs_report.prom_find m "verlib_server_size")
+       | Error e -> Alcotest.fail ("METRICS: " ^ e))
+   | r -> Alcotest.fail ("METRICS: " ^ P.pp_reply r));
+  (* idle past the deadline: the kill files a dump embedding STATS *)
+  await "the kill's dump" (fun () -> S.flight_last_path srv <> None);
+  let path = Option.get (S.flight_last_path srv) in
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  match Harness.Jsonlite.parse_result raw with
+  | Error e -> Alcotest.fail ("dump json: " ^ e)
+  | Ok dump ->
+      Alcotest.(check (option (float 0.))) "dump size" (Some 3.)
+        (Option.bind (Harness.Jsonlite.member "stats" dump) (fun j ->
+             num j "size"))
+
 let test_wire_graceful_stop () =
   Verlib.reset ();
   let mount = S.Mount.mount ~n_hint:256 (module Dstruct.Btree) in
@@ -1972,6 +2046,8 @@ let () =
             test_stats_census_from_sweep;
           Alcotest.test_case "figures agree across exporters" `Quick
             test_figures_agree;
+          Alcotest.test_case "figures never walk the structure" `Quick
+            test_figures_without_size_walk;
         ] );
       ( "bank-invariant",
         [

@@ -8,7 +8,8 @@
      sequential model.  Every recorded step must match what the model
      would have returned at that point, and the final model must equal
      the structure's contents.  If commits were not serializable in
-     versionstamp order, some step (or the final state) disagrees.
+     versionstamp order, some step (or the final state) disagrees.  The
+     store's counted size must equal the structure's.
 
    - exactly-once tokens: a token already committed replays the cached
      (versionstamp, steps) without re-executing, including under a
@@ -165,6 +166,11 @@ let run_race (module M : Dstruct.Map_intf.MAP) ~seed ~domains ~ntxn ~universe =
   if not (T.Store.quiescent store) then begin
     incr violations;
     Printf.printf "  [%s] store not quiescent after race\n" M.name
+  end;
+  if T.size store <> M.size h then begin
+    incr violations;
+    Printf.printf "  [%s] counted size %d, structure holds %d\n" M.name
+      (T.size store) (M.size h)
   end;
   M.check h;
   !violations
