@@ -15,10 +15,13 @@
    at 2^20 words per domain; each is read whole once its process has
    exited (a cursor attached while the process runs missed domain 0's
    events on this runtime), then deleted.  CPU is utime + stime from
-   /proc/PID/stat at 100 ticks/s, read until the process is gone.
-   Output: one line per process that used at least 0.5 CPU seconds;
-   [lost] counts events the ring overwrote before they were read.  The
-   exit status is the command's. *)
+   /proc/PID/stat at 100 ticks/s, read until the process is gone;
+   [hwm_mb] is the last [VmHWM] (peak resident set) read from
+   /proc/PID/status while it ran, so a perfbench run's [rss_mb] (the
+   sum over its servers) splits per process.  Output: one line per
+   process that used at least 0.5 CPU seconds; [lost] counts events the
+   ring overwrote before they were read.  The exit status is the
+   command's. *)
 
 module Re = Runtime_events
 
@@ -26,6 +29,7 @@ type proc = {
   pid : int;
   role : string;
   mutable cpu_ticks : int;
+  mutable hwm_kb : int;  (** last [VmHWM] read; 0 before the first *)
   mutable done_ : bool;
 }
 
@@ -55,6 +59,15 @@ let stat pid =
       match (fields, List.nth_opt fields 11, List.nth_opt fields 12) with
       | st :: _, Some u, Some sy -> Some (st, int_of_string u + int_of_string sy)
       | _ -> None)
+
+(* The [VmHWM:] line of /proc/PID/status, in kB; [None] once the
+   process is gone or a zombie (whose status has no memory lines). *)
+let hwm_kb pid =
+  String.split_on_char '\n' (read_file (Printf.sprintf "/proc/%d/status" pid))
+  |> List.find_map (fun l ->
+         match String.split_on_char ':' l with
+         | [ "VmHWM"; v ] -> Scanf.sscanf_opt v " %d kB" Fun.id
+         | _ -> None)
 
 (* Read a finished process's rings whole: minor collections and the
    time inside each barrier, summed over its domains. *)
@@ -105,8 +118,8 @@ let () =
   in
   let child = Unix.create_process_env cmd.(0) cmd env Unix.stdin Unix.stdout Unix.stderr in
   let procs : (int, proc) Hashtbl.t = Hashtbl.create 8 in
-  Printf.printf "%-10s %8s %8s %8s %10s %10s %8s %6s\n%!" "process" "pid" "cpu_s"
-    "minors" "leave_ms" "stw_api_ms" "barr_%" "lost";
+  Printf.printf "%-10s %8s %8s %8s %10s %10s %8s %6s %8s\n%!" "process" "pid"
+    "cpu_s" "minors" "leave_ms" "stw_api_ms" "barr_%" "lost" "hwm_mb";
   let report p =
     p.done_ <- true;
     let file = Filename.concat dir (Printf.sprintf "%d.events" p.pid) in
@@ -114,10 +127,11 @@ let () =
     Sys.remove file;
     let cpu_s = float_of_int p.cpu_ticks /. 100. in
     if cpu_s >= 0.5 then
-      Printf.printf "%-10s %8d %8.2f %8d %10.1f %10.1f %8.1f %6d\n%!" p.role
-        p.pid cpu_s minors leave stw
+      Printf.printf "%-10s %8d %8.2f %8d %10.1f %10.1f %8.1f %6d %8.1f\n%!"
+        p.role p.pid cpu_s minors leave stw
         (100. *. (leave +. stw) /. 1000. /. cpu_s)
         lost
+        (float_of_int p.hwm_kb /. 1024.)
   in
   (* Track every ring's process; report it once it has exited. *)
   let poll () =
@@ -129,11 +143,14 @@ let () =
               match Hashtbl.find_opt procs pid with
               | Some p -> p
               | None ->
-                  let p = { pid; role = role_of pid; cpu_ticks = 0; done_ = false } in
+                  let p =
+                    { pid; role = role_of pid; cpu_ticks = 0; hwm_kb = 0; done_ = false }
+                  in
                   Hashtbl.replace procs pid p;
                   p
             in
             if not p.done_ then begin
+              Option.iter (fun kb -> p.hwm_kb <- kb) (hwm_kb pid);
               match stat pid with
               | Some (st, ticks) ->
                   p.cpu_ticks <- ticks;

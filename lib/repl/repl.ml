@@ -13,9 +13,13 @@
      overwrites its oldest record and a laggard whose cursor fell below
      the trim point is told to resync (full snapshot), which is the
      bounded-feed contract the multiversion-GC papers motivate.
-   - Readers never block: the server's event loops poll [read_after]
-     every iteration (1 ms while a stream or WATCH is live), which
-     bounds push latency. *)
+   - Records are stored flat, as ints in fixed-size chunks ([Flat]),
+     never as one heap block per record: a lapped ring appends with no
+     allocation, and the GC has nothing per record to trace.
+   - Readers never block: the server's event loops copy what the ring
+     gained past a cursor ([copy_after], under the mutex) and render
+     the copy after releasing it, every iteration (1 ms while a stream
+     or WATCH is live), which bounds push latency. *)
 
 type record = {
   r_seq : int;
@@ -26,9 +30,75 @@ type record = {
 (* Wire-size estimate: seq + stamp + one (key, value-or-nil) frame per
    write, ~12 bytes per integer token.  Only relative magnitudes matter
    — the lag-bytes gauge tracks backlog, not exact socket bytes. *)
-let record_bytes r = 24 + (24 * List.length r.r_writes)
+let bytes_of_writes m = 24 + (24 * m)
+
+let record_bytes r = bytes_of_writes (List.length r.r_writes)
 
 let touches lo hi r = List.exists (fun (k, _) -> k >= lo && k <= hi) r.r_writes
+
+(* A record laid out in consecutive ints from offset [o]: seq, stamp,
+   the log's cumulative bytes at it, the write count [m], then [m]
+   triples (key, value, present). *)
+module Flat = struct
+  let header = 4
+
+  let per_write = 3
+
+  let seq w o = w.(o)
+
+  let stamp w o = w.(o + 1)
+
+  let cum w o = w.(o + 2)
+
+  let writes w o = w.(o + 3)
+
+  let size w o = header + (per_write * w.(o + 3))
+
+  let key w o i = w.(o + header + (per_write * i))
+
+  let value w o i = w.(o + header + (per_write * i) + 1)
+
+  let present w o i = w.(o + header + (per_write * i) + 2) <> 0
+
+  let rec touches_from lo hi w o i =
+    i < writes w o
+    && ((let k = key w o i in
+         k >= lo && k <= hi)
+       || touches_from lo hi w o (i + 1))
+
+  let touches lo hi w o = touches_from lo hi w o 0
+
+  let to_record w o =
+    {
+      r_seq = seq w o;
+      r_stamp = stamp w o;
+      r_writes =
+        List.init (writes w o) (fun i ->
+            (key w o i, if present w o i then Some (value w o i) else None));
+    }
+end
+
+(* A reader's copy of consecutive flat records, reused across reads. *)
+module Batch = struct
+  type t = { mutable words : int array; mutable len : int }
+
+  (* Words one [copy_after] fills at most, unless a single record is
+     larger. *)
+  let budget = 1 lsl 14
+
+  let create () = { words = [||]; len = 0 }
+
+  let words b = b.words
+
+  let length b = b.len
+
+  let reserve b n =
+    if b.len + n > Array.length b.words then begin
+      let a = Array.make (max (b.len + n) (max budget (2 * Array.length b.words))) 0 in
+      Array.blit b.words 0 a 0 b.len;
+      b.words <- a
+    end
+end
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide counters, exported as [repl_*] gauges below.           *)
@@ -78,11 +148,32 @@ module Log = struct
             subscriber adopts it or it is explicitly dropped *)
   }
 
+  (* Records live in chunks of [chunk_words] ints (a larger record gets
+     a chunk of its own size), filled in seq order.  A chunk is recycled
+     once the trim point passes the last record in it, so a ring that
+     has lapped appends into recycled chunks and allocates nothing. *)
+  let chunk_words = 1 lsl 14
+
+  (* [at] packs a chunk id and an offset into one int. *)
+  let pos_bits = 32
+
+  let pos_mask = (1 lsl pos_bits) - 1
+
   type t = {
     mu : Mutex.t;
     capacity : int;
-    ring : record option array;  (** slot [seq mod capacity] *)
-    cum : int array;  (** cumulative bytes at that slot's record *)
+    at : int array;
+        (** slot [seq mod capacity]: where record [seq] starts, as
+            [chunk lsl pos_bits lor offset] *)
+    mutable chunks : int array array;  (** by chunk id *)
+    mutable n_chunks : int;  (** ids handed out *)
+    mutable last : int array;  (** by chunk id: the last seq written in it *)
+    mutable live : int array;  (** ring of the chunk ids in use, oldest first *)
+    mutable live_head : int;
+    mutable live_n : int;
+    mutable spare : int array;  (** stack of recycled chunk ids *)
+    mutable spare_n : int;
+    mutable fill : int;  (** next free word of the newest live chunk *)
     mutable tail : int;  (** last assigned seq; 0 = empty *)
     mutable tail_stamp : int;
     mutable total_bytes : int;  (** cumulative bytes ever appended *)
@@ -96,12 +187,21 @@ module Log = struct
   let logs_mu = Mutex.create ()
 
   let create ?(capacity = 65536) () =
+    let capacity = max 16 capacity in
     let t =
       {
         mu = Mutex.create ();
-        capacity = max 16 capacity;
-        ring = Array.make (max 16 capacity) None;
-        cum = Array.make (max 16 capacity) 0;
+        capacity;
+        at = Array.make capacity 0;
+        chunks = [||];
+        n_chunks = 0;
+        last = [||];
+        live = Array.make 8 0;
+        live_head = 0;
+        live_n = 0;
+        spare = [||];
+        spare_n = 0;
+        fill = 0;
         tail = 0;
         tail_stamp = 0;
         total_bytes = 0;
@@ -123,22 +223,111 @@ module Log = struct
   (* Oldest seq still retained is [trim t + 1]. *)
   let trim t = max 0 (t.tail - t.capacity)
 
+  let grow a n =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let newest t = t.live.((t.live_head + t.live_n - 1) mod Array.length t.live)
+
+  (* A chunk with room for [n] words, made the newest live one. *)
+  let open_chunk t n =
+    let id =
+      if t.spare_n > 0 then begin
+        t.spare_n <- t.spare_n - 1;
+        let id = t.spare.(t.spare_n) in
+        if Array.length t.chunks.(id) < n then t.chunks.(id) <- Array.make n 0;
+        id
+      end
+      else begin
+        let id = t.n_chunks in
+        if id = Array.length t.chunks then begin
+          let cap = max 8 (2 * id) in
+          let c = Array.make cap [||] in
+          Array.blit t.chunks 0 c 0 id;
+          t.chunks <- c;
+          t.last <- grow t.last cap;
+          t.spare <- grow t.spare cap
+        end;
+        t.n_chunks <- id + 1;
+        t.chunks.(id) <- Array.make (max chunk_words n) 0;
+        id
+      end
+    in
+    let len = Array.length t.live in
+    if t.live_n = len then begin
+      let l = Array.make (2 * len) 0 in
+      for i = 0 to len - 1 do
+        l.(i) <- t.live.((t.live_head + i) mod len)
+      done;
+      t.live <- l;
+      t.live_head <- 0
+    end;
+    t.live.((t.live_head + t.live_n) mod Array.length t.live) <- id;
+    t.live_n <- t.live_n + 1;
+    t.fill <- 0;
+    id
+
+  (* Recycle the oldest chunks whose records are all at or below the
+     trim point; the newest chunk stays. *)
+  let rec release t ~trim =
+    if t.live_n > 1 then begin
+      let id = t.live.(t.live_head) in
+      if t.last.(id) <= trim then begin
+        t.live_head <- (t.live_head + 1) mod Array.length t.live;
+        t.live_n <- t.live_n - 1;
+        t.spare.(t.spare_n) <- id;
+        t.spare_n <- t.spare_n + 1;
+        release t ~trim
+      end
+    end
+
+  let chunk_of t p = t.chunks.(p lsr pos_bits)
+
+  let rec put_writes w j = function
+    | [] -> ()
+    | (k, v) :: rest ->
+        w.(j) <- k;
+        (match v with
+         | Some v ->
+             w.(j + 1) <- v;
+             w.(j + 2) <- 1
+         | None ->
+             w.(j + 1) <- 0;
+             w.(j + 2) <- 0);
+        put_writes w (j + Flat.per_write) rest
+
   let append t ~stamp writes =
     if writes <> [] then begin
+      let m = List.length writes in
+      let n = Flat.header + (Flat.per_write * m) in
       Mutex.lock t.mu;
       let seq = t.tail + 1 in
-      let r = { r_seq = seq; r_stamp = stamp; r_writes = writes } in
       let slot = seq mod t.capacity in
-      (match t.ring.(slot) with
-       | Some old when old.r_seq = seq - t.capacity ->
-           (* overwriting the oldest record: advance the trim point *)
-           t.trim_bytes <- t.cum.(slot)
-       | _ -> ());
-      t.total_bytes <- t.total_bytes + record_bytes r;
-      t.ring.(slot) <- Some r;
-      t.cum.(slot) <- t.total_bytes;
+      if seq > t.capacity then begin
+        (* record [seq - capacity] leaves the ring: advance the trim
+           point, and recycle the chunks it emptied *)
+        let p = t.at.(slot) in
+        t.trim_bytes <- Flat.cum (chunk_of t p) (p land pos_mask);
+        release t ~trim:(seq - t.capacity)
+      end;
+      let id =
+        if t.live_n > 0 && t.fill + n <= Array.length t.chunks.(newest t) then
+          newest t
+        else open_chunk t n
+      in
+      let w = t.chunks.(id) and o = t.fill in
+      t.total_bytes <- t.total_bytes + bytes_of_writes m;
+      w.(o) <- seq;
+      w.(o + 1) <- stamp;
+      w.(o + 2) <- t.total_bytes;
+      w.(o + 3) <- m;
+      put_writes w (o + Flat.header) writes;
+      t.fill <- o + n;
+      t.last.(id) <- seq;
+      t.at.(slot) <- (id lsl pos_bits) lor o;
       t.tail <- seq;
-      t.tail_stamp <- max t.tail_stamp stamp;
+      if stamp > t.tail_stamp then t.tail_stamp <- stamp;
       Mutex.unlock t.mu;
       Atomic.incr records_ctr
     end
@@ -159,9 +348,23 @@ module Log = struct
     Mutex.unlock t.mu;
     v
 
-  (* Records with [r_seq > seq], oldest first; [`Resync] when the ring
-     has already overwritten part of that suffix. *)
-  let read_after t ~seq =
+  (* Copy retained records from seq [s] on into [b] until the tail or
+     the batch budget (the first record always fits). *)
+  let rec copy_from t (b : Batch.t) s =
+    if s <= t.tail then begin
+      let p = t.at.(s mod t.capacity) in
+      let w = chunk_of t p and o = p land pos_mask in
+      let n = Flat.size w o in
+      if b.len = 0 || b.len + n <= Batch.budget then begin
+        Batch.reserve b n;
+        Array.blit w o b.words b.len n;
+        b.len <- b.len + n;
+        copy_from t b (s + 1)
+      end
+    end
+
+  let copy_after t ~seq (b : Batch.t) =
+    b.len <- 0;
     Mutex.lock t.mu;
     let r =
       if seq < trim t then begin
@@ -169,13 +372,8 @@ module Log = struct
         `Resync
       end
       else begin
-        let acc = ref [] in
-        for s = t.tail downto seq + 1 do
-          match t.ring.(s mod t.capacity) with
-          | Some r when r.r_seq = s -> acc := r :: !acc
-          | _ -> ()
-        done;
-        `Records !acc
+        copy_from t b (seq + 1);
+        `Copied
       end
     in
     Mutex.unlock t.mu;
@@ -240,9 +438,8 @@ module Log = struct
            s.s_stamp <- max s.s_stamp stamp;
            s.s_bytes <-
              (if seq > trim t && seq <= t.tail then
-                match t.ring.(seq mod t.capacity) with
-                | Some r when r.r_seq = seq -> t.cum.(seq mod t.capacity)
-                | _ -> t.trim_bytes
+                let p = t.at.(seq mod t.capacity) in
+                Flat.cum (chunk_of t p) (p land pos_mask)
               else if seq >= t.tail then t.total_bytes
               else t.trim_bytes)
          end

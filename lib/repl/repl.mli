@@ -40,10 +40,59 @@ type record = {
 }
 
 val record_bytes : record -> int
-(** Wire-size estimate used by the lag-bytes accounting. *)
+(** Wire-size estimate used by the lag-bytes accounting:
+    [24 + 24 * List.length r_writes]. *)
 
 val touches : int -> int -> record -> bool
 (** [touches lo hi r]: does [r] write a key in [\[lo, hi\]]? *)
+
+(** {1 Flat records}
+
+    How the log stores a record, and how a reader sees its copy
+    ({!Log.copy_after}): consecutive ints from an offset [o] in an
+    [int array] — seq, stamp, the log's cumulative {!record_bytes} at
+    the record, the write count [m], then [m] triples (key, value,
+    present).  A deleted key's triple is [(k, 0, 0)]. *)
+module Flat : sig
+  val seq : int array -> int -> int
+
+  val stamp : int array -> int -> int
+
+  val writes : int array -> int -> int
+  (** The write count. *)
+
+  val key : int array -> int -> int -> int
+  (** [key w o i]: the [i]th write's key. *)
+
+  val value : int array -> int -> int -> int
+  (** The [i]th write's value; meaningful when {!present}. *)
+
+  val present : int array -> int -> int -> bool
+  (** Whether the [i]th write binds its key ([false]: deletes it). *)
+
+  val size : int array -> int -> int
+  (** Words the record occupies: the offset of the next one is
+      [o + size w o]. *)
+
+  val touches : int -> int -> int array -> int -> bool
+  (** {!touches} on a flat record. *)
+
+  val to_record : int array -> int -> record
+end
+
+(** A reader's reusable copy target: consecutive flat records, filled
+    by {!Log.copy_after}. *)
+module Batch : sig
+  type t
+
+  val create : unit -> t
+
+  val words : t -> int array
+  (** The records, from offset 0 up to {!length}. *)
+
+  val length : t -> int
+  (** Words filled; 0 when no record was copied. *)
+end
 
 (** {1 Fault points} *)
 
@@ -64,7 +113,10 @@ module Log : sig
 
   val create : ?capacity:int -> unit -> t
   (** [capacity] (default 65536) is the record count the ring retains;
-      older records are overwritten (the feed's space bound). *)
+      older records are overwritten (the feed's space bound).  Records
+      are stored flat ({!Flat}) in chunks of 2{^14} ints, allocated as
+      the ring fills and recycled as it trims: once it has lapped, an
+      append allocates nothing. *)
 
   val unregister : t -> unit
   (** Take the log out of the process-wide lag gauges ({!lag_stamps},
@@ -82,10 +134,13 @@ module Log : sig
 
   val tail_stamp : t -> int
 
-  val read_after : t -> seq:int -> [ `Records of record list | `Resync ]
-  (** Records with [r_seq > seq], oldest first; [`Resync] when the ring
-      has overwritten part of that suffix (cursor behind the trim
-      point). *)
+  val copy_after : t -> seq:int -> Batch.t -> [ `Copied | `Resync ]
+  (** Replace the batch's contents with the records past [seq], oldest
+      first, up to the tail or about 2{^14} words (at least one record
+      when any is past [seq]: call again from the last copied seq for
+      the rest); [`Resync] when the ring has overwritten part of that
+      suffix (cursor behind the trim point).  The log's mutex is held
+      for the copy only, so a reader renders outside it. *)
 
   val subscribe : t -> int
   (** Register a cursor; the id keys {!ack}/{!unsubscribe} and the lag
@@ -127,7 +182,7 @@ module Apply : sig
 
   val offer : t -> record -> [ `Applied | `Dup | `Gap ]
   (** Offer one received record.  The feed delivers records gapless
-      and in seq order ({!Log.read_after}), so only seq [last_seq + 1]
+      and in seq order ({!Log.copy_after}), so only seq [last_seq + 1]
       installs: [`Applied], as one {!Txn.apply} commit with no read
       phase, so replica readers never observe a half-applied batch.  A
       record at or below the cursor is [`Dup] (a redelivery: dropped,

@@ -119,7 +119,7 @@ and 'a t = {
   inbox : (Unix.file_descr * 'a * int) Queue.t;
       (** accepted connections handed to this loop *)
   mutable inbox_open : bool;
-  chunk : Bytes.t;
+  chunk : Bytes.t;  (** read buffer, and the staging slice of a flush *)
   scratch : Buffer.t;  (** per-loop render buffer for [h_exec] *)
   fp_read : Fault.Point.t;
   fp_write : Fault.Point.t;
@@ -285,10 +285,12 @@ let exec t conn lines ~mark =
   if lines <> [] && not conn.dead then
     apply t conn (t.handlers.h_exec t conn lines ~mark)
 
-(* Nonblocking flush of up to one 64K slice at a time.  Returns
-   [`Empty] when the outbuf fully drained, [`More] when bytes remain
-   (write interest is armed), [`Closed] when the flush killed the
-   connection. *)
+(* Nonblocking flush of up to one chunk-sized slice at a time, blitted
+   into the loop's read [chunk] (free whenever a flush runs: a read's
+   bytes are fed to the inbox before anything flushes), so a flush
+   allocates nothing however large the outbuf.  Returns [`Empty] when
+   the outbuf fully drained, [`More] when bytes remain (write interest
+   is armed), [`Closed] when the flush killed the connection. *)
 let rec flush_conn t conn =
   let len = out_pending conn in
   if len = 0 then begin
@@ -301,22 +303,23 @@ let rec flush_conn t conn =
   end
   else begin
     if conn.out_since = 0. then conn.out_since <- Unix.gettimeofday ();
-    let slice = Buffer.sub conn.out conn.out_off (min 65536 len) in
+    let slice = min (Bytes.length t.chunk) len in
+    Buffer.blit conn.out conn.out_off t.chunk 0 slice;
     let cap =
       match Fault.io_check t.fp_write with
-      | Some (Fault.Short_write n) -> max 1 (min n (String.length slice))
+      | Some (Fault.Short_write n) -> max 1 (min n slice)
       | Some Fault.Econnreset -> -1
-      | Some (Fault.Eagain_burst _) | Some _ | None -> String.length slice
+      | Some (Fault.Eagain_burst _) | Some _ | None -> slice
     in
     if cap < 0 then begin
       close_conn t conn;
       `Closed
     end
     else
-      match Unix.write_substring conn.fd slice 0 cap with
+      match Unix.write conn.fd t.chunk 0 cap with
       | n ->
           conn.out_off <- conn.out_off + n;
-          if n < String.length slice then begin
+          if n < slice then begin
             set_interest t conn Evpoll.ev_out true;
             `More
           end

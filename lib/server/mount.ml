@@ -27,12 +27,43 @@ let store (Mount { store; _ }) = store
 
 let scan_limit_cap = 1 lsl 20
 
-(* Uncapped snapshot fold — the SYNC bootstrap payload.  Read the feed's
-   tail {e before} calling this: any record at or below that tail was
-   fully installed before the fold's snapshot, so snapshot + suffix
-   replay converges (docs/REPLICATION.md). *)
-let dump (Mount { m = (module M); h; _ }) =
-  List.rev (M.scan h ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+let scan (Mount { m = (module M); h; _ }) ~init ~f = M.scan h ~init ~f
+
+(* A domain's staging buffer for [render_scan]: the pairs are rendered
+   before their count is known. *)
+let stage_key = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+(* One fold renders the pairs into the domain's staging buffer, counting
+   them; the array header, the head and the staged bytes then go into
+   [buf].  The reply is exactly as atomic as the structure's [scan]: a
+   VERLIB snapshot, a read lock, a validated collect.  An optimistic
+   attempt that aborts re-runs the thunk, which first drops what the
+   attempt staged. *)
+let render_scan (Mount { m = (module M); h; _ }) buf ?head ~limit () =
+  let stage = Domain.DLS.get stage_key in
+  let n =
+    Verlib.with_snapshot (fun () ->
+        Buffer.clear stage;
+        M.scan h ~init:0 ~f:(fun i k v ->
+            if i < limit then begin
+              Protocol.render_int stage k;
+              Protocol.render_int stage v;
+              i + 1
+            end
+            else i))
+  in
+  (match head with
+   | None -> Protocol.render_array_header buf (2 * n)
+   | Some (seq, stamp) ->
+       Protocol.render_array_header buf (2 + (2 * n));
+       Protocol.render_int buf seq;
+       Protocol.render_int buf stamp);
+  Buffer.add_buffer buf stage;
+  (* A whole-store reply must not pin the buffer at its size for good. *)
+  if Buffer.length stage > 65536 then Buffer.reset stage
+
+let scan_limit limit =
+  if limit = 0 then scan_limit_cap else min limit scan_limit_cap
 
 let unsupported_range name =
   Protocol.Err
@@ -52,7 +83,8 @@ let exec (Mount { m = (module M); h; store }) (c : Protocol.command) :
     (* Data reads go through [Txn]'s serialized wrappers, not the bare
        structure: a multi-key install is a sequence of map calls, and
        an unbracketed snapshot could observe its intermediate state.
-       SCAN and SIZE below stay structure-level diagnostics. *)
+       SIZE below stays a structure-level diagnostic; SCAN is rendered
+       by [render_scan]. *)
     | Protocol.Get k -> (
         match Txn.get store k with
         | Some v -> Protocol.Int v
@@ -75,18 +107,8 @@ let exec (Mount { m = (module M); h; store }) (c : Protocol.command) :
         | Dstruct.Map_intf.Unordered -> unsupported_range M.name
         | Dstruct.Map_intf.Ordered_range ->
             Protocol.Int (Txn.range_count store lo hi))
-    | Protocol.Scan limit ->
-        let limit = if limit = 0 then scan_limit_cap else min limit scan_limit_cap in
-        (* One snapshot fold; bindings beyond [limit] are walked but not
-           returned (the fold has no early exit by design — it must
-           visit the snapshot it was given). *)
-        let _, pairs =
-          M.scan h ~init:(0, []) ~f:(fun (n, acc) k v ->
-              if n < limit then (n + 1, (k, v) :: acc) else (n + 1, acc))
-        in
-        pairs_reply (List.rev pairs)
     | Protocol.Size -> Protocol.Int (M.size h)
-    | Protocol.Stats | Protocol.Metrics | Protocol.Profile _ | Protocol.Multi
+    | Protocol.Scan _ | Protocol.Stats | Protocol.Metrics | Protocol.Profile _ | Protocol.Multi
     | Protocol.Exec _ | Protocol.Discard | Protocol.Quit
     | Protocol.Subscribe _ | Protocol.Watch _ | Protocol.Sync
     | Protocol.Replstats | Protocol.Promote | Protocol.Ack _ ->

@@ -35,7 +35,8 @@ val store : t -> Txn.Store.t
 val exec : t -> Protocol.command -> Protocol.reply
 (** Execute one data command.  [Ping] answers [Pong]; [Stats], [Metrics] and [Quit] are
     connection-level and answered with [-ERR] here (the server
-    intercepts them first).  [Put]/[Del] route through the mount's
+    intercepts them first), as is [Scan], which the server renders
+    with {!render_scan}.  [Put]/[Del] route through the mount's
     {!Txn.Store} so they serialize with transactional commits.
     Structure exceptions are caught and surfaced as [-ERR internal:
     ...] so a bug cannot take the serving loop down. *)
@@ -49,10 +50,27 @@ val exec_txn : t -> token:int -> Protocol.command list -> Protocol.reply
     replay cache.  [validate]/[install] book to the current request
     span, nested inside whatever phase its caller has open. *)
 
-val dump : t -> (int * int) list
-(** Uncapped snapshot of every binding — the [SYNC] bootstrap payload.
-    Read the replication log's tail {e before} dumping so the snapshot
-    is positioned at (or past) that tail. *)
+val scan : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
+(** The structure's snapshot fold ([Map_intf.MAP.scan]) over every
+    binding. *)
+
+val render_scan :
+  t -> Buffer.t -> ?head:int * int -> limit:int -> unit -> unit
+(** Render the structure's bindings, at most [limit] of them in fold
+    order, as one flat array reply [*N :k1 :v1 ...] from one fold — the
+    pairs staged in a per-domain buffer while they are counted, then
+    the header and the staged bytes appended to the buffer — with no
+    binding list or reply built.  The reply is as atomic as the
+    structure's [scan] (one snapshot, or one fold under a read lock).
+    [head] [(seq, stamp)] prepends two elements: the [SYNC] bootstrap
+    payload (read the replication log's tail {e before} calling, so the
+    fold is positioned at or past it).  [SCAN] is the headless form.
+    Exactly one reply is appended even when an optimistic snapshot
+    aborts and re-runs. *)
+
+val scan_limit : int -> int
+(** The bindings [SCAN limit] returns at most: [limit], with 0 meaning
+    "all", capped at {!scan_limit_cap}. *)
 
 val scan_limit_cap : int
 (** Upper bound the server imposes on [SCAN] results (bindings), to

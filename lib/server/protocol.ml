@@ -391,6 +391,10 @@ let add_int_line buf prefix n =
   add_int buf n;
   Buffer.add_string buf "\r\n"
 
+let render_array_header buf n = add_int_line buf "*" n
+
+let render_int buf n = add_int_line buf ":" n
+
 let rec render_reply buf r =
   match r with
   | Ok_ -> Buffer.add_string buf "+OK\r\n"
@@ -401,14 +405,14 @@ let rec render_reply buf r =
       Buffer.add_string buf (sanitize msg);
       Buffer.add_string buf "\r\n"
   | Busy ms -> add_int_line buf "-BUSY " (max 0 ms)
-  | Int n -> add_int_line buf ":" n
+  | Int n -> render_int buf n
   | Nil -> Buffer.add_string buf "$-1\r\n"
   | Bulk s ->
       add_int_line buf "$" (String.length s);
       Buffer.add_string buf s;
       Buffer.add_string buf "\r\n"
   | Arr rs ->
-      add_int_line buf "*" (List.length rs);
+      render_array_header buf (List.length rs);
       render_replies buf rs
   | Queued -> Buffer.add_string buf "+QUEUED\r\n"
   | Aborted n -> add_int_line buf "-ABORT " (max 0 n)
@@ -457,6 +461,18 @@ let reply_of_record (r : Repl.record) =
          (fun (k, v) ->
            [ Int k; (match v with Some v -> Int v | None -> Nil) ])
          r.r_writes)
+
+(* The same frame straight from a flat record, with no reply built. *)
+let render_record buf w o =
+  let m = Repl.Flat.writes w o in
+  render_array_header buf (2 + (2 * m));
+  render_int buf (Repl.Flat.seq w o);
+  render_int buf (Repl.Flat.stamp w o);
+  for i = 0 to m - 1 do
+    render_int buf (Repl.Flat.key w o i);
+    if Repl.Flat.present w o i then render_int buf (Repl.Flat.value w o i)
+    else Buffer.add_string buf "$-1\r\n"
+  done
 
 let record_of_reply = function
   | Arr (Int seq :: Int stamp :: rest) when seq > 0 ->
@@ -766,6 +782,18 @@ module Reader = struct
     t.last_trace <- None;
     reply_frame t
 end
+
+(* The counted header of a flat frame, and its integer elements, read
+   without building a reply. *)
+let frame_line prefix name l =
+  let n = String.length l in
+  if n >= 2 && l.[0] = prefix then
+    try decimal l 1 n with Not_decimal -> failwith (Printf.sprintf "bad %s %S" name l)
+  else failwith (Printf.sprintf "bad %s %S" name l)
+
+let frame_len l = frame_line '*' "array length" l
+
+let frame_int l = frame_line ':' "frame element" l
 
 module Frames = struct
   type t = { mutable left : int; mutable items : reply list }

@@ -146,6 +146,13 @@ val render_reply : Buffer.t -> reply -> unit
 (** Append the wire form of a reply (error messages are sanitised so
     they cannot break framing). *)
 
+val render_array_header : Buffer.t -> int -> unit
+(** [*n] and CRLF: the head of an [n]-element array reply, whose
+    elements the caller renders next. *)
+
+val render_int : Buffer.t -> int -> unit
+(** [:n] and CRLF: what [render_reply buf (Int n)] writes. *)
+
 val reply_equal : reply -> reply -> bool
 
 val pp_reply : reply -> string
@@ -160,8 +167,23 @@ val pp_reply : reply -> string
 
 val reply_of_record : Repl.record -> reply
 
+val render_record : Buffer.t -> int array -> int -> unit
+(** [render_record buf w o]: the flat record at [w], offset [o]
+    ({!Repl.Flat}), rendered byte for byte as
+    [render_reply buf (reply_of_record (Repl.Flat.to_record w o))] — the
+    server's stream pump and WATCH write records this way. *)
+
 val record_of_reply : reply -> (Repl.record, string) result
 (** Total; rejects frames that are not well-formed records. *)
+
+val frame_len : string -> int
+(** The [n] of a [*n] line (terminator stripped); raises [Failure]
+    on any other line. *)
+
+val frame_int : string -> int
+(** The [n] of a [:n] line; raises [Failure] on any other line.  With
+    {!frame_len}, how the replica reads a [SYNC] reply into flat
+    arrays without building it. *)
 
 (** {1 Trace-info frames}
 
@@ -242,10 +264,11 @@ end
 
 (** Line-fed reassembly of the replication frames, for a reader that
     gets whole lines from an event loop ({!Linebuf}) instead of pulling
-    bytes like {!Reader}.  A [SYNC] reply and a change record are both
-    flat arrays: [*N] then N scalar lines ([:int] or [$-1]); anything
-    else arrives as one single-line reply ([+OK], [-ERR ...],
-    [-BUSY n]). *)
+    bytes like {!Reader}.  A change record is a flat array: [*N] then N
+    scalar lines ([:int] or [$-1]); anything else arrives as one
+    single-line reply ([+OK], [-ERR ...], [-BUSY n]).  The replica reads
+    the one large frame, the [SYNC] reply, with {!frame_len} and
+    {!frame_int} instead, building no reply. *)
 module Frames : sig
   type t
 

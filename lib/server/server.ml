@@ -73,7 +73,7 @@ type role = Primary | Replica
    matching record, or a PROFILE window.  The loop re-checks it every
    iteration ([resume]). *)
 type wait =
-  | Watch of { lo : int; hi : int; mutable cursor : int }
+  | Watch of { lo : int; hi : int; cursor : int ref }
       (** [cursor]: the feed seq checked so far *)
   | Window of Verlib.Obs.Profile.window
 
@@ -133,11 +133,23 @@ type follower = {
   fw_addr : Unix.sockaddr;
   fw_apply : Repl.Apply.t;
   fw_frames : Protocol.Frames.t;  (** the reply being reassembled *)
+  fw_sync : sync_rx;  (** the SYNC reply being read *)
   mutable fw_conn : session Evloop.conn option;
   mutable fw_phase : [ `Sync | `Subscribe | `Follow ];
       (** what the primary answers next: the SYNC snapshot, SUBSCRIBE's
           +OK, then the stream *)
   mutable fw_redial : float;  (** dial again no sooner than this *)
+}
+
+(* A SYNC reply read line by line into flat arrays: element 0 is the
+   seq, 1 the stamp, then key/value pairs. *)
+and sync_rx = {
+  mutable rx_left : int;  (** elements still to come; 0: no reply open *)
+  mutable rx_elem : int;  (** elements read *)
+  mutable rx_seq : int;
+  mutable rx_stamp : int;
+  mutable rx_keys : int array;
+  mutable rx_vals : int array;
 }
 
 (* One census of the sweep: the whole mount's, and on a sharded mount
@@ -205,6 +217,15 @@ let create ?(config = default_config) mount =
             fw_addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port);
             fw_apply = Repl.Apply.create (Mount.store mount);
             fw_frames = Protocol.Frames.create ();
+            fw_sync =
+              {
+                rx_left = 0;
+                rx_elem = 0;
+                rx_seq = 0;
+                rx_stamp = 0;
+                rx_keys = [||];
+                rx_vals = [||];
+              };
             fw_conn = None;
             fw_phase = `Sync;
             fw_redial = 0.;
@@ -360,23 +381,6 @@ let replstats_json t =
     (Repl.applied_total ()) (Repl.dup_dropped_total ())
     (Repl.watermark_now ()) apply_fields
 
-(* SYNC: the replica-bootstrap snapshot, positioned at the feed's tail.
-   Order is load-bearing: the tail is read BEFORE the fold, so any
-   record at or below it was fully installed before the fold began
-   (install happens-before append happens-before this read) — snapshot
-   plus suffix replay from that seq converges.  Records racing past the
-   tail during the fold are delivered again by the stream; re-applying
-   them is idempotent (records carry installed state, not deltas).
-   Hits [repl.send] so a latched partition severs bootstraps too. *)
-let sync_reply t =
-  Fault.hit Repl.fp_send;
-  let seq = Repl.Log.tail_seq t.feed in
-  let stamp = Repl.Log.tail_stamp t.feed in
-  let pairs = Mount.dump t.mount in
-  Protocol.Arr
-    (Protocol.Int seq :: Protocol.Int stamp
-    :: List.concat_map (fun (k, v) -> Protocol.[ Int k; Int v ]) pairs)
-
 let max_line = 1 lsl 20
 
 (* Commands one MULTI may queue before EXEC refuses more (bounds the
@@ -399,10 +403,10 @@ let multi_queue_cap = 1024
    kills the connection.
 
    The [repl.send] fault point interprets here: [partition] latches the
-   point down and kills the stream (and [sync_reply]/re-subscription for
-   the window), [dup] ships a record twice — the at-least-once
-   delivery the replica's apply engine dedups.  Records always go out
-   in seq order: [read_after] answers a gapless suffix or [`Resync].
+   point down and kills the stream (and SYNC/re-subscription for the
+   window), [dup] ships a record twice — the at-least-once delivery the
+   replica's apply engine dedups.  Records always go out in seq order:
+   [copy_after] answers a gapless suffix or [`Resync].
 
    On abnormal death the cursor is orphaned, not dropped: the lag gauges
    must keep rising through a partition, and the reconnecting replica
@@ -425,35 +429,54 @@ let subscribe t ~lo ~hi ~seq =
         }
   | exception Fault.Injected _ -> None
 
+(* The domain's copy of feed records for a pump or a WATCH to render:
+   the log's mutex is held for the copy, never for a render (appends
+   run under the commit's stripe latches). *)
+let batch_key = Domain.DLS.new_key Repl.Batch.create
+
+(* Render the copied records the stream's range selects, moving its
+   cursor past each.  [dup] ships a record twice. *)
+let rec pump_batch st out w o len =
+  if o < len then begin
+    st.st_seq <- Repl.Flat.seq w o;
+    if Repl.Flat.touches st.st_lo st.st_hi w o then begin
+      if Fault.feed_check Repl.fp_send = Some Fault.Dup then
+        Protocol.render_record out w o;
+      Protocol.render_record out w o
+    end;
+    pump_batch st out w (o + Repl.Flat.size w o) len
+  end
+
+(* Copy and render a batch at a time until the feed's tail or the
+   outbuf's high-water mark; [sent] says whether any record passed. *)
+let rec pump_records t (conn : session Evloop.conn) st b sent =
+  match Repl.Log.copy_after t.feed ~seq:st.st_seq b with
+  | `Resync -> `Resync
+  | `Copied when Repl.Batch.length b = 0 -> sent
+  | `Copied ->
+      pump_batch st conn.Evloop.out (Repl.Batch.words b) 0 (Repl.Batch.length b);
+      if Evloop.out_pending conn >= Evloop.out_hwm then `Sent
+      else pump_records t conn st b `Sent
+
 (* Render what the feed holds past the stream's cursor into its
    outbuf. *)
 let pump t loop (conn : session Evloop.conn) st ~now : Evloop.action =
   let out = conn.Evloop.out in
-  let push r = Protocol.render_reply out (Protocol.reply_of_record r) in
-  let emit r =
-    if Fault.feed_check Repl.fp_send = Some Fault.Dup then push r;
-    push r
-  in
   try
-    match Repl.Log.read_after t.feed ~seq:st.st_seq with
+    match pump_records t conn st (Domain.DLS.get batch_key) `Idle with
     | `Resync ->
         (* Laggard shed: the ring trimmed past this cursor.  A clean
            refusal — the peer re-bootstraps via SYNC. *)
         Protocol.render_reply out (Protocol.Err "resync required");
         `Close
-    | `Records [] ->
+    | `Idle ->
         if now -. st.st_beat >= heartbeat then begin
           Fault.hit Repl.fp_send;
           Protocol.render_reply out Protocol.Ok_;
           st.st_beat <- now
         end;
         `Stream
-    | `Records rs ->
-        List.iter
-          (fun r ->
-            st.st_seq <- r.Repl.r_seq;
-            if Repl.touches st.st_lo st.st_hi r then emit r)
-          rs;
+    | `Sent ->
         st.st_beat <- now;
         `Stream
   with Fault.Injected _ ->
@@ -538,6 +561,27 @@ let multi_reset sess =
   sess.s_queued <- [];
   sess.s_dirty <- false
 
+(* What a command answers: a reply, or bytes rendered straight into the
+   outbuf with no reply built (SYNC, SCAN, a WATCH's record). *)
+type answer = Reply of Protocol.reply | Render of (Buffer.t -> unit)
+
+(* Render [a] into [buf]; [false] when a [Render] raised, and a
+   [-ERR internal: ...] went out in place of its bytes. *)
+let render_answer buf = function
+  | Reply r ->
+      Protocol.render_reply buf r;
+      true
+  | Render f -> (
+      let start = Buffer.length buf in
+      try
+        f buf;
+        true
+      with e ->
+        Buffer.truncate buf start;
+        Protocol.render_reply buf
+          (Protocol.Err ("internal: " ^ Printexc.to_string e));
+        false)
+
 (* Park the command: [exec_line] abandons its span, and [resume]
    answers it under a fresh span backdated to the same start. *)
 let park sess (sp : Span.t) tid wait ~ms =
@@ -550,22 +594,33 @@ let park sess (sp : Span.t) tid wait ~ms =
         pk_cmd = sp.Span.sp_cmd;
         pk_tid = tid;
       };
-  (tid, "ok", Protocol.Nil)
+  (tid, "ok", Reply Protocol.Nil)
 
-(* Render [r] under the [reply] phase, finish the span, then emit: a
-   traced command's @-frame goes ahead of its data bytes (the
-   incremental reader never peeks past a reply).  The batched socket
-   flush is shared across pipelined commands and is not attributed to
-   any span. *)
-let emit ~out ~scratch sp trace_id outcome r =
-  Buffer.clear scratch;
+(* Render [a] under the [reply] phase and finish the span.  An untraced
+   answer goes straight into the outbuf.  A traced one is rendered into
+   the loop's scratch buffer first: its @-frame, built from the finished
+   span, goes ahead of the data bytes (the incremental reader never
+   peeks past a reply).  A render that raised answers [-ERR] and counts
+   as an error, like a [Reply (Err _)].  The batched socket flush is
+   shared across pipelined commands and is not attributed to any
+   span. *)
+let emit t ~out ~scratch sp trace_id outcome a =
   Span.switch sp Span.Reply;
-  Protocol.render_reply scratch r;
-  Span.finish sp ~outcome;
-  (match trace_id with
-   | Some id -> Protocol.render_trace out (trace_info_of sp id outcome)
-   | None -> ());
-  Buffer.add_buffer out scratch
+  let rendered buf =
+    if render_answer buf a then outcome
+    else begin
+      Atomic.incr t.errors_total;
+      "error"
+    end
+  in
+  match trace_id with
+  | None -> Span.finish sp ~outcome:(rendered out)
+  | Some id ->
+      Buffer.clear scratch;
+      let outcome = rendered scratch in
+      Span.finish sp ~outcome;
+      Protocol.render_trace out (trace_info_of sp id outcome);
+      Buffer.add_buffer out scratch
 
 (* Execute one wire line against the connection's session under span
    [sp], appending the rendered reply (and any @-trace frame) to its
@@ -583,7 +638,7 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
         (* A garbage line inside MULTI poisons the transaction: the
            client and server may disagree on what was queued. *)
         if sess.s_multi then sess.s_dirty <- true;
-        (None, "error", Protocol.Err msg)
+        (None, "error", Reply (Protocol.Err msg))
     | Ok (tid, c) -> (
         let verb = Protocol.verb_index c in
         Span.set_cmd sp (Protocol.verb_name verb);
@@ -591,40 +646,41 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
         match c with
         | Protocol.Quit ->
             sess.s_quit <- true;
-            (tid, "ok", Protocol.Ok_)
+            (tid, "ok", Reply Protocol.Ok_)
         | Protocol.Multi ->
             if sess.s_multi then begin
               Atomic.incr t.errors_total;
               sess.s_dirty <- true;
-              (tid, "error", Protocol.Err "MULTI: nested MULTI")
+              (tid, "error", Reply (Protocol.Err "MULTI: nested MULTI"))
             end
             else begin
               multi_reset sess;
               sess.s_multi <- true;
-              (tid, "ok", Protocol.Ok_)
+              (tid, "ok", Reply Protocol.Ok_)
             end
         | Protocol.Discard ->
             if sess.s_multi then begin
               multi_reset sess;
-              (tid, "ok", Protocol.Ok_)
+              (tid, "ok", Reply Protocol.Ok_)
             end
             else begin
               Atomic.incr t.errors_total;
-              (tid, "error", Protocol.Err "DISCARD without MULTI")
+              (tid, "error", Reply (Protocol.Err "DISCARD without MULTI"))
             end
         | Protocol.Exec token ->
             if not sess.s_multi then begin
               Atomic.incr t.errors_total;
-              (tid, "error", Protocol.Err "EXEC without MULTI")
+              (tid, "error", Reply (Protocol.Err "EXEC without MULTI"))
             end
             else if sess.s_dirty then begin
               multi_reset sess;
               Atomic.incr t.errors_total;
               ( tid,
                 "error",
-                Protocol.Err
-                  "EXECABORT: transaction discarded because of previous \
-                   errors" )
+                Reply
+                  (Protocol.Err
+                     "EXECABORT: transaction discarded because of previous \
+                      errors") )
             end
             else if is_replica t then begin
               (* The queued writes must come through the feed, not the
@@ -632,13 +688,13 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
                  would diverge from the primary. *)
               multi_reset sess;
               Atomic.incr t.errors_total;
-              (tid, "error", Protocol.Err replica_readonly_msg)
+              (tid, "error", Reply (Protocol.Err replica_readonly_msg))
             end
             else if shed t loop sp c then
               (* EXEC is snapshot-heavy, so it sheds at soft level —
                  but WITHOUT dropping the queued transaction: a
                  backed-off retry of just EXEC still commits it. *)
-              (tid, "shed", busy t)
+              (tid, "shed", Reply (busy t))
             else begin
               let cs = List.rev sess.s_queued in
               multi_reset sess;
@@ -646,9 +702,9 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
               match Mount.exec_txn t.mount ~token cs with
               | Protocol.Err _ as r ->
                   Atomic.incr t.errors_total;
-                  (tid, "error", r)
-              | Protocol.Aborted _ as r -> (tid, "abort", r)
-              | r -> (tid, "ok", r)
+                  (tid, "error", Reply r)
+              | Protocol.Aborted _ as r -> (tid, "abort", Reply r)
+              | r -> (tid, "ok", Reply r)
             end
         | ( Protocol.Get _ | Protocol.Put _ | Protocol.Del _
           | Protocol.Mget _ | Protocol.Range _ | Protocol.Rangecount _ )
@@ -668,18 +724,19 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
                 sess.s_dirty <- true;
                 ( tid,
                   "error",
-                  Protocol.Err
-                    (Printf.sprintf
-                       "unsupported: RANGE on unordered structure %S; use \
-                        MGET"
-                       (Mount.name t.mount)) )
+                  Reply
+                    (Protocol.Err
+                       (Printf.sprintf
+                          "unsupported: RANGE on unordered structure %S; use \
+                           MGET"
+                          (Mount.name t.mount))) )
             | _ when List.length sess.s_queued >= multi_queue_cap ->
                 Atomic.incr t.errors_total;
                 sess.s_dirty <- true;
-                (tid, "error", Protocol.Err "MULTI: transaction too large")
+                (tid, "error", Reply (Protocol.Err "MULTI: transaction too large"))
             | _ ->
                 sess.s_queued <- c :: sess.s_queued;
-                (tid, "ok", Protocol.Queued))
+                (tid, "ok", Reply Protocol.Queued))
         | _ when sess.s_multi ->
             (* PING/STATS/SCAN/... make no sense inside a transaction;
                poison it so EXEC cannot silently commit a sequence the
@@ -688,16 +745,16 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
             sess.s_dirty <- true;
             ( tid,
               "error",
-              Protocol.Err
-                (Printf.sprintf "%s not allowed in MULTI"
-                   (Protocol.verb_name verb))
-            )
+              Reply
+                (Protocol.Err
+                   (Printf.sprintf "%s not allowed in MULTI"
+                      (Protocol.verb_name verb))) )
         | Protocol.Stats ->
             Span.switch sp Span.Op;
-            (tid, "ok", Protocol.Bulk (stats_json t))
+            (tid, "ok", Reply (Protocol.Bulk (stats_json t)))
         | Protocol.Metrics ->
             Span.switch sp Span.Op;
-            (tid, "ok", Protocol.Bulk (metrics_text t))
+            (tid, "ok", Reply (Protocol.Bulk (metrics_text t)))
         | Protocol.Profile ms ->
             (* Like [Stats]/[Metrics]: answered unconditionally, never
                shed — an overloaded server must stay profileable (the
@@ -710,63 +767,88 @@ let exec_line t loop (conn : session Evloop.conn) sp line =
                 ~ms:(min ms 5000)
             else begin
               Span.switch sp Span.Op;
-              (tid, "ok", Protocol.Bulk (Verlib.Obs.Profile.json ()))
+              (tid, "ok", Reply (Protocol.Bulk (Verlib.Obs.Profile.json ())))
             end
-        | Protocol.Ping -> (tid, "ok", Protocol.Pong)
+        | Protocol.Ping -> (tid, "ok", Reply Protocol.Pong)
         | Protocol.Replstats ->
             (* Like STATS: never shed — the replication plane stays
                observable under overload and partitions. *)
             Span.switch sp Span.Op;
-            (tid, "ok", Protocol.Bulk (replstats_json t))
+            (tid, "ok", Reply (Protocol.Bulk (replstats_json t)))
         | Protocol.Promote ->
             (* Idempotent failover: accept writes from now on; the
                follow connection (if any) applies nothing more, and
                loop 0's tick closes it for good. *)
             Atomic.set t.role Primary;
-            (tid, "ok", Protocol.Ok_)
+            (tid, "ok", Reply Protocol.Ok_)
         | Protocol.Sync -> (
-            (* Snapshot-heavy (an uncapped fold) — shed before
-               dumping, and a latched partition severs it. *)
-            if shed t loop sp c then (tid, "shed", busy t)
+            (* Snapshot-heavy (an uncapped fold) — shed before folding,
+               and a latched partition severs it before a byte is
+               written.  The tail is read BEFORE the fold, so any record
+               at or below it was fully installed before the fold's
+               snapshot (install happens-before append happens-before
+               this read): snapshot plus suffix replay from that seq
+               converges.  Records racing past the tail during the fold
+               are delivered again by the stream; re-applying them is
+               idempotent (records carry installed state, not
+               deltas). *)
+            if shed t loop sp c then (tid, "shed", Reply (busy t))
             else begin
               Span.switch sp Span.Op;
-              match sync_reply t with
-              | r -> (tid, "ok", r)
+              match Fault.hit Repl.fp_send with
+              | () ->
+                  let seq = Repl.Log.tail_seq t.feed in
+                  let head = (seq, Repl.Log.tail_stamp t.feed) in
+                  ( tid,
+                    "ok",
+                    Render
+                      (fun buf ->
+                        Mount.render_scan t.mount buf ~head ~limit:max_int ())
+                  )
               | exception Fault.Injected _ ->
                   sess.s_quit <- true;
-                  (tid, "error", Protocol.Err "partitioned")
+                  (tid, "error", Reply (Protocol.Err "partitioned"))
             end)
         | Protocol.Ack _ ->
             Atomic.incr t.errors_total;
-            (tid, "error", Protocol.Err "ACK outside a SUBSCRIBE stream")
+            (tid, "error", Reply (Protocol.Err "ACK outside a SUBSCRIBE stream"))
         | Protocol.Watch (lo, hi, ms) ->
-            if shed t loop sp c then (tid, "shed", busy t)
+            if shed t loop sp c then (tid, "shed", Reply (busy t))
             else
               park sess sp tid
-                (Watch { lo; hi; cursor = Repl.Log.tail_seq t.feed })
+                (Watch { lo; hi; cursor = ref (Repl.Log.tail_seq t.feed) })
                 ~ms:(if ms <= 0 then 5000 else min ms 30000)
         | Protocol.Subscribe (lo, hi, seq) ->
             sess.s_stream <- subscribe t ~lo ~hi ~seq;
             sess.s_quit <- true;
-            (tid, "ok", Protocol.Ok_)
+            (tid, "ok", Reply Protocol.Ok_)
+        | Protocol.Scan limit ->
+            if shed t loop sp c then (tid, "shed", Reply (busy t))
+            else
+              ( tid,
+                "ok",
+                Render
+                  (fun buf ->
+                    Mount.render_scan t.mount buf ~limit:(Mount.scan_limit limit)
+                      ()) )
         | (Protocol.Put _ | Protocol.Del _) when is_replica t ->
             Atomic.incr t.errors_total;
-            (tid, "error", Protocol.Err replica_readonly_msg)
+            (tid, "error", Reply (Protocol.Err replica_readonly_msg))
         | c ->
-            if shed t loop sp c then (tid, "shed", busy t)
+            if shed t loop sp c then (tid, "shed", Reply (busy t))
             else begin
               Span.switch sp Span.Op;
               let r = Mount.exec t.mount c in
               match r with
               | Protocol.Err _ ->
                   Atomic.incr t.errors_total;
-                  (tid, "error", r)
-              | _ -> (tid, "ok", r)
+                  (tid, "error", Reply r)
+              | _ -> (tid, "ok", Reply r)
             end)
   in
   if sess.s_park <> None then Span.abandon sp
   else
-    emit ~out:conn.Evloop.out ~scratch:loop.Evloop.scratch sp trace_id
+    emit t ~out:conn.Evloop.out ~scratch:loop.Evloop.scratch sp trace_id
       outcome r
 
 (* One command of a batch: open its span (a batch's first is backdated
@@ -843,24 +925,40 @@ let exec_batch t loop conn lines ~mark =
         Buffer.reset loop.Evloop.scratch;
       v
 
+(* The offset of the first copied record touching [lo, hi], or [len];
+   the cursor moves past the records before it. *)
+let rec first_touching ~lo ~hi ~cursor w o len =
+  if o >= len || Repl.Flat.touches lo hi w o then o
+  else begin
+    cursor := Repl.Flat.seq w o;
+    first_touching ~lo ~hi ~cursor w (o + Repl.Flat.size w o) len
+  end
+
+(* A WATCH's answer: the first record past its cursor touching its
+   range, rendered from the domain's copy (nothing copies between here
+   and the render); [None] until one lands or the WATCH expires. *)
+let rec watch_answer t ~lo ~hi ~cursor ~expired b =
+  match Repl.Log.copy_after t.feed ~seq:!cursor b with
+  | `Resync ->
+      Some (Reply (Protocol.Err "resync required: WATCH outpaced by the log"))
+  | `Copied ->
+      let w = Repl.Batch.words b and len = Repl.Batch.length b in
+      if len = 0 then if expired then Some (Reply Protocol.Nil) else None
+      else
+        let o = first_touching ~lo ~hi ~cursor w 0 len in
+        if o < len then Some (Render (fun buf -> Protocol.render_record buf w o))
+        else watch_answer t ~lo ~hi ~cursor ~expired b
+
 (* The parked command's answer, once it has one. *)
 let parked_reply t pk ~now =
   let expired = now >= pk.pk_until || Atomic.get t.stop_flag in
   match pk.pk_wait with
   | Window w ->
       if expired then
-        Some (Protocol.Bulk (Verlib.Obs.Profile.json ~window:w ()))
+        Some (Reply (Protocol.Bulk (Verlib.Obs.Profile.json ~window:w ())))
       else None
-  | Watch w -> (
-      match Repl.Log.read_after t.feed ~seq:w.cursor with
-      | `Resync ->
-          Some (Protocol.Err "resync required: WATCH outpaced by the log")
-      | `Records l -> (
-          match List.find_opt (Repl.touches w.lo w.hi) l with
-          | Some r -> Some (Protocol.reply_of_record r)
-          | None ->
-              List.iter (fun r -> w.cursor <- r.Repl.r_seq) l;
-              if expired then Some Protocol.Nil else None))
+  | Watch { lo; hi; cursor } ->
+      watch_answer t ~lo ~hi ~cursor ~expired (Domain.DLS.get batch_key)
 
 (* Re-check a parked connection; once its command has an answer, emit
    it and run the rest of its batch.  Pump a streaming one. *)
@@ -878,40 +976,115 @@ let resume t loop conn ~now =
           sess.s_park <- None;
           let sp = Span.start ~begin_ticks:pk.pk_begin ~cmd:pk.pk_cmd in
           Option.iter (Span.set_trace_id sp) pk.pk_tid;
-          emit ~out:conn.Evloop.out ~scratch:loop.Evloop.scratch sp
+          emit t ~out:conn.Evloop.out ~scratch:loop.Evloop.scratch sp
             pk.pk_tid "ok" r;
           run_rest t loop conn ~first:false)
 
 
 (* --- the follow connection (replica side) --------------------------------- *)
 
-(* Make the local store equal to the SYNC snapshot.  Writes go through
-   [Txn] like everything else, so local readers serialize against the
-   reconciliation; bindings already correct cost one read, wrong ones
-   one upsert, missing ones one [Txn.put] (4-10% cheaper per key than
-   the same insert through [Txn.apply]'s install step). *)
-let replica_reconcile t pairs =
-  let store = Mount.store t.mount in
-  let snap = Hashtbl.create (max 16 (List.length pairs)) in
-  List.iter (fun (k, v) -> Hashtbl.replace snap k v) pairs;
-  List.iter
-    (fun (k, _) -> if not (Hashtbl.mem snap k) then ignore (Txn.del store k))
-    (Mount.dump t.mount);
-  List.iter
-    (fun (k, v) ->
-      match Txn.get store k with
-      | Some v0 when v0 = v -> ()
-      | Some _ -> Txn.apply store [ (k, Some v) ]
-      | None -> ignore (Txn.put store k v))
-    pairs
+(* Whether [keys] ascend from [i] on. *)
+let rec ascending keys i =
+  i + 1 >= Array.length keys || (keys.(i) <= keys.(i + 1) && ascending keys (i + 1))
 
-let parse_sync_pairs rest =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | Protocol.Int k :: Protocol.Int v :: tl -> go ((k, v) :: acc) tl
-    | _ -> failwith "bad SYNC frame"
-  in
-  go [] rest
+(* Binary search for [k] in the ascending [keys.(lo) .. keys.(hi - 1)]. *)
+let rec mem_sorted keys k lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let m = keys.(mid) in
+  m = k || if m < k then mem_sorted keys k (mid + 1) hi else mem_sorted keys k lo mid
+
+(* Make the local store equal to the SYNC snapshot held in [keys] and
+   [vals].  Writes go through [Txn] like everything else,
+   so local readers serialize against the reconciliation.  The upsert
+   pass costs a binding already correct one read, a wrong one one
+   upsert, a missing one one [Txn.put] (4-10% cheaper per key than the
+   same insert through [Txn.apply]'s install step).  The delete pass,
+   which an empty store skips, sorts the SYNC keys unless they already
+   ascend (a btree or sharded-btree primary folds in key order), folds
+   the local store once collecting the keys it cannot find among them
+   by binary search, then deletes those: one algorithm for ordered and
+   unordered mounts. *)
+let replica_reconcile t keys vals =
+  let store = Mount.store t.mount in
+  let warm = Txn.size store > 0 in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) and v = vals.(i) in
+    match Txn.get store k with
+    | Some v0 when v0 = v -> ()
+    | Some _ -> Txn.apply store [ (k, Some v) ]
+    | None -> ignore (Txn.put store k v)
+  done;
+  if warm then begin
+    if not (ascending keys 0) then Array.sort Int.compare keys;
+    Mount.scan t.mount ~init:[] ~f:(fun stale k _ ->
+        if mem_sorted keys k 0 (Array.length keys) then stale else k :: stale)
+    |> List.iter (fun k -> ignore (Txn.del store k))
+  end
+
+(* A SYNC reply's arrays start at most this many pairs long and grow
+   by doubling, capped at the pair count its header announced (so a
+   completed reply fills them exactly, and a bogus header costs no more
+   than this). *)
+let rx_initial = 1 lsl 16
+
+let rx_clear rx =
+  rx.rx_left <- 0;
+  rx.rx_elem <- 0;
+  rx.rx_keys <- [||];
+  rx.rx_vals <- [||]
+
+(* Take in one element of the SYNC reply: the seq, the stamp, or half
+   of a pair. *)
+let rx_element rx v =
+  (match rx.rx_elem with
+   | 0 -> rx.rx_seq <- v
+   | 1 -> rx.rx_stamp <- v
+   | e ->
+       let i = (e - 2) / 2 in
+       if i = Array.length rx.rx_keys then begin
+         let pairs = (e + rx.rx_left - 2) / 2 in
+         let cap = min pairs (max 16 (2 * i)) in
+         let more = Array.make (cap - i) 0 in
+         rx.rx_keys <- Array.append rx.rx_keys more;
+         rx.rx_vals <- Array.append rx.rx_vals more
+       end;
+       if e land 1 = 0 then rx.rx_keys.(i) <- v else rx.rx_vals.(i) <- v);
+  rx.rx_elem <- rx.rx_elem + 1;
+  rx.rx_left <- rx.rx_left - 1
+
+(* One line of the SYNC reply: the [*N] header, or an element.  The last
+   element reconciles the store in the same call, on loop 0, so no
+   local read in between sees a half-reconciled store; then the apply
+   cursor adopts the snapshot's position and SUBSCRIBE goes out from
+   it. *)
+let sync_line t fw (conn : session Evloop.conn) line =
+  let rx = fw.fw_sync in
+  if rx.rx_left = 0 then begin
+    let n = Protocol.frame_len line in
+    if n < 2 || n land 1 = 1 || n > 16_777_216 then
+      failwith (Printf.sprintf "bad SYNC frame length %d" n);
+    rx.rx_left <- n;
+    rx.rx_elem <- 0;
+    let cap = min ((n - 2) / 2) rx_initial in
+    rx.rx_keys <- Array.make cap 0;
+    rx.rx_vals <- Array.make cap 0
+  end
+  else begin
+    rx_element rx (Protocol.frame_int line);
+    if rx.rx_left = 0 then begin
+      replica_reconcile t rx.rx_keys rx.rx_vals;
+      (* The silence clock restarts after the reconcile, which holds
+         the loop for as long as the store is large. *)
+      conn.Evloop.last_act <- Unix.gettimeofday ();
+      Repl.Apply.reset fw.fw_apply ~seq:rx.rx_seq ~stamp:rx.rx_stamp;
+      rx_clear rx;
+      Protocol.render_command conn.Evloop.out
+        (Protocol.Subscribe (min_int, max_int, Repl.Apply.last_seq fw.fw_apply));
+      fw.fw_phase <- `Subscribe
+    end
+  end
 
 (* A replica follows its primary over one connection that loop 0 dials
    and reads on readiness like any other, sharing the loop with the
@@ -932,19 +1105,10 @@ let redial_delay = 0.05
 (* A poll-timeout cap, in ms, that wakes the loop by [deadline]. *)
 let ms_until deadline ~now = 1 + int_of_float ((deadline -. now) *. 1000.)
 
-(* One reassembled reply; true when it installed records. *)
-let follow_reply t fw (conn : session Evloop.conn) (r : Protocol.reply) =
+(* One reassembled reply after the SYNC; true when it installed
+   records. *)
+let follow_reply fw (r : Protocol.reply) =
   match (fw.fw_phase, r) with
-  | `Sync, Protocol.Arr (Protocol.Int seq :: Protocol.Int stamp :: rest) ->
-      replica_reconcile t (parse_sync_pairs rest);
-      (* The silence clock restarts after the reconcile, which holds
-         the loop for as long as the store is large. *)
-      conn.Evloop.last_act <- Unix.gettimeofday ();
-      Repl.Apply.reset fw.fw_apply ~seq ~stamp;
-      Protocol.render_command conn.Evloop.out
-        (Protocol.Subscribe (min_int, max_int, Repl.Apply.last_seq fw.fw_apply));
-      fw.fw_phase <- `Subscribe;
-      false
   | `Subscribe, Protocol.Ok_ ->
       fw.fw_phase <- `Follow;
       false
@@ -960,15 +1124,24 @@ let follow_reply t fw (conn : session Evloop.conn) (r : Protocol.reply) =
   | _, Protocol.Err e -> failwith e
   | _ -> failwith ("unexpected reply " ^ Protocol.pp_reply r)
 
-(* One read chunk of the follow connection. *)
+(* One read chunk of the follow connection.  The SYNC reply is read
+   line by line into flat arrays ([sync_line]); a single-line answer
+   to SYNC ([-ERR], [-BUSY]) and everything after it goes through the
+   frame reassembler. *)
 let follow_lines t loop (conn : session Evloop.conn) fw lines : Evloop.action
     =
   let step applied line =
     if not (is_replica t) then failwith "promoted";
-    match Protocol.Frames.push fw.fw_frames line with
-    | Ok None -> applied
-    | Ok (Some r) -> follow_reply t fw conn r || applied
-    | Error e -> failwith e
+    match fw.fw_phase with
+    | `Sync when fw.fw_sync.rx_left > 0 || String.starts_with ~prefix:"*" line
+      ->
+        sync_line t fw conn line;
+        applied
+    | `Sync | `Subscribe | `Follow -> (
+        match Protocol.Frames.push fw.fw_frames line with
+        | Ok None -> applied
+        | Ok (Some r) -> follow_reply fw r || applied
+        | Error e -> failwith e)
   in
   match List.fold_left step false lines with
   | applied ->
@@ -1005,6 +1178,7 @@ let follow_tick t loop fw ~now =
 let follow_closed fw =
   fw.fw_conn <- None;
   Protocol.Frames.reset fw.fw_frames;
+  rx_clear fw.fw_sync;
   fw.fw_redial <- Unix.gettimeofday () +. redial_delay
 
 (* --- domains ------------------------------------------------------------- *)

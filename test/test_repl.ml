@@ -17,6 +17,26 @@ let mk_store ?(n_hint = 1024) () =
   let h = Dstruct.Btree.create ~n_hint () in
   Txn.Store.create (module Dstruct.Btree) h
 
+(* Every record past [seq], oldest first, read back through the copy
+   path the server uses; [`Resync] when the ring trimmed past [seq]. *)
+let read_after log ~seq =
+  let b = Repl.Batch.create () in
+  let rec go seq acc =
+    match Repl.Log.copy_after log ~seq b with
+    | `Resync -> `Resync
+    | `Copied when Repl.Batch.length b = 0 -> `Records (List.rev acc)
+    | `Copied ->
+        let w = Repl.Batch.words b in
+        let rec walk o seq acc =
+          if o >= Repl.Batch.length b then go seq acc
+          else
+            walk (o + Repl.Flat.size w o) (Repl.Flat.seq w o)
+              (Repl.Flat.to_record w o :: acc)
+        in
+        walk 0 seq acc
+  in
+  go seq []
+
 (* --- the commit tap ------------------------------------------------------ *)
 
 let test_feed_capture () =
@@ -31,7 +51,7 @@ let test_feed_capture () =
   (match Txn.exec store [ Txn.Put (3, 30); Txn.Put (4, 40); Txn.Del 1 ] with
    | Txn.Committed _ -> ()
    | Txn.Aborted _ -> Alcotest.fail "uncontended batch aborted");
-  (match Repl.Log.read_after log ~seq:0 with
+  (match read_after log ~seq:0 with
    | `Resync -> Alcotest.fail "resync on a fresh log"
    | `Records rs ->
        Alcotest.(check int) "four records" 4 (List.length rs);
@@ -58,12 +78,90 @@ let test_log_resync_when_trimmed () =
     Repl.Log.append log ~stamp:i [ (i, Some i) ]
   done;
   Alcotest.(check int) "tail seq" 100 (Repl.Log.tail_seq log);
-  (match Repl.Log.read_after log ~seq:0 with
+  (match read_after log ~seq:0 with
    | `Resync -> ()
    | `Records _ -> Alcotest.fail "laggard below the trim must resync");
-  match Repl.Log.read_after log ~seq:95 with
+  match read_after log ~seq:95 with
   | `Records rs -> Alcotest.(check int) "recent suffix" 5 (List.length rs)
   | `Resync -> Alcotest.fail "recent cursor forced to resync"
+
+(* Records of 1, 2 and 50 writes, deletes included, on a 16-record ring
+   that laps a dozen times. *)
+let ring_writes i =
+  match i mod 3 with
+  | 0 -> [ (i, Some (10 * i)) ]
+  | 1 -> [ (i, Some i); (-i, None) ]
+  | _ -> List.init 50 (fun j -> ((1000 * i) + j, if j mod 7 = 0 then None else Some j))
+
+let ring_record s = { Repl.r_seq = s; r_stamp = 2 * s; r_writes = ring_writes s }
+
+(* The flat ring reads every retained record back whole across the
+   wrap, in repeated copies and in one copy alike; a cursor behind
+   the trim point resyncs; lag bytes are the [record_bytes] sum past the
+   slowest cursor, and an ACK of a trimmed seq counts from the trim
+   point. *)
+let test_flat_ring_wraps () =
+  let log = Repl.Log.create ~capacity:16 () in
+  let slow = Repl.Log.subscribe log and fast = Repl.Log.subscribe log in
+  let n = 200 in
+  for s = 1 to n do
+    Repl.Log.append log ~stamp:(2 * s) (ring_writes s)
+  done;
+  let retained = List.init 16 (fun i -> ring_record (n - 15 + i)) in
+  (match read_after log ~seq:(n - 16) with
+   | `Records rs ->
+       Alcotest.(check int) "sixteen retained" 16 (List.length rs);
+       Alcotest.(check bool) "records intact across the wrap" true (rs = retained)
+   | `Resync -> Alcotest.fail "cursor at the trim point resynced");
+  let b = Repl.Batch.create () in
+  (match Repl.Log.copy_after log ~seq:(n - 16) b with
+   | `Copied ->
+       let w = Repl.Batch.words b in
+       let rec walk o acc =
+         if o >= Repl.Batch.length b then List.rev acc
+         else walk (o + Repl.Flat.size w o) (Repl.Flat.to_record w o :: acc)
+       in
+       Alcotest.(check bool) "one copy holds the same records" true
+         (walk 0 [] = retained)
+   | `Resync -> Alcotest.fail "copy at the trim point resynced");
+  (match read_after log ~seq:(n - 17) with
+   | `Resync -> ()
+   | `Records _ -> Alcotest.fail "a cursor behind the trim point must resync");
+  (match Repl.Log.copy_after log ~seq:(n - 17) b with
+   | `Resync -> ()
+   | `Copied -> Alcotest.fail "a copy behind the trim point must resync");
+  let bytes lo hi =
+    List.fold_left ( + ) 0
+      (List.init (hi - lo + 1) (fun i -> Repl.record_bytes (ring_record (lo + i))))
+  in
+  Alcotest.(check int) "lag: every byte appended" (bytes 1 n)
+    (snd (Repl.Log.lag log));
+  Repl.Log.ack log ~id:fast ~seq:(n - 5) ~stamp:(2 * (n - 5));
+  Repl.Log.ack log ~id:slow ~seq:10 ~stamp:20;
+  Alcotest.(check int) "an ACK of a trimmed seq counts from the trim point"
+    (bytes (n - 15) n)
+    (snd (Repl.Log.lag log));
+  Repl.Log.unsubscribe log slow;
+  Alcotest.(check int) "lag past the acked seq" (bytes (n - 4) n)
+    (snd (Repl.Log.lag log));
+  Repl.Log.unsubscribe log fast;
+  Repl.Log.unregister log
+
+(* Once the ring has lapped, appends land in recycled chunks: appending
+   a prebuilt write list allocates nothing. *)
+let test_append_alloc_budget () =
+  let log = Repl.Log.create ~capacity:1024 () in
+  let ws = Array.init 3 (fun i -> ring_writes (i + 2)) in
+  for i = 1 to 6000 do
+    Repl.Log.append log ~stamp:i ws.(i mod 3)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Repl.Log.append log ~stamp:i ws.(i mod 3)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Repl.Log.unregister log;
+  Alcotest.(check (float 0.)) "minor words over 10,000 appends" 0. words
 
 (* --- the apply engine ---------------------------------------------------- *)
 
@@ -171,7 +269,7 @@ let test_watermark_monotone_under_chaos () =
     end
   done;
   let records =
-    match Repl.Log.read_after log ~seq:0 with
+    match read_after log ~seq:0 with
     | `Records rs -> rs
     | `Resync -> Alcotest.fail "log trimmed under capacity 4096"
   in
@@ -764,13 +862,70 @@ let test_stop_unregisters_feed () =
   Alcotest.(check int) "no stamp lag after stop" 0 (Repl.lag_stamps ());
   Alcotest.(check int) "no byte lag after stop" 0 (Repl.lag_bytes ())
 
-(* A fake primary speaks the follow protocol by hand.  It answers the
-   first SYNC with a snapshot at seq 5 and SUBSCRIBE with +OK, then
-   ships seq 7: one past the next seq, so the feed lost a record.  It
-   keeps heartbeating, so only the gap can end that connection.  The
-   replica must close it, dial again, send a second SYNC and converge
-   to the second snapshot (seq 9). *)
-let test_gap_redials_from_sync () =
+(* --- a fake primary ---------------------------------------------------------- *)
+
+(* A listener that speaks the follow protocol by hand, so a test
+   scripts exactly what its replica receives. *)
+type fake = {
+  lsock : Unix.file_descr;
+  stop : bool Atomic.t;
+  syncs : int Atomic.t;  (** SYNC requests answered *)
+}
+
+let fake_accept fk ~within =
+  match Unix.select [ fk.lsock ] [] [] within with
+  | [], _, _ -> failwith "the replica did not dial"
+  | _ ->
+      let fd, _ = Unix.accept fk.lsock in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      (fd, Unix.in_channel_of_descr fd)
+
+let fake_line ic =
+  let l = input_line ic in
+  if String.ends_with ~suffix:"\r" l then String.sub l 0 (String.length l - 1)
+  else l
+
+let fake_send fd r =
+  let b = Buffer.create 64 in
+  P.render_reply b r;
+  ignore (Unix.write_substring fd (Buffer.contents b) 0 (Buffer.length b))
+
+(* One SYNC bootstrap: the snapshot (pairs in the order given), then
+   SUBSCRIBE from its seq. *)
+let fake_bootstrap fk fd ic ~seq pairs =
+  let l = fake_line ic in
+  if l <> "SYNC" then failwith ("expected SYNC, got " ^ l);
+  Atomic.incr fk.syncs;
+  fake_send fd
+    (P.Arr
+       (P.Int seq :: P.Int (10 * seq)
+       :: List.concat_map (fun (k, v) -> [ P.Int k; P.Int v ]) pairs));
+  let l = fake_line ic in
+  if not (String.ends_with ~suffix:(Printf.sprintf " %d" seq) l) then
+    failwith ("expected SUBSCRIBE from seq " ^ string_of_int seq ^ ": " ^ l);
+  fake_send fd P.Ok_
+
+(* Heartbeat [fd] until [stop] or [until] (a deadline), or until a
+   connection waits on the listener when [redial]. *)
+let rec fake_beat fk fd ~redial ~until =
+  if Atomic.get fk.stop || Unix.gettimeofday () > until then ()
+  else if
+    redial
+    && (match Unix.select [ fk.lsock ] [] [] 0.1 with
+        | [], _, _ -> false
+        | _ -> true)
+  then ()
+  else begin
+    if not redial then Unix.sleepf 0.1;
+    (try fake_send fd P.Ok_ with Unix.Unix_error _ -> ());
+    fake_beat fk fd ~redial ~until
+  end
+
+(* Run [script] as a fake primary on its own domain and a one-loop
+   replica of [map] following it; [f] gets a connection to the replica
+   and a check that fails the test once the script has failed. *)
+let with_fake_primary ?(map = (module Dstruct.Btree : Dstruct.Map_intf.MAP))
+    script f =
   Verlib.reset ();
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
@@ -781,79 +936,14 @@ let test_gap_redials_from_sync () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let failed = Atomic.make None and stop = Atomic.make false in
-  let syncs = Atomic.make 0 in
-  let fake () =
-    let accept_within secs =
-      match Unix.select [ lsock ] [] [] secs with
-      | [], _, _ -> failwith "the replica did not dial again after the gap"
-      | _ ->
-          let fd, _ = Unix.accept lsock in
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
-          (fd, Unix.in_channel_of_descr fd)
-    in
-    let line ic =
-      let l = input_line ic in
-      if String.ends_with ~suffix:"\r" l then
-        String.sub l 0 (String.length l - 1)
-      else l
-    in
-    let send fd r =
-      let b = Buffer.create 64 in
-      P.render_reply b r;
-      ignore (Unix.write_substring fd (Buffer.contents b) 0 (Buffer.length b))
-    in
-    (* One SYNC bootstrap: the snapshot, then SUBSCRIBE from its seq. *)
-    let bootstrap fd ic ~seq pairs =
-      let l = line ic in
-      if l <> "SYNC" then failwith ("expected SYNC, got " ^ l);
-      Atomic.incr syncs;
-      send fd
-        (P.Arr
-           (P.Int seq :: P.Int (10 * seq)
-           :: List.concat_map (fun (k, v) -> [ P.Int k; P.Int v ]) pairs));
-      let l = line ic in
-      if not (String.ends_with ~suffix:(Printf.sprintf " %d" seq) l) then
-        failwith ("expected SUBSCRIBE from seq " ^ string_of_int seq ^ ": " ^ l);
-      send fd P.Ok_
-    in
-    (* Heartbeat [fd] until [stop] or [until] (a deadline), or until a
-       connection waits on the listener when [redial]. *)
-    let rec beat fd ~redial ~until =
-      if Atomic.get stop || Unix.gettimeofday () > until then ()
-      else if
-        redial
-        && (match Unix.select [ lsock ] [] [] 0.1 with
-            | [], _, _ -> false
-            | _ -> true)
-      then ()
-      else begin
-        if not redial then Unix.sleepf 0.1;
-        (try send fd P.Ok_ with Unix.Unix_error _ -> ());
-        beat fd ~redial ~until
-      end
-    in
-    let fd1, ic1 = accept_within 5. in
-    bootstrap fd1 ic1 ~seq:5 [ (1, 10); (2, 20) ];
-    send fd1
-      (P.reply_of_record
-         { Repl.r_seq = 7; r_stamp = 70; r_writes = [ (3, Some 30) ] });
-    (* Heartbeats keep flowing, so only the gap can end this
-       connection; a replica that waited for seq 6 would never
-       redial: give it 1.5 s. *)
-    beat fd1 ~redial:true ~until:(Unix.gettimeofday () +. 1.5);
-    let fd2, ic2 = accept_within 0. in
-    Unix.close fd1;
-    bootstrap fd2 ic2 ~seq:9 [ (1, 11); (4, 40) ];
-    beat fd2 ~redial:false ~until:infinity;
-    Unix.close fd2
-  in
+  let fk = { lsock; stop = Atomic.make false; syncs = Atomic.make 0 } in
+  let failed = Atomic.make None in
   let d =
     Domain.spawn (fun () ->
-        (try fake () with e -> Atomic.set failed (Some (Printexc.to_string e)));
+        (try script fk
+         with e -> Atomic.set failed (Some (Printexc.to_string e)));
         Unix.close lsock)
   in
-  let rmount = S.Mount.mount ~n_hint:1024 (module Dstruct.Btree) in
   let replica =
     S.create
       ~config:
@@ -863,27 +953,249 @@ let test_gap_redials_from_sync () =
           domains = 1;
           replica_of = Some ("127.0.0.1", fport);
         }
-      rmount
+      (S.Mount.mount ~n_hint:1024 map)
   in
   S.start replica;
   Fun.protect
     ~finally:(fun () ->
-      Atomic.set stop true;
+      Atomic.set fk.stop true;
       S.stop replica;
       Domain.join d)
   @@ fun () ->
   let rc = C.connect ~retries:20 ~port:(S.port replica) () in
   Fun.protect ~finally:(fun () -> C.close rc) @@ fun () ->
+  f fk rc (fun () -> Option.iter Alcotest.fail (Atomic.get failed))
+
+(* The fake answers the first SYNC with a snapshot at seq 5 and
+   SUBSCRIBE with +OK, then ships seq 7: one past the next seq, so the
+   feed lost a record.  It keeps heartbeating, so only the gap can end
+   that connection.  The replica must close it, dial again, send a
+   second SYNC and converge to the second snapshot (seq 9). *)
+let test_gap_redials_from_sync () =
+  with_fake_primary
+    (fun fk ->
+      let fd1, ic1 = fake_accept fk ~within:5. in
+      fake_bootstrap fk fd1 ic1 ~seq:5 [ (1, 10); (2, 20) ];
+      fake_send fd1
+        (P.reply_of_record
+           { Repl.r_seq = 7; r_stamp = 70; r_writes = [ (3, Some 30) ] });
+      (* Heartbeats keep flowing, so only the gap can end this
+         connection; a replica that waited for seq 6 would never
+         redial: give it 1.5 s. *)
+      fake_beat fk fd1 ~redial:true ~until:(Unix.gettimeofday () +. 1.5);
+      let fd2, ic2 = fake_accept fk ~within:0. in
+      Unix.close fd1;
+      fake_bootstrap fk fd2 ic2 ~seq:9 [ (1, 11); (4, 40) ];
+      fake_beat fk fd2 ~redial:false ~until:infinity;
+      Unix.close fd2)
+  @@ fun fk rc check_script ->
   await "the replica converges to the second snapshot" (fun () ->
-      Option.iter Alcotest.fail (Atomic.get failed);
+      check_script ();
       req rc (P.Get 1) = P.Int 11 && req rc (P.Get 4) = P.Int 40);
   Alcotest.(check bool) "key 2 left with the first snapshot" true
     (req rc (P.Get 2) = P.Nil);
   Alcotest.(check bool) "the gap record never installed" true
     (req rc (P.Get 3) = P.Nil);
-  Alcotest.(check int) "two SYNCs" 2 (Atomic.get syncs);
+  Alcotest.(check int) "two SYNCs" 2 (Atomic.get fk.syncs);
   Alcotest.(check int) "cursor at the second snapshot" 9
     (json_int (replstats rc) "apply_last_seq")
+
+(* A warm re-SYNC: the fake bootstraps the replica from a first
+   snapshot, drops the connection once it has subscribed, and answers
+   the redial with a second snapshot, in [order].  The replica must
+   delete the stale keys, overwrite the changed one, insert the new ones
+   and leave the two already right alone: its own feed (one record per
+   local write) grows by exactly five records, and STATS [size] and
+   SIZE equal the snapshot's. *)
+let test_warm_resync map order () =
+  let first = [ (1, 10); (2, 20); (3, 30); (4, 40); (5, 50) ] in
+  let second = [ (1, 10); (2, 22); (4, 40); (6, 60); (7, 70) ] in
+  with_fake_primary ~map
+    (fun fk ->
+      let fd1, ic1 = fake_accept fk ~within:5. in
+      fake_bootstrap fk fd1 ic1 ~seq:5 first;
+      Unix.close fd1;
+      let fd2, ic2 = fake_accept fk ~within:5. in
+      fake_bootstrap fk fd2 ic2 ~seq:9 (order second);
+      fake_beat fk fd2 ~redial:false ~until:infinity;
+      Unix.close fd2)
+  @@ fun fk rc check_script ->
+  await "the replica reconciles to the second snapshot" (fun () ->
+      check_script ();
+      json_int (replstats rc) "apply_last_seq" = 9);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "key %d" k)
+        true
+        (req rc (P.Get k)
+        = match List.assoc_opt k second with Some v -> P.Int v | None -> P.Nil))
+    [ 1; 2; 3; 4; 5; 6; 7 ];
+  Alcotest.(check int) "two SYNCs" 2 (Atomic.get fk.syncs);
+  Alcotest.(check int)
+    "local writes: five to bootstrap, five to reconcile" 10
+    (json_int (replstats rc) "tail_seq");
+  (match req rc P.Stats with
+   | P.Bulk j -> Alcotest.(check int) "STATS size" 5 (json_int j "size")
+   | r -> Alcotest.fail ("STATS: " ^ P.pp_reply r));
+  Alcotest.(check bool) "SIZE" true (req rc P.Size = P.Int 5)
+
+(* --- SYNC and SCAN rendering ------------------------------------------------ *)
+
+let render_sync ?(head = (7, 70)) ?(limit = max_int) m =
+  let b = Buffer.create 64 in
+  S.Mount.render_scan m b ~head ~limit ();
+  Buffer.contents b
+
+let render_scan ~limit m =
+  let b = Buffer.create 64 in
+  S.Mount.render_scan m b ~limit ();
+  Buffer.contents b
+
+let render_reply r =
+  let b = Buffer.create 64 in
+  P.render_reply b r;
+  Buffer.contents b
+
+(* How SYNC was rendered before it came from one fold: the
+   bindings as a list, then a reply. *)
+let sync_as_reply ~seq ~stamp m =
+  let pairs = List.rev (S.Mount.scan m ~init:[] ~f:(fun acc k v -> (k, v) :: acc)) in
+  render_reply
+    (P.Arr
+       (P.Int seq :: P.Int stamp
+       :: List.concat_map (fun (k, v) -> [ P.Int k; P.Int v ]) pairs))
+
+let mount_with map pairs =
+  let m = S.Mount.mount ~n_hint:64 map in
+  List.iter (fun (k, v) -> ignore (Txn.put (S.Mount.store m) k v)) pairs;
+  m
+
+let small = [ (3, 30); (1, -10); (2, 20) ]
+
+(* SYNC's bytes are the reply it used to build, on an ordered and an
+   unordered mount; SCAN is the headless form, capped at its limit; an
+   empty store renders well-formed replies. *)
+let test_sync_golden () =
+  Verlib.reset ();
+  let m = mount_with (module Dstruct.Btree) small in
+  Alcotest.(check string) "SYNC bytes"
+    "*8\r\n:7\r\n:70\r\n:1\r\n:-10\r\n:2\r\n:20\r\n:3\r\n:30\r\n"
+    (render_sync m);
+  Alcotest.(check string) "SCAN 2 bytes" "*4\r\n:1\r\n:-10\r\n:2\r\n:20\r\n"
+    (render_scan ~limit:2 m);
+  let h = mount_with (module Dstruct.Hashtable) (List.init 40 (fun i -> (i * 7919, i))) in
+  Alcotest.(check string) "hashtable SYNC as its reply"
+    (sync_as_reply ~seq:7 ~stamp:70 h) (render_sync h);
+  let e = S.Mount.mount ~n_hint:64 (module Dstruct.Btree) in
+  Alcotest.(check string) "empty SYNC" "*2\r\n:0\r\n:0\r\n"
+    (render_sync ~head:(0, 0) e);
+  Alcotest.(check string) "empty SCAN" "*0\r\n" (render_scan ~limit:10 e);
+  Alcotest.(check bool) "empty SYNC reads as a reply" true
+    (P.Reader.reply (P.Reader.of_string (render_sync ~head:(0, 0) e))
+    = Ok (P.Arr [ P.Int 0; P.Int 0 ]))
+
+(* Under the optimistic stamp scheme a fresh version carries a stamp
+   equal to the clock, so the first pass of the SYNC's snapshot aborts
+   and re-runs: the re-run drops what the aborted pass staged, and the
+   buffer holds exactly one reply after what it held before. *)
+let test_sync_optimistic_abort () =
+  Verlib.reset ~scheme:Verlib.Stamp.Opt_ts ();
+  Fun.protect ~finally:(fun () -> Verlib.reset ()) @@ fun () ->
+  let m = mount_with (module Dstruct.Btree) small in
+  let aborts0 = Verlib.Stats.total Verlib.Stats.snapshot_aborts in
+  let b = Buffer.create 64 in
+  Buffer.add_string b "+OK\r\n";
+  S.Mount.render_scan m b ~head:(7, 70) ~limit:max_int ();
+  Alcotest.(check bool) "the snapshot aborted" true
+    (Verlib.Stats.total Verlib.Stats.snapshot_aborts > aborts0);
+  Alcotest.(check string) "one reply after the earlier bytes"
+    "+OK\r\n*8\r\n:7\r\n:70\r\n:1\r\n:-10\r\n:2\r\n:20\r\n:3\r\n:30\r\n"
+    (Buffer.contents b)
+
+(* A coarse map (an immutable map behind a read-write lock, one fold
+   under the read lock) that runs [after_fold] once each fold is done:
+   a write landing right after the fold SYNC renders from. *)
+module Churn = struct
+  include Dstruct.Coarse_map
+
+  let after_fold : (t -> unit) ref = ref ignore
+
+  let scan t ~init ~f =
+    let r = scan t ~init ~f in
+    !after_fold t;
+    r
+end
+
+(* SYNC on a non-versioned mount is one fold: a write that lands after
+   it is not in the reply, no binding that was bound throughout is
+   dropped, and the store is folded once per reply.  An insert sorts
+   ahead of every key, so a second, render fold would see it and push
+   the last key out of a reply counted by the first; a delete would
+   leave that render short of the count. *)
+let test_sync_one_fold () =
+  Verlib.reset ();
+  Fun.protect ~finally:(fun () -> Churn.after_fold := ignore) @@ fun () ->
+  let golden = "*8\r\n:7\r\n:70\r\n:1\r\n:-10\r\n:2\r\n:20\r\n:3\r\n:30\r\n" in
+  let ins = mount_with (module Churn) small in
+  let fresh = ref 0 in
+  Churn.after_fold :=
+    (fun h ->
+      decr fresh;
+      ignore (Dstruct.Coarse_map.insert h !fresh 0));
+  Alcotest.(check string) "an insert after the fold" golden (render_sync ins);
+  Alcotest.(check bool) "one fold, one insert" true (S.Mount.exec ins P.Size = P.Int 4);
+  let del = mount_with (module Churn) small in
+  Churn.after_fold :=
+    (fun h ->
+      match Dstruct.Coarse_map.to_sorted_list h with
+      | (k, _) :: _ -> ignore (Dstruct.Coarse_map.delete h k)
+      | [] -> ());
+  Alcotest.(check string) "a delete after the fold" golden (render_sync del);
+  Alcotest.(check bool) "one fold, one delete" true (S.Mount.exec del P.Size = P.Int 2);
+  Alcotest.(check string) "SCAN after the delete" "*4\r\n:2\r\n:20\r\n:3\r\n:30\r\n"
+    (render_scan ~limit:max_int del)
+
+(* Over the wire: SYNC's bytes are the golden ones at the feed's tail, a
+   TRACE'd SYNC carries its @-frame ahead of the same bytes, and SCAN 0
+   follows, all pipelined on one connection. *)
+let test_sync_over_wire () =
+  Verlib.reset ();
+  let srv =
+    S.create
+      ~config:{ S.default_config with S.port = 0; domains = 1 }
+      (S.Mount.mount ~n_hint:64 (module Dstruct.Btree))
+  in
+  S.start srv;
+  Fun.protect ~finally:(fun () -> S.stop srv) @@ fun () ->
+  let pc = C.connect ~retries:20 ~port:(S.port srv) () in
+  Fun.protect ~finally:(fun () -> C.close pc) @@ fun () ->
+  List.iter (fun (k, v) -> ignore (req pc (P.Put (k, v)))) small;
+  let stamp = json_int (replstats pc) "tail_stamp" in
+  let sync =
+    Printf.sprintf "*8\r\n:3\r\n:%d\r\n:1\r\n:-10\r\n:2\r\n:20\r\n:3\r\n:30\r\n" stamp
+  in
+  let scan = "*6\r\n:1\r\n:-10\r\n:2\r\n:20\r\n:3\r\n:30\r\n" in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, S.port srv));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  let ask = "SYNC\r\nTRACE 9 SYNC\r\nSCAN 0\r\n" in
+  ignore (Unix.write_substring fd ask 0 (String.length ask));
+  let got = Buffer.create 256 and chunk = Bytes.create 4096 in
+  while not (String.ends_with ~suffix:scan (Buffer.contents got)) do
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Alcotest.fail ("EOF after " ^ Buffer.contents got)
+    | n -> Buffer.add_subbytes got chunk 0 n
+  done;
+  let s = Buffer.contents got in
+  let frame_end = String.index_from s (String.length sync) '\n' + 1 in
+  Alcotest.(check string) "SYNC bytes" sync (String.sub s 0 (String.length sync));
+  Alcotest.(check bool) "the @-frame comes first" true
+    (String.starts_with ~prefix:"@9 total=" (String.sub s (String.length sync) 9));
+  Alcotest.(check string) "then the traced SYNC's bytes, then SCAN's"
+    (sync ^ scan)
+    (String.sub s frame_end (String.length s - frame_end))
 
 let () =
   Alcotest.run "repl"
@@ -894,6 +1206,26 @@ let () =
             test_feed_capture;
           Alcotest.test_case "laggard below trim resyncs" `Quick
             test_log_resync_when_trimmed;
+          Alcotest.test_case "flat ring: wrap, trim, resync, lag bytes" `Quick
+            test_flat_ring_wraps;
+          Alcotest.test_case "a lapped ring appends without allocating"
+            `Quick test_append_alloc_budget;
+        ] );
+      ( "sync",
+        [
+          Alcotest.test_case "SYNC and SCAN bytes, empty store" `Quick
+            test_sync_golden;
+          Alcotest.test_case "an optimistic abort renders one reply" `Quick
+            test_sync_optimistic_abort;
+          Alcotest.test_case "coarse: a write after the fold is not torn in"
+            `Quick test_sync_one_fold;
+          Alcotest.test_case "SYNC bytes and TRACE frame over the wire" `Quick
+            test_sync_over_wire;
+          Alcotest.test_case "warm re-SYNC: btree, ascending" `Quick
+            (test_warm_resync (module Dstruct.Btree) Fun.id);
+          Alcotest.test_case "warm re-SYNC: hashtable, unsorted" `Quick
+            (test_warm_resync (module Dstruct.Hashtable) (fun l ->
+                 List.map (fun k -> (k, List.assoc k l)) [ 6; 1; 7; 2; 4 ]));
         ] );
       ( "apply",
         [

@@ -260,6 +260,26 @@ let test_record_frame_roundtrip =
           | Error _ -> false)
       | Error _ -> false)
 
+(* The stream pump and WATCH render records straight from the feed
+   ring's flat copy; the bytes must be the record reply's. *)
+let test_flat_record_render =
+  QCheck.Test.make ~count:300 ~name:"flat record renders as its reply"
+    (QCheck.make
+       ~print:(fun r -> P.pp_reply (P.reply_of_record r))
+       gen_record)
+    (fun r ->
+      let log = Repl.Log.create ~capacity:16 () in
+      Repl.Log.append log ~stamp:r.Repl.r_stamp r.Repl.r_writes;
+      let b = Repl.Batch.create () in
+      let copied = Repl.Log.copy_after log ~seq:0 b in
+      Repl.Log.unregister log;
+      let r = { r with Repl.r_seq = 1 } in
+      let flat = Buffer.create 64 in
+      P.render_record flat (Repl.Batch.words b) 0;
+      copied = `Copied
+      && Repl.Flat.to_record (Repl.Batch.words b) 0 = r
+      && Buffer.contents flat = render_reply_string (P.reply_of_record r))
+
 let test_record_of_reply_total =
   QCheck.Test.make ~count:500 ~name:"record_of_reply rejects non-records"
     arb_reply (fun r ->
@@ -429,9 +449,16 @@ let test_mount_capability () =
   (match S.Mount.exec m (P.Mget [| 1; 2; 3 |]) with
    | P.Arr [ P.Int 10; P.Int 20; P.Nil ] -> ()
    | r -> Alcotest.fail ("MGET: " ^ P.pp_reply r));
+  let b = Buffer.create 64 in
+  S.Mount.render_scan m b ~limit:(S.Mount.scan_limit 0) ();
+  (match P.Reader.reply (P.Reader.of_string (Buffer.contents b)) with
+   | Ok (P.Arr items) -> Alcotest.(check int) "scan k;v pairs" 4 (List.length items)
+   | Ok r -> Alcotest.fail ("SCAN: " ^ P.pp_reply r)
+   | Error e -> Alcotest.fail ("SCAN: " ^ e));
+  (* the server renders SCAN; the executor refuses it *)
   match S.Mount.exec m (P.Scan 0) with
-  | P.Arr items -> Alcotest.(check int) "scan k;v pairs" 4 (List.length items)
-  | r -> Alcotest.fail ("SCAN: " ^ P.pp_reply r)
+  | P.Err _ -> ()
+  | r -> Alcotest.fail ("SCAN through exec: " ^ P.pp_reply r)
 
 (* --- live server helpers ------------------------------------------------ *)
 
@@ -1939,6 +1966,63 @@ let test_span_alloc_budget () =
   in
   Alcotest.(check bool) "phases within total" true (sum <= Span.total_ticks sp)
 
+(* A flush stages each slice in the loop's read chunk, so draining a
+   1 MB outbuf into a socket allocates no copy of it.  The socket is
+   left blocking and a second domain drains its peer, so the flush
+   never meets EAGAIN (whose exception would allocate). *)
+let test_flush_alloc_budget () =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let handlers =
+    {
+      S.Evloop.h_accept = (fun _ -> `Admit ());
+      h_exec = (fun _ _ _ ~mark:_ -> `Continue);
+      h_resume = (fun _ _ ~now:_ -> `Continue);
+      h_overflow = (fun () -> "");
+      h_kill = ignore;
+      h_tick = (fun _ ~now:_ -> max_int);
+      h_close = (fun () ~graceful:_ -> ());
+    }
+  in
+  let loop =
+    (S.Evloop.create ~n:1 ~lsock ~handlers ~stop_flag:(Atomic.make false)
+       ~idle_timeout:0. ~write_timeout:0. ~max_line:1024
+       ~fp_read:(Fault.Point.make "server.read")
+       ~fp_write:(Fault.Point.make "server.write") ()).(0)
+  in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let total = 1 lsl 20 in
+  let conn =
+    S.Evloop.register loop a () ~accept_ticks:0 ~closing:false
+      ~preload:(String.init total (fun i -> Char.chr (i land 0x7f)))
+  in
+  Unix.clear_nonblock a;
+  let reader =
+    Domain.spawn (fun () ->
+        let buf = Bytes.create 65536 and got = ref 0 and sum = ref 0 in
+        while !got < total do
+          let n = Unix.read b buf 0 (Bytes.length buf) in
+          for i = 0 to n - 1 do
+            sum := !sum + Char.code (Bytes.get buf i)
+          done;
+          got := !got + n
+        done;
+        !sum)
+  in
+  let a0 = Gc.allocated_bytes () in
+  let flushed = S.Evloop.flush_conn loop conn in
+  let bytes = Gc.allocated_bytes () -. a0 in
+  let sum = Domain.join reader in
+  List.iter Unix.close [ a; b; lsock ];
+  Alcotest.(check bool) "drained" true (flushed = `Empty);
+  Alcotest.(check int) "every byte arrived"
+    (List.init total (fun i -> i land 0x7f) |> List.fold_left ( + ) 0)
+    sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated flushing 1 MB < 1 KB" bytes)
+    true (bytes < 1024.)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1949,6 +2033,7 @@ let qsuite =
       test_parse_never_raises;
       test_reader_never_raises;
       test_record_frame_roundtrip;
+      test_flat_record_render;
       test_record_of_reply_total;
     ]
 
@@ -1969,6 +2054,8 @@ let () =
           Alcotest.test_case "render Int" `Quick test_render_alloc_budget;
           Alcotest.test_case "span of a served GET" `Quick
             test_span_alloc_budget;
+          Alcotest.test_case "flush of a 1 MB outbuf" `Quick
+            test_flush_alloc_budget;
         ] );
       ( "protocol-framing",
         [
